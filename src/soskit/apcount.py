@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,12 +25,11 @@ from soskit.relax import (
     build_sos_dual,
 )
 from soskit.symmetry import (
-    GroupAction,
-    OrbitBasis,
     affine_action,
-    commutant_basis,
+    cyclic_action,
     is_prime,
-    primitive_root,
+    orbits,
+    symmetric_sos_dual,
 )
 
 
@@ -70,7 +69,7 @@ def ap_count_formula(n: int) -> Fraction:
     def order_count(k: int) -> int:
         if n % k != 0:
             return 0
-        return sum(1 for t in range(1, k + 1) if _gcd(t, k) == 1)
+        return sum(1 for t in range(1, k + 1) if gcd(t, k) == 1)
 
     total = Fraction(0)
     for k in range(4, n + 1):
@@ -79,64 +78,11 @@ def ap_count_formula(n: int) -> Fraction:
     return total
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def ap_orbits(n: int) -> List[List[Tuple[int, int, int]]]:
     """Partition of the 3-APs into orbits of i -> a + b*i (b a unit mod n)."""
-    aps = enumerate_aps(n)
-    index = {t: k for k, t in enumerate(aps.triples)}
-    parent = list(range(len(aps.triples)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    units = [b for b in range(1, n) if _gcd(b, n) == 1]
-    for t in aps.triples:
-        k = find(index[t])
-        for b in units:
-            for a in range(n):
-                img = tuple(sorted((a + b * v) % n for v in t))
-                r = find(index[img])
-                if r != k:
-                    parent[max(r, k)] = min(r, k)
-                    k = find(index[t])
-    groups: Dict[int, List[Tuple[int, int, int]]] = {}
-    for t in aps.triples:
-        groups.setdefault(find(index[t]), []).append(t)
-    return [groups[k] for k in sorted(groups)]
-
-
-def _threeset_orbits(p: int) -> List[List[Tuple[int, int, int]]]:
-    """All 3-subsets of Z_p split into affine orbits."""
-    sets = [tuple(c) for c in combinations(range(p), 3)]
-    index = {t: k for k, t in enumerate(sets)}
-    parent = list(range(len(sets)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    g = primitive_root(p)
-    images = [lambda v: (v + 1) % p, lambda v: g * v % p]
-    for t in sets:
-        for f in images:
-            img = tuple(sorted(f(v) for v in t))
-            a, b = find(index[t]), find(index[img])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: Dict[int, List[Tuple[int, int, int]]] = {}
-    for t in sets:
-        groups.setdefault(find(index[t]), []).append(t)
-    return [groups[k] for k in sorted(groups)]
+    aps = enumerate_aps(n).triples
+    maps = [lambda v: v + 1] + [lambda v, b=b: b * v for b in range(2, n) if gcd(b, n) == 1]
+    return orbits(aps, [lambda t, f=f: tuple(sorted(f(v) % n for v in t)) for f in maps])
 
 
 # -- monochromatic counting -----------------------------------------------------
@@ -241,29 +187,32 @@ def brute_force_W(p: int, D: int) -> int:
     return best
 
 
+def _exponents(n: int, *powers: Tuple[int, int]) -> Monomial:
+    """The exponent vector of prod x_i^e over the given (i, e)."""
+    e = [0] * n
+    for i, v in powers:
+        e[i] += v
+    return tuple(e)
+
+
+def _power_sum(n: int, e: int, minus) -> Polynomial:
+    """sum_i x_i^e - minus."""
+    terms = {_exponents(n, (i, e)): Fraction(1) for i in range(n)}
+    terms[(0,) * n] = -Fraction(minus)
+    return Polynomial(n, terms)
+
+
 def density_program(p: int, D: int) -> PolyProgram:
     """The program certified by the closed-form density certificate:
     minimize the 3-AP count of the 0/1 vector with X_i >= 0 and the cubic
     moment identities as equalities."""
-    f = Polynomial.zero(p)
-    for a, b, c in enumerate_aps(p):
-        e = [0] * p
-        e[a] = e[b] = e[c] = 1
-        f = f + Polynomial.monomial(p, e)
+    f = Polynomial(p, {_exponents(p, (a, 1), (b, 1), (c, 1)): 1 for a, b, c in enumerate_aps(p)})
     ineqs = tuple(Polynomial.variable(p, i) for i in range(p))
-    cube_sum = Polynomial.zero(p)
-    for i in range(p):
-        cube_sum = cube_sum + Polynomial.monomial(p, tuple(3 if j == i else 0 for j in range(p)))
-    h1 = Polynomial.constant(p, D) - cube_sum
-    s21 = Polynomial.zero(p)
-    for i in range(p):
-        for j in range(p):
-            if i != j:
-                e = [0] * p
-                e[i], e[j] = 2, 1
-                s21 = s21 + Polynomial.monomial(p, e)
-    h2 = s21 - Polynomial.constant(p, Fraction(D) * (D - 1))
-    return PolyProgram(p, f, ineqs=ineqs, eqs=(h1, h2))
+    h1 = -_power_sum(p, 3, D)
+    s21 = {_exponents(p, (i, 2), (j, 1)): Fraction(1)
+           for i in range(p) for j in range(p) if i != j}
+    s21[(0,) * p] = -Fraction(D) * (D - 1)
+    return PolyProgram(p, f, ineqs=ineqs, eqs=(h1, Polynomial(p, s21)))
 
 
 def density_certificate(p: int, D: int) -> Certificate:
@@ -319,170 +268,34 @@ def density_relaxation_program(p: int, D: int) -> PolyProgram:
     """min sum_APs X_i X_j X_k over the box relaxation of 0/1 vectors summing
     to D, with the implied moment identities as equalities."""
     base = density_program(p, D)
-    f = base.objective
     one = Polynomial.constant(p, 1)
     ineqs = tuple(Polynomial.variable(p, i) for i in range(p)) + tuple(
         one - Polynomial.variable(p, i) for i in range(p))
-
-    def power_sum(e: int) -> Polynomial:
-        out = Polynomial.zero(p)
-        for i in range(p):
-            out = out + Polynomial.monomial(p, tuple(e if j == i else 0 for j in range(p)))
-        return out
-
-    pairs = Polynomial.zero(p)
-    for i, j in combinations(range(p), 2):
-        ex = [0] * p
-        ex[i] = ex[j] = 1
-        pairs = pairs + Polynomial.monomial(p, ex)
-    s21 = base.eqs[1] + Polynomial.constant(p, Fraction(D) * (D - 1))
+    pairs = {_exponents(p, (i, 1), (j, 1)): Fraction(1) for i, j in combinations(range(p), 2)}
+    pairs[(0,) * p] = -Fraction(D * (D - 1), 2)
     eqs = (
-        power_sum(1) - Polynomial.constant(p, D),
-        power_sum(2) - Polynomial.constant(p, D),
-        power_sum(3) - Polynomial.constant(p, D),
-        pairs - Polynomial.constant(p, Fraction(D * (D - 1), 2)),
-        s21 - Polynomial.constant(p, Fraction(D) * (D - 1)),
+        _power_sum(p, 1, D),
+        _power_sum(p, 2, D),
+        _power_sum(p, 3, D),
+        Polynomial(p, pairs),
+        base.eqs[1],
     )
-    return PolyProgram(p, f, ineqs=ineqs, eqs=eqs)
+    return PolyProgram(p, base.objective, ineqs=ineqs, eqs=eqs)
 
 
 def build_density_relaxation(p: int, D: int, use_symmetry: bool = False,
                              ) -> Tuple[sdp.SdpProblem, Optional[SosDualInfo]]:
     """Degree-3 SOS dual of the density program, with scalar multipliers on
-    the five moment identities.  With use_symmetry the blocks live in the
-    commutants of the affine action (and its point stabilizer) and one
-    balance row is kept per monomial orbit."""
+    the five moment identities.  With use_symmetry it is the reduced dual of
+    symmetric_sos_dual under the affine group of Z_p (no SosDualInfo)."""
     if not 0 <= D <= p:
         raise ValueError("need 0 <= D <= p")
-    if not use_symmetry:
-        prog = density_relaxation_program(p, D)
-        return build_sos_dual(prog, 3, eq_mult_degrees=[0] * 5)
-    if not is_prime(p) or p == 2:
+    if use_symmetry and (not is_prime(p) or p == 2):
         raise ValueError("the symmetric build needs an odd prime p")
-    return _build_density_symmetric(p, D), None
-
-
-def _extended_affine_actions(p: int) -> Tuple[GroupAction, GroupAction]:
-    """The affine group and the stabilizer of 0 acting on positions
-    (constant, X_0, ..., X_{p-1})."""
-    g = primitive_root(p)
-    shift = (0,) + tuple(1 + ((i + 1) % p) for i in range(p))
-    mult = (0,) + tuple(1 + (g * i % p) for i in range(p))
-    return GroupAction(p + 1, [shift, mult]), GroupAction(p + 1, [mult])
-
-
-def _sym_expansions(p: int, basis: OrbitBasis, family: str) -> List[Polynomial]:
-    """Per orbit-basis matrix, the exact polynomial it contributes:
-    family "q0":     v' E v
-    family "plus":   sum_k v_k' E v_k * X_k
-    family "minus":  sum_k v_k' E v_k * (1 - X_k)
-    with v_k the degree-1 basis rotated so slot 1 holds X_k."""
-    def mono(pos: int, k: int) -> Optional[int]:
-        if pos == 0:
-            return None
-        return (k + (pos - 1)) % p
-
-    out = []
-    for idx in range(basis.d):
-        terms: Dict[Monomial, Fraction] = {}
-
-        def add(e: List[int], v=1):
-            m = tuple(e)
-            terms[m] = terms.get(m, Fraction(0)) + v
-
-        ks = (0,) if family == "q0" else tuple(range(p))
-        for k in ks:
-            for (u, v) in basis.orbits[idx]:
-                e = [0] * p
-                for pos in (u, v):
-                    j = mono(pos, k)
-                    if j is not None:
-                        e[j] += 1
-                if family == "q0":
-                    add(e)
-                elif family == "plus":
-                    e2 = list(e)
-                    e2[k] += 1
-                    add(e2)
-                else:
-                    add(e)
-                    e2 = list(e)
-                    e2[k] += 1
-                    add(e2, -1)
-        out.append(Polynomial(p, terms))
-    return out
-
-
-def _build_density_symmetric(p: int, D: int) -> sdp.SdpProblem:
-    full_action, stab_action = _extended_affine_actions(p)
-    basis_full = commutant_basis(full_action)
-    basis_stab = commutant_basis(stab_action)
-
     prog = density_relaxation_program(p, D)
-    f = prog.objective
-
-    # orbit representatives of the monomial balance rows
-    reps: List[Monomial] = [(0,) * p]
-    def emono(pairs) -> Monomial:
-        e = [0] * p
-        for i, v in pairs:
-            e[i] += v
-        return tuple(e)
-    reps.append(emono([(0, 1)]))
-    reps.append(emono([(0, 2)]))
-    reps.append(emono([(0, 1), (1, 1)]))
-    reps.append(emono([(0, 3)]))
-    reps.append(emono([(0, 2), (1, 1)]))
-    for orbit in _threeset_orbits(p):
-        a, b, c = orbit[0]
-        reps.append(emono([(a, 1), (b, 1), (c, 1)]))
-    row_of = {m: k for k, m in enumerate(reps)}
-
-    families = [
-        ("q0", basis_full),
-        ("plus", basis_stab),
-        ("minus", basis_stab),
-    ]
-    var_names = ["lambda"] + [f"c{m}" for m in range(5)]
-    offsets, group_lists = [], []
-    for name, basis in families:
-        groups = basis.sym_groups()
-        offsets.append(len(var_names))
-        group_lists.append(groups)
-        var_names += [f"{name}{g}" for g in groups]
-    n_free = len(var_names)
-
-    rows = [sdp.LinearRow(rhs=float(f.coefficient_of(m)), rel="==", label=str(m))
-            for m in reps]
-    rows[0].free[0] = 1.0
-    for m_i, h in enumerate(prog.eqs):
-        for mono_, coef in h.terms.items():
-            if mono_ in row_of:
-                r = rows[row_of[mono_]]
-                r.free[1 + m_i] = r.free.get(1 + m_i, 0.0) + float(coef)
-
-    lmis = []
-    for (name, basis), off, groups in zip(families, offsets, group_lists):
-        expans = _sym_expansions(p, basis, name)
-        for gi, group in enumerate(groups):
-            for j in group:
-                scale = 1.0 / float(basis.sizes[j]) ** 0.5
-                for mono_, coef in expans[j].terms.items():
-                    if mono_ in row_of:
-                        r = rows[row_of[mono_]]
-                        r.free[off + gi] = r.free.get(off + gi, 0.0) + scale * float(coef)
-        lmis.append(sdp.MatrixIneq(
-            dim=basis.d,
-            const=np.zeros((basis.d, basis.d)),
-            coeffs={off + gi: sum(basis.L_float[j] for j in g)
-                    for gi, g in enumerate(groups)},
-            label=name,
-        ))
-
-    free_obj = np.zeros(n_free)
-    free_obj[0] = 1.0
-    return sdp.SdpProblem(n_free=n_free, free_obj=free_obj, rows=rows, lmis=lmis,
-                          sense="max", free_names=var_names)
+    if use_symmetry:
+        return symmetric_sos_dual(prog, 3, affine_action(p), eq_mult_degrees=[0] * 5), None
+    return build_sos_dual(prog, 3, eq_mult_degrees=[0] * 5)
 
 
 # -- monochromatic relaxation ----------------------------------------------------
@@ -490,72 +303,23 @@ def _build_density_symmetric(p: int, D: int) -> sdp.SdpProblem:
 def mono_program(n: int) -> PolyProgram:
     """min sum_APs (x_a x_b + x_a x_c + x_b x_c + 1)/4 over x in {-1,1}^n,
     with x_i^2 = 1 as equality constraints."""
-    f = Polynomial.zero(n)
     quarter = Fraction(1, 4)
+    terms: Dict[Monomial, Fraction] = {}
     for a, b, c in enumerate_aps(n):
-        for i, j in ((a, b), (a, c), (b, c)):
-            e = [0] * n
-            e[i] = e[j] = 1
-            f = f + Polynomial.monomial(n, e, quarter)
-        f = f + Polynomial.constant(n, quarter)
-    eqs = tuple(
-        Polynomial.monomial(n, tuple(2 if j == i else 0 for j in range(n)))
-        - Polynomial.constant(n, 1)
-        for i in range(n))
-    return PolyProgram(n, f, eqs=eqs)
+        for m in (_exponents(n, (a, 1), (b, 1)), _exponents(n, (a, 1), (c, 1)),
+                  _exponents(n, (b, 1), (c, 1)), (0,) * n):
+            terms[m] = terms.get(m, 0) + quarter
+    eqs = tuple(Polynomial(n, {_exponents(n, (i, 2)): 1, (0,) * n: -1}) for i in range(n))
+    return PolyProgram(n, Polynomial(n, terms), eqs=eqs)
 
 
 def build_mono_relaxation(n: int, use_symmetry: bool = False,
                           ) -> Tuple[sdp.SdpProblem, Optional[SosDualInfo]]:
-    """Degree-2 SOS dual of the monochromatic AP program."""
+    """Degree-2 SOS dual of the monochromatic AP program.  With use_symmetry
+    it is the reduced dual of symmetric_sos_dual under the rotations of Z_n
+    (no SosDualInfo)."""
     if n < 3:
         raise ValueError("need n >= 3")
-    if not use_symmetry:
-        return build_sos_dual(mono_program(n), 2)
-    return _build_mono_symmetric(n), None
-
-
-def _build_mono_symmetric(n: int) -> sdp.SdpProblem:
-    """Cyclic reduction: one balance row per rotation orbit of monomials, the
-    Gram block in the commutant of the rotation action on (1, x_0..x_{n-1}),
-    and a single averaged multiplier for the x_i^2 = 1 family."""
-    rot = (0,) + tuple(1 + ((i + 1) % n) for i in range(n))
-    basis = commutant_basis(GroupAction(n + 1, [rot]))
-    prog = mono_program(n)
-    f = prog.objective
-
-    reps: List[Monomial] = [(0,) * n]
-    reps.append(tuple(1 if j == 0 else 0 for j in range(n)))
-    reps.append(tuple(2 if j == 0 else 0 for j in range(n)))
-    for d in range(1, n // 2 + 1):
-        e = [0] * n
-        e[0] += 1
-        e[d] += 1
-        reps.append(tuple(e))
-    row_of = {m: k for k, m in enumerate(reps)}
-
-    groups = basis.sym_groups()
-    var_names = ["lambda", "c"] + [f"q{g}" for g in groups]
-    off = 2
-    rows = [sdp.LinearRow(rhs=float(f.coefficient_of(m)), rel="==", label=str(m))
-            for m in reps]
-    rows[0].free[0] = 1.0
-    # averaged multiplier: c * sum_i (x_i^2 - 1)
-    rows[0].free[1] = -float(n)
-    rows[row_of[reps[2]]].free[1] = 1.0
-
-    expans = _sym_expansions(n, basis, "q0")
-    for gi, group in enumerate(groups):
-        for j in group:
-            scale = 1.0 / float(basis.sizes[j]) ** 0.5
-            for mono_, coef in expans[j].terms.items():
-                if mono_ in row_of:
-                    r = rows[row_of[mono_]]
-                    r.free[off + gi] = r.free.get(off + gi, 0.0) + scale * float(coef)
-    lmi = sdp.MatrixIneq(dim=basis.d, const=np.zeros((basis.d, basis.d)),
-                         coeffs={off + gi: sum(basis.L_float[j] for j in g)
-                                 for gi, g in enumerate(groups)})
-    free_obj = np.zeros(2 + len(groups))
-    free_obj[0] = 1.0
-    return sdp.SdpProblem(n_free=2 + len(groups), free_obj=free_obj, rows=rows,
-                          lmis=[lmi], sense="max", free_names=var_names)
+    if use_symmetry:
+        return symmetric_sos_dual(mono_program(n), 2, cyclic_action(n)), None
+    return build_sos_dual(mono_program(n), 2)

@@ -16,13 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from soskit import sdp
+from soskit.moment import monomial_vector
+from soskit.poly import Monomial, Polynomial, mono_mul, monomials_up_to_degree
+from soskit.relax import PolyProgram, check_order
 
 GROUP_ENUMERATION_CAP = 10 ** 6
+
+T = TypeVar("T")
 
 
 # -- exact arithmetic with square roots ---------------------------------------
@@ -294,76 +299,77 @@ class OrbitBasis:
         return X
 
 
+def orbits(items: Sequence[T], maps: Iterable[Callable[[T], T]]) -> List[List[T]]:
+    """Orbits of the group generated by maps, each a bijection of items, by
+    union-find over the image of every item.  Orbits are ordered by their
+    first member in items and list their members in input order."""
+    index = {x: k for k, x in enumerate(items)}
+    parent = list(range(len(items)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for f in maps:
+        for k, x in enumerate(items):
+            a, b = find(k), find(index[f(x)])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    # each root is the smallest index of its set, so first-seen order is
+    # the order of smallest members
+    groups: Dict[int, List[T]] = {}
+    for k, x in enumerate(items):
+        groups.setdefault(find(k), []).append(x)
+    return list(groups.values())
+
+
 def _pair_orbits(action: GroupAction) -> List[List[Tuple[int, int]]]:
-    """Orbits of Z x Z under (i, j) -> (g(i), g(j)), by union-find over
-    generator images only."""
+    """Orbits of Z x Z under (i, j) -> (g(i), g(j))."""
     n = action.size
-    parent = list(range(n * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for g in action.generators:
-        for i in range(n):
-            gi = g[i]
-            for j in range(n):
-                union(i * n + j, gi * n + g[j])
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(n):
-            groups.setdefault(find(i * n + j), []).append((i, j))
-    return [groups[k] for k in sorted(groups)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return orbits(pairs, [lambda ij, g=g: (g[ij[0]], g[ij[1]])
+                          for g in action.generators])
 
 
 def commutant_basis(action: GroupAction) -> OrbitBasis:
     """Orbit basis of the commutant, with exact multiplication parameters
     lam_{ij}^k = c_{ij}^k * sqrt(t_k/(t_i t_j)) where c counts walks
-    E_i E_j = sum_k c_{ij}^k E_k."""
-    orbits = _pair_orbits(action)
+    E_i E_j = sum_k c_{ij}^k E_k: for any (x, y) in orbit k,
+    c_{ij}^k = #{z : (x, z) in orbit i, (z, y) in orbit j}."""
+    pair_orbits = _pair_orbits(action)
     n = action.size
-    d = len(orbits)
-    sizes = [len(o) for o in orbits]
-    orbit_of = np.full((n, n), -1, dtype=int)
-    for k, orbit in enumerate(orbits):
+    d = len(pair_orbits)
+    sizes = [len(o) for o in pair_orbits]
+    orbit_of = np.empty((n, n), dtype=np.int64)
+    for k, orbit in enumerate(pair_orbits):
         for r, c in orbit:
             orbit_of[r, c] = k
-    transpose_of = [int(orbit_of[orbits[i][0][1], orbits[i][0][0]]) for i in range(d)]
+    transpose_of = [int(orbit_of[c, r]) for r, c in (o[0] for o in pair_orbits)]
 
-    E = [np.zeros((n, n), dtype=np.int64) for _ in range(d)]
-    for k, orbit in enumerate(orbits):
-        for r, c in orbit:
-            E[k][r, c] = 1
+    # counts[k, i*d + j] = c_{ij}^k, read off the first pair of orbit k; one
+    # row x at a time, every pair (x, y) must count the same as its orbit's
+    first_x = np.array([o[0][0] for o in pair_orbits])
+    first_y = np.array([o[0][1] for o in pair_orbits])
+    counts = np.empty((d, d * d), dtype=np.int64)
+    key_y = np.arange(n) * (d * d)
+    for x in range(n):
+        key = key_y[None, :] + orbit_of[x][:, None] * d + orbit_of   # [z, y]
+        walks = np.bincount(key.ravel(), minlength=n * d * d).reshape(n, d * d)
+        here = first_x == x
+        counts[here] = walks[first_y[here]]
+        if not np.array_equal(walks, counts[orbit_of[x]]):
+            raise AssertionError("commutant product not orbit-constant")
+    counts = counts.reshape(d, d, d)
 
     lam: Dict[Tuple[int, int], Dict[int, RadicalSum]] = {}
-    counts: Dict[Tuple[int, int], Dict[int, int]] = {}
     for i in range(d):
         for j in range(d):
-            prod = E[i] @ E[j]
-            cs: Dict[int, int] = {}
-            for k in range(d):
-                r, c = orbits[k][0]
-                v = int(prod[r, c])
-                if v:
-                    cs[k] = v
-            # the product must be orbit-constant: reconstruct and compare
-            back = np.zeros((n, n), dtype=np.int64)
-            for k, v in cs.items():
-                back += v * E[k]
-            if not np.array_equal(back, prod):
-                raise AssertionError("commutant product not orbit-constant")
-            counts[(i, j)] = cs
             lam[(i, j)] = {
-                k: RadicalSum.of(Fraction(v, sizes[i] * sizes[j]),
-                                 sizes[i] * sizes[j] * sizes[k])
-                for k, v in cs.items()
+                int(k): RadicalSum.of(Fraction(int(counts[k, i, j]), sizes[i] * sizes[j]),
+                                      sizes[i] * sizes[j] * sizes[k])
+                for k in np.flatnonzero(counts[:, i, j])
             }
 
     L_float = []
@@ -376,7 +382,7 @@ def commutant_basis(action: GroupAction) -> OrbitBasis:
                     mat[i, j] = float(v)
         L_float.append(mat)
 
-    return OrbitBasis(size=n, orbits=orbits, sizes=sizes,
+    return OrbitBasis(size=n, orbits=pair_orbits, sizes=sizes,
                       transpose_of=transpose_of, lam=lam, L_float=L_float)
 
 
@@ -549,3 +555,156 @@ def reduce_sdp(p: sdp.SdpProblem, action: GroupAction,
         free_names=[f"x{g}" for g in groups],
     )
     return ReducedSdp(problem=reduced, basis=basis, groups=groups, row_map=row_map)
+
+
+# -- symmetric SOS duals of invariant programs ------------------------------------
+
+def _monomial_map(g: Sequence[int]) -> Callable[[Monomial], Monomial]:
+    """The substitution x_i -> x_{g[i]} on exponent vectors."""
+    ginv = inverse(g)
+    return lambda m: tuple(m[i] for i in ginv)
+
+
+def _permutation_of(items: Sequence, image: Callable, what: str, gi: int) -> List[int]:
+    """Indices of the images of items; a ValueError names generator gi when
+    the images are not a rearrangement of items."""
+    index = {x: k for k, x in enumerate(items)}
+    perm = [index.get(image(x)) for x in items]
+    if None in perm or len(set(perm)) != len(items):
+        raise ValueError(f"program not invariant: generator {gi} does not permute the {what}")
+    return perm
+
+
+def _stabilizer(action: GroupAction, perms: Sequence[Sequence[int]],
+                point: int) -> List[Tuple[int, ...]]:
+    """Schreier generators of the stabilizer of point, where generator i of
+    the action moves point k to perms[i][k]."""
+    gens = action.generators
+    transversal = {point: tuple(range(action.size))}    # u_k moves point to k
+    orbit = [point]
+    for k in orbit:
+        for g, pi in zip(gens, perms):
+            if pi[k] not in transversal:
+                transversal[pi[k]] = compose(transversal[k], g)
+                orbit.append(pi[k])
+    out: List[Tuple[int, ...]] = []
+    for k in orbit:
+        for g, pi in zip(gens, perms):
+            h = compose(compose(transversal[k], g), inverse(transversal[pi[k]]))
+            if h != transversal[point] and h not in out:
+                out.append(h)
+    return out
+
+
+def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
+                       eq_mult_degrees: Optional[Sequence[int]] = None) -> sdp.SdpProblem:
+    """The order-s SOS dual of build_sos_dual restricted to invariant
+    certificates, for a program whose variables the action permutes.
+
+    Every generator must fix the objective and permute the inequalities and
+    the equalities; this is checked exactly, and a ValueError names the
+    first generator that fails.  The reduced problem keeps
+      - one balance row per monomial orbit, by degree and then by descending
+        lexicographic order of the orbit's largest exponent vector, which is
+        the monomial the row reads;
+      - λ, then one free scalar per orbit of equality multipliers γ·h_k (with
+        deg γ capped as in build_sos_dual, and the cap constant on orbits);
+      - σ0 in the commutant of the induced action on the order-⌊s/2⌋
+        monomial basis, then for each inequality orbit the multiplier of its
+        first member g in the commutant of the stabilizer of g, carried to
+        the rest of the orbit by coset representatives.
+    An invariant sum over an orbit of m images of a polynomial P has
+    coefficient m/|O| * Σ_{β in O} P_β at each monomial of an orbit O, which
+    is how every row coefficient is computed, in exact arithmetic.
+    """
+    check_order(prog, s)
+    n = prog.n
+    if action.size != n:
+        raise ValueError("action size does not match the variable count")
+    gens = action.generators
+    moves = [_monomial_map(g) for g in gens]
+    ineq_perms, eq_perms = [], []
+    for gi, mv in enumerate(moves):
+        def image(q: Polynomial, mv=mv) -> Polynomial:
+            return Polynomial(n, {mv(m): c for m, c in q.terms.items()}, q.mode)
+
+        if image(prog.objective) != prog.objective:
+            raise ValueError(f"program not invariant: generator {gi} moves the objective")
+        ineq_perms.append(_permutation_of(prog.ineqs, image, "inequalities", gi))
+        eq_perms.append(_permutation_of(prog.eqs, image, "equalities", gi))
+
+    monos = sorted(monomials_up_to_degree(n, s), key=lambda m: (sum(m), [-e for e in m]))
+    mono_orbits = orbits(monos, moves)
+    orbit_of = {m: k for k, o in enumerate(mono_orbits) for m in o}
+
+    def balance(terms: Dict[Monomial, object], mult: int) -> Dict[int, object]:
+        acc: Dict[int, object] = {}
+        for m, c in terms.items():
+            k = orbit_of[m]
+            acc[k] = acc.get(k, 0) + c
+        return {k: v * Fraction(mult, len(mono_orbits[k])) for k, v in acc.items() if v}
+
+    rows = [sdp.LinearRow(rhs=float(prog.objective.coefficient_of(o[0])), rel="==",
+                          label=str(o[0])) for o in mono_orbits]
+    names = ["lambda"]
+    rows[0].free[0] = 1.0
+
+    if eq_mult_degrees is None:
+        eq_mult_degrees = [s - h.degree() for h in prog.eqs]
+    elif len(eq_mult_degrees) != len(prog.eqs):
+        raise ValueError("one multiplier degree per equality required")
+    caps = [min(c, s - h.degree()) for c, h in zip(eq_mult_degrees, prog.eqs)]
+    if any(caps[k] != caps[pi[k]] for pi in eq_perms for k in range(len(caps))):
+        raise ValueError("equality multiplier degrees must agree on each orbit")
+    mults = [(k, gamma) for k in range(len(prog.eqs))
+             for gamma in monomials_up_to_degree(n, caps[k])]
+    for orbit in orbits(mults, [lambda kg, pi=pi, mv=mv: (pi[kg[0]], mv(kg[1]))
+                                for pi, mv in zip(eq_perms, moves)]):
+        k, gamma = orbit[0]
+        terms = {mono_mul(gamma, m): c for m, c in prog.eqs[k].terms.items()}
+        for row, v in balance(terms, len(orbit)).items():
+            rows[row].free[len(names)] = float(v)
+        names.append(f"c[{k}]{gamma}")
+
+    # (multiplied polynomial, orbit size, stabilizer, basis order, label)
+    families = [({(0,) * n: 1}, 1, gens, s // 2, "sigma0")]
+    for orbit in orbits(range(len(prog.ineqs)),
+                        [lambda k, pi=pi: pi[k] for pi in ineq_perms]):
+        g = prog.ineqs[orbit[0]]
+        families.append((g.terms, len(orbit), _stabilizer(action, ineq_perms, orbit[0]),
+                         (s - g.degree()) // 2, f"sigma{orbit[0] + 1}"))
+    lmis = []
+    bases: Dict[tuple, OrbitBasis] = {}
+    for g_terms, mult, stab, order, label in families:
+        vec = monomial_vector(n, order)
+        pos = {b: i for i, b in enumerate(vec)}
+        induced = tuple(tuple(pos[mv(b)] for b in vec) for mv in map(_monomial_map, stab))
+        if induced not in bases:
+            bases[induced] = commutant_basis(GroupAction(len(vec), list(induced)))
+        basis = bases[induced]
+        groups = basis.sym_groups()
+        off = len(names)
+        names += [f"{label}{g}" for g in groups]
+        for gi, group in enumerate(groups):
+            for j in group:
+                terms: Dict[Monomial, object] = {}
+                for u, v in basis.orbits[j]:
+                    uv = mono_mul(vec[u], vec[v])
+                    for gm, gc in g_terms.items():
+                        m = mono_mul(uv, gm)
+                        terms[m] = terms.get(m, 0) + gc
+                scale = 1.0 / float(basis.sizes[j]) ** 0.5
+                for row, c in balance(terms, mult).items():
+                    free = rows[row].free
+                    free[off + gi] = free.get(off + gi, 0.0) + scale * float(c)
+        lmis.append(sdp.MatrixIneq(
+            dim=basis.d,
+            const=np.zeros((basis.d, basis.d)),
+            coeffs={off + gi: sum(basis.L_float[j] for j in g) for gi, g in enumerate(groups)},
+            label=label,
+        ))
+
+    free_obj = np.zeros(len(names))
+    free_obj[0] = 1.0
+    return sdp.SdpProblem(n_free=len(names), free_obj=free_obj, rows=rows, lmis=lmis,
+                          sense="max", free_names=names)

@@ -213,6 +213,12 @@ class TestDensityRelaxation:
             assert conclusive(su) and conclusive(ss), f"D={D}"
             assert abs(su.primal_obj - ss.primal_obj) <= 1e-6 * (1 + abs(su.primal_obj)), f"D={D}"
 
+    def test_p13_reduced_shape(self):
+        prob, info = build_density_relaxation(13, 5, use_symmetry=True)
+        assert info is None
+        assert len(prob.rows) == 9 and prob.n_free == 34
+        assert [l.dim for l in prob.lmis] == [5, 20, 20]
+
     def test_symmetry_needs_prime(self):
         with pytest.raises(ValueError):
             build_density_relaxation(6, 2, use_symmetry=True)
@@ -250,6 +256,11 @@ class TestMonoRelaxation:
         prob, _ = build_mono_relaxation(8, use_symmetry=True)
         sol = sdp.solve(prob)
         assert sol.primal_obj <= brute_force_R(8) + 1e-6 == 1e-6
+
+    def test_n24_reduced_shape(self):
+        prob, _ = build_mono_relaxation(24, use_symmetry=True)
+        assert len(prob.rows) == 15 and prob.n_free == 17
+        assert [l.dim for l in prob.lmis] == [27]
 
     def test_sym_matches_unsym(self):
         for n in (3, 5, 6, 8):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from soskit import sdp
+from soskit.poly import Polynomial
+from soskit.relax import PolyProgram, build_sos_dual
 from soskit.sdp import LinearRow, SdpProblem, solve
 from soskit.symmetry import (
     GroupAction,
@@ -17,10 +19,12 @@ from soskit.symmetry import (
     group_average,
     inverse,
     named_action,
+    orbits,
     perm_matrix,
     phi_check,
     primitive_root,
     reduce_sdp,
+    symmetric_sos_dual,
 )
 
 
@@ -122,20 +126,21 @@ class TestCommutantBasis:
                 assert np.sum(b.E(i) * b.E(j)) == (b.sizes[i] if i == j else 0)
 
     def test_multiplication_parameters_exact(self):
-        b = commutant_basis(cyclic_action(5))
-        E = [b.E(i).astype(np.int64) for i in range(b.d)]
-        for i in range(b.d):
-            for j in range(b.d):
-                prod = E[i] @ E[j]
-                recon = np.zeros_like(prod, dtype=float)
-                for k, lam in b.lam[(i, j)].items():
-                    # lam^2 must be the rational c^2 t_k/(t_i t_j)
-                    c = prod[b.orbits[k][0]]
-                    assert lam * lam == RadicalSum.of(
-                        Fraction(int(c) ** 2 * b.sizes[k], b.sizes[i] * b.sizes[j]))
-                    recon += float(lam) * b.E(k) / b.sizes[k] ** 0.5
-                target = E[i] @ E[j] / (b.sizes[i] * b.sizes[j]) ** 0.5
-                assert np.allclose(recon, target, atol=1e-12)
+        for action in (cyclic_action(5), dihedral_action(6), affine_action(5)):
+            b = commutant_basis(action)
+            E = [b.E(i).astype(np.int64) for i in range(b.d)]
+            for i in range(b.d):
+                for j in range(b.d):
+                    prod = E[i] @ E[j]
+                    recon = np.zeros_like(prod, dtype=float)
+                    for k, lam in b.lam[(i, j)].items():
+                        # lam^2 must be the rational c^2 t_k/(t_i t_j)
+                        c = prod[b.orbits[k][0]]
+                        assert lam * lam == RadicalSum.of(
+                            Fraction(int(c) ** 2 * b.sizes[k], b.sizes[i] * b.sizes[j]))
+                        recon += float(lam) * b.E(k) / b.sizes[k] ** 0.5
+                    target = E[i] @ E[j] / (b.sizes[i] * b.sizes[j]) ** 0.5
+                    assert np.allclose(recon, target, atol=1e-12)
 
     def test_commutes_with_generators(self):
         action = dihedral_action(5)
@@ -259,3 +264,74 @@ class TestReduceSdp:
         p = SdpProblem(block_dims=[n], C=[np.ones((n, n))], rows=rows, sense="max")
         with pytest.raises(ValueError, match="row"):
             reduce_sdp(p, dihedral_action(5))
+
+
+class TestOrbitHelper:
+    def test_order_and_members(self):
+        # x -> x + 2 mod 6 on items listed out of order
+        items = [3, 0, 5, 2, 1, 4]
+        assert orbits(items, [lambda x: (x + 2) % 6]) == [[3, 5, 1], [0, 2, 4]]
+
+    def test_no_maps_gives_singletons(self):
+        assert orbits("abc", []) == [["a"], ["b"], ["c"]]
+
+
+def _mono(n, *powers):
+    e = [0] * n
+    for i, v in powers:
+        e[i] += v
+    return tuple(e)
+
+
+def dihedral_quartic_program(perturb=None):
+    """A quartic in 4 variables fixed by the dihedral group of the square,
+    with the orbit 1 - x_i^2 >= 0 (stabilizer of x_0: the reflection fixing
+    0 and 2) and sum x_i^2 = 2."""
+    n = 4
+    one = (0,) * n
+    f = {_mono(n, (0, 1), (1, 1), (2, 1), (3, 1)): Fraction(1)}
+    for i in range(n):
+        j = (i + 1) % n
+        f[_mono(n, (i, 4))] = Fraction(1)
+        f[_mono(n, (i, 1))] = Fraction(1, 2)
+        f[_mono(n, (i, 1), (j, 1))] = Fraction(-3)
+        f[_mono(n, (i, 1), ((i + 2) % n, 1))] = Fraction(2)
+        f[_mono(n, (i, 2), (j, 1))] = Fraction(1)
+        f[_mono(n, (j, 2), (i, 1))] = Fraction(1)
+    f.update(perturb or {})
+    return PolyProgram(
+        n, Polynomial(n, f),
+        ineqs=tuple(Polynomial(n, {one: 1, _mono(n, (i, 2)): -1}) for i in range(n)),
+        eqs=(Polynomial(n, {**{_mono(n, (i, 2)): 1 for i in range(n)}, one: -2}),))
+
+
+class TestSymmetricSosDual:
+    def test_matches_full_dual(self):
+        from conftest import conclusive
+        prog = dihedral_quartic_program()
+        full, _ = build_sos_dual(prog, 4)
+        reduced = symmetric_sos_dual(prog, 4, dihedral_action(4))
+        # 70 monomials fall into 17 orbits; the degree-2 multiplier of the
+        # equality keeps one scalar per orbit of its 15 monomials
+        assert len(reduced.rows) == 17 < len(full.rows)
+        # sigma0 in the commutant of D4 on the 15 monomials of degree <= 2;
+        # the inequality multiplier in that of the stabilizer of x_0
+        assert [l.dim for l in reduced.lmis] == [44, 17]
+        a, b = solve(full), solve(reduced)
+        assert conclusive(a) and conclusive(b)
+        assert abs(a.primal_obj - b.primal_obj) <= 1e-6
+
+    def test_rejects_moved_objective(self):
+        prog = dihedral_quartic_program(perturb={_mono(4, (0, 3)): Fraction(1)})
+        with pytest.raises(ValueError, match="generator 0 moves the objective"):
+            symmetric_sos_dual(prog, 4, dihedral_action(4))
+
+    def test_rejects_unpermuted_constraints(self):
+        prog = dihedral_quartic_program()
+        broken = PolyProgram(prog.n, prog.objective, ineqs=prog.ineqs[1:], eqs=prog.eqs)
+        with pytest.raises(ValueError, match="generator 0 does not permute the inequalities"):
+            symmetric_sos_dual(broken, 4, dihedral_action(4))
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(ValueError):
+            symmetric_sos_dual(dihedral_quartic_program(), 4, dihedral_action(5))
