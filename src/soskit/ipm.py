@@ -21,8 +21,9 @@ measure of SDPA.
 A structural preprocessing pass removes facial degeneracy of the form
 "diagonal entry pinned to zero": such a row forces the whole row and column
 of that block to vanish, so the block is shrunk before iterating.  Whenever
-the pass removes anything, the returned solution is flagged marginal, since
-the original problem had no strictly feasible point.  One solve is
+the pass shrinks a block, the returned solution is flagged marginal, since
+the original problem had no strictly feasible point; rows left empty
+(0 = 0) are dropped without that flag.  One solve is
 deterministic: fixed operation order, no randomness.
 """
 
@@ -49,14 +50,6 @@ class StdForm:
     n_free: int
     free_obj: np.ndarray
     b: np.ndarray
-
-
-@dataclass
-class WarmStart:
-    X: List[np.ndarray]
-    S: List[np.ndarray]
-    y: np.ndarray
-    u: np.ndarray
 
 
 @dataclass
@@ -268,9 +261,8 @@ def _kkt_solve(K: np.ndarray, Kinv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
-              warm: Optional[WarmStart] = None) -> StdResult:
-    """Solve a standard-form SDP from ``warm`` or the scaled identity.
+def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200) -> StdResult:
+    """Solve a standard-form SDP from the scaled identity.
 
     Each iteration factors the bordered KKT matrix once (see the module
     docstring) and refines both directions against the unshifted matrix.
@@ -288,15 +280,7 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
             S=[np.zeros((d, d)) for d in form.dims],
             y=np.zeros(len(form.rows)), u=np.zeros(form.n_free), marginal=True)
 
-    rwarm = None
-    if warm is not None:
-        rwarm = WarmStart(
-            X=[warm.X[b][np.ix_(k, k)] for b, k in enumerate(rmap.keep)],
-            S=[warm.S[b][np.ix_(k, k)] for b, k in enumerate(rmap.keep)],
-            y=warm.y[rmap.kept_rows],
-            u=warm.u,
-        )
-    res = _solve_core(red, tol, max_iter, rwarm)
+    res = _solve_core(red, tol, max_iter)
 
     if rmap.reduced:
         X = [np.zeros((d, d)) for d in form.dims]
@@ -304,15 +288,18 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
         for b, k in enumerate(rmap.keep):
             X[b][np.ix_(k, k)] = res.X[b]
             S[b][np.ix_(k, k)] = res.S[b]
+        res.X, res.S = X, S
+        res.marginal = True
+    # rows dropped as empty (0 = 0) get a zero multiplier; they remove no
+    # interior, so they alone do not make the solution marginal
+    if len(rmap.kept_rows) != len(form.rows):
         y = np.zeros(len(form.rows))
         y[rmap.kept_rows] = res.y
-        res.X, res.S, res.y = X, S, y
-        res.marginal = True
+        res.y = y
     return res
 
 
-def _solve_core(form: StdForm, tol: float, max_iter: int,
-                warm: Optional[WarmStart]) -> StdResult:
+def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     dims = form.dims
     nblk = len(dims)
     m = len(form.rows)
@@ -326,25 +313,11 @@ def _solve_core(form: StdForm, tol: float, max_iter: int,
         float(np.max(np.abs(b))) if m else 0.0,
         float(np.sqrt(sum(np.sum(c * c) for c in form.C))),
     )
-    tau = scale
 
-    if warm is not None:
-        X = [x.copy() for x in warm.X]
-        S = [s.copy() for s in warm.S]
-        y = warm.y.astype(float).copy()
-        u = warm.u.astype(float).copy()
-        push = max(100.0 * tol * tau, 1e-9 * tau)
-        for i in range(nblk):
-            for mat in (X[i], S[i]):
-                if not mat.size:
-                    continue
-                lam = float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
-                mat += (push + 2.0 * max(0.0, -lam)) * np.eye(dims[i])
-    else:
-        X = [tau * np.eye(d) for d in dims]
-        S = [tau * np.eye(d) for d in dims]
-        y = np.zeros(m)
-        u = np.zeros(nf)
+    X = [scale * np.eye(d) for d in dims]
+    S = [scale * np.eye(d) for d in dims]
+    y = np.zeros(m)
+    u = np.zeros(nf)
 
     status = "max_iter"
     marginal = False

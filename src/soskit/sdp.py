@@ -9,6 +9,7 @@ free scalars, so ``dual_of`` is an involution up to sign normalization.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -16,6 +17,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from soskit import ipm
+
+log = logging.getLogger(__name__)
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible_cert"
@@ -133,6 +136,7 @@ class SdpSolution:
     marginal: bool = False
     primal_residual: float = 0.0
     dual_residual: float = 0.0
+    orientation: str = "direct"  # the form the IPM solved: "direct" or "dual"
 
     def to_json(self) -> dict:
         return {
@@ -141,6 +145,7 @@ class SdpSolution:
             "dual_obj": self.dual_obj,
             "gap": self.gap,
             "iterations": self.iterations,
+            "orientation": self.orientation,
         }
 
 
@@ -468,16 +473,23 @@ def check_feasible(p: SdpProblem, X: Sequence[np.ndarray] = (),
 
 # -- solving -------------------------------------------------------------------
 
-def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
-          warm_start: Optional[SdpSolution] = None) -> SdpSolution:
-    """Solve with the primal-dual interior-point method.
+def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
+    """Solve with the primal-dual interior-point method, in one orientation.
 
-    Matrix inequalities are lifted into slack blocks; when the problem is
-    dominated by matrix inequalities (few rows in its dual), the dual is
-    solved instead and the solution mapped back, which keeps the Schur
-    complement full rank.  Each IPM iteration factors its KKT system once
-    and refines both directions against the unshifted system
-    (``ipm.solve_std``).
+    Matrix inequalities are lifted into slack blocks and inequality rows gain
+    1x1 slack blocks (``_standardize``).  The orientation is chosen once,
+    before the IPM runs: the Lagrangian dual is solved, and its solution
+    mapped back, when its standard form is the smaller one by the cost model
+    (free scalars plus block triangles plus two per inequality row, against
+    rows plus matrix-inequality triangles) and facial reduction leaves it
+    unchanged: a dual that the pass shrinks has no strictly feasible point,
+    so its solution need not map back to one of the problem.  Otherwise the
+    problem is solved directly.  Either way
+    ``ipm.solve_std`` runs exactly once and its result is reported whatever
+    its status; ``orientation`` on the solution says which form was solved,
+    and the choice and its reason are logged at INFO on ``soskit.sdp``.
+    Each IPM iteration factors its KKT system once and refines both
+    directions against the unshifted system.
 
     ``optimal`` promises relative residuals at most ``tol`` and a duality
     gap |primal_obj - dual_obj| at most tol * max(1, (|primal_obj| +
@@ -488,54 +500,32 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
     numerical_failure.
     """
     q = p if p.sense == "min" else p.negated()
-    sign = 1.0 if p.sense == "min" else -1.0
 
     n_ineq = sum(1 for r in q.rows if r.rel == "<=")
     cost_direct = len(q.rows) + sum(l.dim * (l.dim + 1) // 2 for l in q.lmis)
     cost_dual = q.n_free + sum(d * (d + 1) // 2 for d in q.block_dims) + 2 * n_ineq
 
-    dual_sol = None
-    if warm_start is None and cost_dual < cost_direct:
-        dual_sol = _solve_via_dual(q, tol, max_iter)
-        if dual_sol is not None and dual_sol.status == OPTIMAL:
-            dual_sol.primal_obj *= sign
-            dual_sol.dual_obj *= sign
-            return _weak_duality_postcheck(dual_sol, p.sense, tol)
+    orientation = "direct"
+    reason = f"cost_direct {cost_direct} <= cost_dual {cost_dual}"
+    if cost_dual < cost_direct:
+        # simplify=False keeps the row/multiplier indexing _from_dual relies on
+        std = _standardize(dual_of(q, simplify=False).negated())
+        rmap = ipm._facial_reduce(std)[1]  # None: structurally infeasible
+        if rmap is not None and not rmap.reduced:
+            orientation = "dual"
+            reason = f"cost_dual {cost_dual} < cost_direct {cost_direct}"
+        else:
+            reason = "dual standard form is facially reducible"
+    log.info("%s orientation: %s", orientation, reason)
 
-    std, mp = _standardize(q)
-    warm = None
-    if warm_start is not None:
-        warm = _warm_std(std, mp, q, warm_start)
-    res = ipm.solve_std(std, tol=tol, max_iter=max_iter, warm=warm)
-
-    nb = len(q.block_dims)
-    sol = SdpSolution(
-        status=res.status,
-        primal_obj=res.pobj,
-        dual_obj=res.dobj,
-        gap=res.relgap,
-        iterations=res.iterations,
-        X=[res.X[i] for i in range(nb)],
-        free=res.u.copy(),
-        y=res.y[: len(q.rows)].copy(),
-        Z=[res.S[mp.lmi_slack_block[li]] for li in range(len(q.lmis))],
-        marginal=res.marginal,
-        primal_residual=res.pres,
-        dual_residual=res.dres,
-    )
-    # a sub-tolerance dual-orientation run may still beat the direct one
-    if dual_sol is not None and _solution_error(dual_sol) < _solution_error(sol):
-        sol = dual_sol
-    sol.primal_obj *= sign
-    sol.dual_obj *= sign
+    if orientation == "dual":
+        sol = _from_dual(q, ipm.solve_std(std, tol=tol, max_iter=max_iter), tol)
+    else:
+        std = _standardize(q)
+        sol = _from_direct(q, ipm.solve_std(std, tol=tol, max_iter=max_iter))
+    if p.sense == "max":
+        sol.primal_obj, sol.dual_obj = -sol.primal_obj, -sol.dual_obj
     return _weak_duality_postcheck(sol, p.sense, tol)
-
-
-def _solution_error(sol: SdpSolution) -> float:
-    vals = [sol.primal_residual, sol.dual_residual, sol.gap]
-    if any(v != v for v in vals):
-        return np.inf
-    return max(vals)
 
 
 def _weak_duality_postcheck(sol: SdpSolution, sense: str, tol: float) -> SdpSolution:
@@ -547,25 +537,37 @@ def _weak_duality_postcheck(sol: SdpSolution, sense: str, tol: float) -> SdpSolu
     return sol
 
 
-def _solve_via_dual(q: SdpProblem, tol: float, max_iter: int) -> Optional[SdpSolution]:
-    """Solve the Lagrangian dual of a min-sense problem and map back: the
-    dual's row multipliers are -u, its matrix-inequality multipliers are the
-    primal blocks, and vice versa.  The mapped status stays optimal only if
-    the solution also certifies the primal pair at the tolerance."""
-    dmin = dual_of(q, simplify=False).negated()  # keep row/multiplier indexing
-    std, mp = _standardize(dmin)
-    res = ipm.solve_std(std, tol=tol, max_iter=max_iter, warm=None)
-    if res.pobj != res.pobj:  # hard failure before any iterate
-        return None
-    if res.marginal:
-        # facial reduction or a Slater pathology inside the dual changes its
-        # dual, so the mapping back to the primal is not trustworthy
-        return None
+def _from_direct(q: SdpProblem, res: ipm.StdResult) -> SdpSolution:
+    """The solution of a min-sense problem from its own standard form."""
+    nb = len(q.block_dims)
+    return SdpSolution(
+        status=res.status,
+        primal_obj=res.pobj,
+        dual_obj=res.dobj,
+        gap=res.relgap,
+        iterations=res.iterations,
+        X=res.X[:nb],
+        free=res.u.copy(),
+        y=res.y[: len(q.rows)].copy(),
+        Z=res.S[nb: nb + len(q.lmis)],
+        marginal=res.marginal,
+        primal_residual=res.pres,
+        dual_residual=res.dres,
+        orientation="direct",
+    )
 
+
+def _from_dual(q: SdpProblem, res: ipm.StdResult, tol: float) -> SdpSolution:
+    """The solution of a min-sense problem from the standard form of its
+    negated Lagrangian dual: the dual's row multipliers are -u, its
+    matrix-inequality multipliers are the primal blocks, and vice versa.
+    The mapped status stays optimal only if the solution also certifies the
+    primal pair at the tolerance."""
+    nl = len(q.lmis)  # the dual's blocks, so its slack blocks start here
     u = -res.y[: q.n_free].copy()
-    X = [res.S[mp.lmi_slack_block[b]] for b in range(len(q.block_dims))]
+    X = res.S[nl: nl + len(q.block_dims)]
     y = res.u[: len(q.rows)].copy()
-    Z = [res.X[l] for l in range(len(q.lmis))]
+    Z = res.X[:nl]
 
     pobj = q.objective_value(X, u)
     dobj = -res.pobj
@@ -575,7 +577,7 @@ def _solve_via_dual(q: SdpProblem, tol: float, max_iter: int) -> Optional[SdpSol
         status = DUAL_INFEASIBLE
     elif status == DUAL_INFEASIBLE:
         status = PRIMAL_INFEASIBLE
-    if status == OPTIMAL and (relgap > 10.0 * tol or res.marginal):
+    if status == OPTIMAL and relgap > 10.0 * tol:
         status = MAX_ITER
     return SdpSolution(
         status=status,
@@ -590,34 +592,25 @@ def _solve_via_dual(q: SdpProblem, tol: float, max_iter: int) -> Optional[SdpSol
         marginal=res.marginal,
         primal_residual=res.dres,
         dual_residual=res.pres,
+        orientation="dual",
     )
 
 
-@dataclass
-class _StdMaps:
-    lmi_slack_block: List[int]
-    lmi_entry_rows: List[List[int]]
-    ineq_slack_block: Dict[int, int]
-
-
-def _standardize(q: SdpProblem):
+def _standardize(q: SdpProblem) -> ipm.StdForm:
     """Rewrite a min-sense mixed problem in pure equality standard form:
-    matrix inequalities become slack blocks pinned entrywise, inequality rows
-    gain 1x1 slack blocks."""
+    matrix inequalities become slack blocks pinned entrywise, placed right
+    after the variable blocks in order, and inequality rows gain 1x1 slack
+    blocks after those."""
     dims = list(q.block_dims)
     C = [c.copy() for c in q.C]
     rows: List[ipm.StdRow] = []
     for r in q.rows:
         rows.append(ipm.StdRow(dict(r.blocks), dict(r.free), r.rhs))
 
-    maps = _StdMaps(lmi_slack_block=[], lmi_entry_rows=[], ineq_slack_block={})
-
-    for li, l in enumerate(q.lmis):
+    for l in q.lmis:
         bidx = len(dims)
         dims.append(l.dim)
         C.append(np.zeros((l.dim, l.dim)))
-        maps.lmi_slack_block.append(bidx)
-        entry_rows = []
         for i in range(l.dim):
             for j in range(i, l.dim):
                 a = np.zeros((l.dim, l.dim))
@@ -626,19 +619,16 @@ def _standardize(q: SdpProblem):
                 else:
                     a[i, j] = a[j, i] = 0.5
                 free = {jj: -g[i, j] for jj, g in l.coeffs.items() if g[i, j] != 0.0}
-                entry_rows.append(len(rows))
                 rows.append(ipm.StdRow({bidx: a}, free, float(l.const[i, j])))
-        maps.lmi_entry_rows.append(entry_rows)
 
     for k, r in enumerate(q.rows):
         if r.rel == "<=":
             bidx = len(dims)
             dims.append(1)
             C.append(np.zeros((1, 1)))
-            maps.ineq_slack_block[k] = bidx
             rows[k].blocks[bidx] = np.ones((1, 1))
 
-    std = ipm.StdForm(
+    return ipm.StdForm(
         dims=dims,
         C=C,
         rows=rows,
@@ -646,36 +636,6 @@ def _standardize(q: SdpProblem):
         free_obj=q.free_obj.copy(),
         b=np.array([r.rhs for r in rows], dtype=float),
     )
-    return std, maps
-
-
-def _warm_std(std, mp: _StdMaps, q: SdpProblem, w: SdpSolution):
-    """Map a previous solution of the same problem onto the standard form."""
-    nb = len(q.block_dims)
-    X = [w.X[i].copy() for i in range(nb)]
-    S = [np.zeros_like(x) for x in X]
-    # dual slack on the variable blocks: C_b - sum y_k A_kb
-    for b in range(nb):
-        S[b] = q.C[b].copy()
-        for k, r in enumerate(q.rows):
-            if b in r.blocks:
-                S[b] -= w.y[k] * r.blocks[b]
-    # entry-row multipliers come after the original rows in _standardize order;
-    # the slack block's dual slack is the LMI multiplier, so y_ij = -(2-d_ij)*Z_ij
-    y_full = list(w.y)
-    for li, l in enumerate(q.lmis):
-        X.append(l.value(w.free))
-        S.append(w.Z[li].copy())
-        for i in range(l.dim):
-            for j in range(i, l.dim):
-                y_full.append(-w.Z[li][i, j] * (1.0 if i == j else 2.0))
-    for k, r in enumerate(q.rows):
-        if r.rel == "<=":
-            lhs = sum(float(np.sum(a * w.X[b])) for b, a in r.blocks.items())
-            lhs += sum(c * w.free[j] for j, c in r.free.items())
-            X.append(np.array([[max(r.rhs - lhs, 0.0)]]))
-            S.append(np.array([[max(-w.y[k], 0.0)]]))
-    return ipm.WarmStart(X=X, S=S, y=np.array(y_full), u=np.asarray(w.free, dtype=float))
 
 
 # -- SDPA sparse format --------------------------------------------------------

@@ -258,8 +258,12 @@ class TestHierarchySpot:
                 prev = sol.primal_obj
 
     def test_weak_duality_across_pair(self, corpus):
+        # at orders 3, 3 and 5 the moment side's dual has empty 0 = 0 rows
+        # (free moments in no matrix entry), which facial reduction drops
         for entry in corpus[:3]:
-            s = entry.orders[0]
-            sos = sdp.solve(build_sos_dual(entry.program, s)[0])
-            mom = sdp.solve(build_moment_primal(entry.program, s)[0])
-            assert mom.primal_obj >= sos.primal_obj - 1e-6, entry.name
+            for s in entry.orders:
+                sos = sdp.solve(build_sos_dual(entry.program, s)[0])
+                mom = sdp.solve(build_moment_primal(entry.program, s)[0])
+                assert mom.status == sdp.OPTIMAL, (entry.name, s)
+                assert mom.primal_obj >= sos.primal_obj - 1e-6, (entry.name, s)
+                assert mom.primal_obj <= sos.primal_obj + 1e-6, (entry.name, s)

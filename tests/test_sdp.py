@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soskit import ipm, sdp
+from soskit import apcount, ipm, sdp
 from soskit.sdp import (
     LinearRow,
     MatrixIneq,
@@ -201,14 +201,6 @@ class TestSolve:
         assert s.status == base.status == sdp.OPTIMAL
         assert abs(s.primal_obj - 8.0 * base.primal_obj) < 1e-5 * 8
 
-    def test_restart_fixed_point(self):
-        p = theta_c5()
-        first = solve(p)
-        again = solve(p, warm_start=first)
-        assert again.status == sdp.OPTIMAL
-        assert again.iterations <= 3
-        assert abs(again.primal_obj - first.primal_obj) < 1e-6
-
     def test_no_rows(self):
         # min <C,X> over the cone alone: 0 when C is PSD, unbounded otherwise
         s = solve(SdpProblem(block_dims=[3], C=[np.eye(3)]))
@@ -228,6 +220,35 @@ class TestSolve:
         s = solve(p)
         assert s.status == sdp.PRIMAL_INFEASIBLE
         assert s.iterations == 0
+
+
+class TestOrientation:
+    @pytest.fixture
+    def ipm_calls(self, monkeypatch):
+        calls = []
+        real = ipm.solve_std
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ipm, "solve_std", counted)
+        return calls
+
+    def test_facially_reducible_dual_solved_directly_once(self, ipm_calls):
+        # the dual of the gap example pins a diagonal entry to zero, so the
+        # direct form is solved although the cost model favours the dual
+        s = solve(gap_example(), max_iter=100)
+        assert len(ipm_calls) == 1
+        assert s.orientation == "direct"
+        assert s.to_json()["orientation"] == "direct"
+
+    def test_dual_orientation_solved_once(self, ipm_calls):
+        prob, _ = apcount.build_density_relaxation(5, 2, use_symmetry=True)
+        s = solve(prob)
+        assert len(ipm_calls) == 1
+        assert s.orientation == "dual"
+        assert s.status == sdp.OPTIMAL
 
 
 class TestKktAndStopTest:
