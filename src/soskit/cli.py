@@ -68,6 +68,24 @@ def _load_program(path: str) -> relax.PolyProgram:
         raise CliError(f"bad program in {path}: {e}")
 
 
+def _load_graph(path: str) -> graphs.Graph:
+    try:
+        return graphs.Graph.parse_edge_list(Path(path).read_text())
+    except FileNotFoundError:
+        raise CliError(f"input file not found: {path}")
+    except ValueError as e:
+        raise CliError(f"bad edge list in {path}: {e}")
+
+
+def _load_sdpa(path: str) -> sdp.SdpProblem:
+    try:
+        return sdp.import_sdpa(Path(path).read_text())
+    except FileNotFoundError:
+        raise CliError(f"input file not found: {path}")
+    except ValueError as e:
+        raise CliError(f"bad SDPA file {path}: {e}")
+
+
 def _status_exit(status: str) -> int:
     return EXIT_OK if status == sdp.OPTIMAL else EXIT_INCONCLUSIVE
 
@@ -182,12 +200,7 @@ def cmd_cert_verify(args) -> int:
 
 
 def cmd_sdp_solve(args) -> int:
-    try:
-        prob = sdp.import_sdpa(Path(args.file).read_text())
-    except FileNotFoundError:
-        raise CliError(f"input file not found: {args.file}")
-    except ValueError as e:
-        raise CliError(f"bad SDPA file {args.file}: {e}")
+    prob = _load_sdpa(args.file)
     sol = sdp.solve(prob, tol=args.tol)
     _emit(sol.to_json(), args.out)
     return _status_exit(sol.status)
@@ -213,12 +226,7 @@ def cmd_sdp_export(args) -> int:
 
 
 def cmd_sdp_import(args) -> int:
-    try:
-        prob = sdp.import_sdpa(Path(args.file).read_text())
-    except FileNotFoundError:
-        raise CliError(f"input file not found: {args.file}")
-    except ValueError as e:
-        raise CliError(f"bad SDPA file {args.file}: {e}")
+    prob = _load_sdpa(args.file)
     roundtrip = sdp.structurally_equal(prob, sdp.import_sdpa(sdp.export_sdpa(prob)))
     _emit({
         "problem": "import-sdpa",
@@ -230,7 +238,7 @@ def cmd_sdp_import(args) -> int:
 
 
 def cmd_sym_reduce(args) -> int:
-    g = graphs.Graph.parse_edge_list(Path(args.graph).read_text())
+    g = _load_graph(args.graph)
     try:
         action = symmetry.named_action(args.action)
     except ValueError as e:
@@ -348,7 +356,7 @@ def cmd_apcount_tables(args) -> int:
 
 
 def cmd_theta(args, prime: bool) -> int:
-    g = graphs.Graph.parse_edge_list(Path(args.graph).read_text())
+    g = _load_graph(args.graph)
     prob = graphs.theta_problem(g, prime=prime)
     sol = sdp.solve(prob, tol=args.tol)
     payload = {

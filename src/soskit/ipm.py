@@ -213,7 +213,7 @@ def _max_step(L: np.ndarray, delta: np.ndarray) -> float:
 
 def _chol(mat: np.ndarray) -> Optional[np.ndarray]:
     try:
-        return np.linalg.cholesky(mat) if mat.size else np.zeros((0, 0))
+        return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         return None
 
@@ -391,9 +391,6 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             break
         Sinv = []
         for i, l in enumerate(Ls):
-            if dims[i] == 0:
-                Sinv.append(np.zeros((0, 0)))
-                continue
             inv = np.linalg.solve(l, np.eye(dims[i]))
             Sinv.append(inv.T @ inv)
 
@@ -403,9 +400,6 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         M = K[:m, :m]
         XRdSinv = []
         for i in range(nblk):
-            if dims[i] == 0:
-                XRdSinv.append(np.zeros((0, 0)))
-                continue
             XRdSinv.append(X[i] @ Rd[i] @ Sinv[i])
             if m == 0:
                 continue
@@ -424,7 +418,7 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         def directions(Rc):
             h = rp.copy()
             for i in range(nblk):
-                if dims[i] == 0 or m == 0:
+                if m == 0:
                     continue
                 a = stacks[i].reshape(m, -1)
                 h -= a @ (Rc[i] @ Sinv[i]).reshape(-1)
@@ -434,9 +428,6 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             dS = [Rd[i] - _apply_At(stacks, dy, i) for i in range(nblk)]
             dX = []
             for i in range(nblk):
-                if dims[i] == 0:
-                    dX.append(np.zeros((0, 0)))
-                    continue
                 v = (Rc[i] - X[i] @ dS[i]) @ Sinv[i]
                 dX.append((v + v.T) / 2.0)
             return dX, dS, dy, du

@@ -18,7 +18,6 @@ from soskit.poly import (
     EXACT,
     Monomial,
     Polynomial,
-    mono_degree,
     mono_mul,
     monomial_sort_key,
     monomials_up_to_degree,
@@ -180,10 +179,7 @@ def symbolic_moment_matrix(n: int, r: int) -> list[list[LinearForm]]:
 
 def moment_matrix(y: MomentSequence, r: int) -> list[list]:
     """Numeric moment matrix: entry (a, b) = y_{a+b}."""
-    if 2 * r > y.max_degree:
-        raise ValueError(f"need moments up to degree {2*r}, have {y.max_degree}")
-    basis = monomial_vector(y.n, r)
-    return [[y[mono_mul(a, b)] for b in basis] for a in basis]
+    return localizing_matrix(y, Polynomial.constant(y.n, 1), r)
 
 
 def localizing_matrix(y: MomentSequence, u: Polynomial, r: int) -> list[list]:

@@ -1,11 +1,13 @@
 """Order-s relaxations of polynomial programs and their certificates.
 
 The SOS side compiles  sup λ : f - λ = σ0 + Σ σi·gi + Σ ck·hk  into an SDP
-with one PSD block per squared multiplier and one equality row per monomial
-(the constant monomial's row carries λ).  The moment side minimizes the
-linear functional of the objective over truncated moment sequences with PSD
-moment and localizing matrices.  Equality constraints get free polynomial
-multipliers on the SOS side and linear pinning rows on the moment side.
+with one PSD block per squared multiplier (σ0 is the multiplier of g0 = 1)
+and one equality row per monomial (the constant monomial's row carries λ).
+Equality constraints get free polynomial multipliers.  The moment side is
+``sdp.dual_of`` the SOS side: it minimizes the linear functional of the
+objective over truncated moment sequences, one moment per monomial row, with
+PSD moment and localizing matrices from the Gram blocks and linear pinning
+rows from the equality multipliers.
 
 Certificates are verified by full polynomial expansion, in exact rational
 arithmetic when all data is rational.
@@ -26,7 +28,6 @@ from soskit.poly import (
     FLOAT,
     Monomial,
     Polynomial,
-    mono_degree,
     mono_mul,
     monomials_up_to_degree,
 )
@@ -128,7 +129,8 @@ def build_sos_dual(p: PolyProgram, s: int,
     n = p.n
     f = p.objective
 
-    orders = [s // 2] + [(s - g.degree()) // 2 for g in p.ineqs]
+    sos_mults = (Polynomial.constant(n, 1),) + p.ineqs  # g0 = 1 carries σ0
+    orders = [(s - g.degree()) // 2 for g in sos_mults]
     bases = [monomial_vector(n, d) for d in orders]
     pair_maps = [_pair_index(basis) for basis in bases]
 
@@ -155,22 +157,18 @@ def build_sos_dual(p: PolyProgram, s: int,
             for m in monos]
     rows[row_of[(0,) * n]].free[lam] = 1.0
 
-    # σ0 block: coefficient of Q0[i,j] in row α is |{pairs with βi+βj = α}|
-    for alpha, pairs in pair_maps[0].items():
-        a = np.zeros((len(bases[0]),) * 2)
-        for i, j in pairs:
-            a[i, j] += 1.0
-        rows[row_of[alpha]].blocks[0] = a
-    # σi·gi blocks
-    for bi, g in enumerate(p.ineqs, start=1):
+    # σi·gi blocks, σ0 first: coefficient of Qi[j,l] in row α is [gi]_γ
+    # for γ = α - βj - βl
+    for bi, g in enumerate(sos_mults):
         acc: Dict[Monomial, np.ndarray] = {}
         dim = len(bases[bi])
         for prod, pairs in pair_maps[bi].items():
             for gm, gc in g.terms.items():
                 alpha = mono_mul(prod, gm)
                 a = acc.setdefault(alpha, np.zeros((dim, dim)))
+                c = float(gc)
                 for i, j in pairs:
-                    a[i, j] += float(gc)
+                    a[i, j] += c
         for alpha, a in acc.items():
             rows[row_of[alpha]].blocks[bi] = a
     # equality multipliers: coefficient of c_{k,γ} in row α is [hk]_{α-γ}
@@ -216,50 +214,15 @@ class MomentInfo:
 def build_moment_primal(p: PolyProgram, s: int) -> Tuple[sdp.SdpProblem, MomentInfo]:
     """SDP over truncated moments y_a, |a| <= s: minimize L_y(f) subject to
     y_0 = 1, the moment matrix and all localizing matrices PSD, and the
-    localizing rows of each equality pinned to zero."""
-    check_order(p, s)
-    n = p.n
-    monos = monomials_up_to_degree(n, s)
-    idx = {m: j for j, m in enumerate(monos)}
+    localizing rows of each equality pinned to zero.
 
-    free_obj = np.zeros(len(monos))
-    for m, c in p.objective.terms.items():
-        free_obj[idx[m]] += float(c)
-
-    rows = [sdp.LinearRow(free={idx[(0,) * n]: 1.0}, rhs=1.0, rel="==", label="y0")]
-    for h in p.eqs:
-        for gamma in monomials_up_to_degree(n, s - h.degree()):
-            free: Dict[int, float] = {}
-            for hm, hc in h.terms.items():
-                j = idx[mono_mul(gamma, hm)]
-                free[j] = free.get(j, 0.0) + float(hc)
-            rows.append(sdp.LinearRow(free=free, rhs=0.0, rel="==", label=f"pin{gamma}"))
-
-    lmis = []
-    one = Polynomial.constant(n, 1)
-    for u in (one,) + p.ineqs:
-        r = (s - u.degree()) // 2
-        basis = monomial_vector(n, r)
-        dim = len(basis)
-        coeffs: Dict[int, np.ndarray] = {}
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                ab = mono_mul(a, b)
-                for um, uc in u.terms.items():
-                    g = coeffs.setdefault(idx[mono_mul(um, ab)], np.zeros((dim, dim)))
-                    g[i, j] += float(uc)
-        lmis.append(sdp.MatrixIneq(dim=dim, const=np.zeros((dim, dim)), coeffs=coeffs,
-                                   label="moment" if u is one else "localizing"))
-
-    prob = sdp.SdpProblem(
-        n_free=len(monos),
-        free_obj=free_obj,
-        rows=rows,
-        lmis=lmis,
-        sense="min",
-        free_names=[f"y{m}" for m in monos],
-    )
-    return prob, MomentInfo(n=n, order=s, moment_index=idx)
+    It is the Lagrangian dual of the SOS dual: each monomial's row becomes
+    the moment y_a, each Gram block the moment or localizing matrix of its
+    multiplier, λ the row y_0 = 1 and each equality multiplier a pin row."""
+    prob, info = build_sos_dual(p, s)
+    mom = sdp.dual_of(prob)
+    mom.free_names = [f"y{m}" for m in info.row_of_monomial]
+    return mom, MomentInfo(n=p.n, order=s, moment_index=info.row_of_monomial)
 
 
 # -- certificates ---------------------------------------------------------------

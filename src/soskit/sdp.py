@@ -217,56 +217,54 @@ def is_psd_exact(M):
 # -- duality -----------------------------------------------------------------
 
 def dual_of(p: SdpProblem, simplify: bool = True) -> SdpProblem:
-    """Lagrangian dual in the same mixed form.
+    """Lagrangian dual in the same mixed form, with textbook signs.
 
-    Blocks become matrix inequalities over the row multipliers, matrix
-    inequalities become PSD variable blocks, rows become free scalars, and
-    free scalars become equality rows.  A min problem dualizes to max (dual
-    <= primal) and vice versa.  With simplify, sign-constrained slack
+    Blocks become matrix inequalities over the row multipliers v, matrix
+    inequalities become PSD variable blocks Z, rows become free scalars, and
+    free scalars become equality rows.  A min problem dualizes to
+
+        max b.v - sum <G0_l, Z_l>   s.t.  C_b - sum_k v_k A_kb >= 0,
+        sum <G_lj, Z_l> + sum_k v_k d_kj = c_j,   v_k <= 0 for <= rows,
+
+    and a max problem to the min problem with every dual sign flipped:
+
+        min b.v + sum <G0_l, Z_l>   s.t.  sum_k v_k A_kb - C_b >= 0,
+        sum <-G_lj, Z_l> + sum_k v_k d_kj = c_j,  -v_k <= 0 for <= rows,
+
+    so the dual bounds the primal on the correct side and its multipliers of
+    inequality rows are nonnegative.  With simplify, sign-constrained slack
     scalars left over from dualizing inequality rows are folded back into
     inequality rows, which makes dualizing twice return the original
     problem.
     """
-    q = p if p.sense == "min" else p.negated()
-    m = len(q.rows)
-
-    # dual variables: w_k per row of q (free scalars), Z_l per LMI (blocks)
-    d_block_dims = [l.dim for l in q.lmis]
-    d_C = [-l.const for l in q.lmis]       # objective: b.w - sum <G0, Z>
-    d_free_obj = np.array([r.rhs for r in q.rows], dtype=float)
-
+    sign = 1.0 if p.sense == "min" else -1.0
     d_rows: List[LinearRow] = []
-    for j in range(q.n_free):  # one equality per primal free scalar
-        blocks = {}
-        for li, l in enumerate(q.lmis):
-            if j in l.coeffs:
-                blocks[li] = l.coeffs[j]
-        free = {k: r.free[j] for k, r in enumerate(q.rows) if j in r.free}
-        d_rows.append(LinearRow(blocks=blocks, free=free, rhs=float(q.free_obj[j]),
+    for j in range(p.n_free):  # one equality per primal free scalar
+        blocks = {li: sign * l.coeffs[j] for li, l in enumerate(p.lmis) if j in l.coeffs}
+        free = {k: r.free[j] for k, r in enumerate(p.rows) if j in r.free}
+        d_rows.append(LinearRow(blocks=blocks, free=free, rhs=float(p.free_obj[j]),
                                 rel="==", label=f"free[{j}]"))
-    for k, r in enumerate(q.rows):  # sign constraint for inequality rows
+    for k, r in enumerate(p.rows):  # sign constraint for inequality rows
         if r.rel == "<=":
-            d_rows.append(LinearRow(free={k: 1.0}, rhs=0.0, rel="<=",
+            d_rows.append(LinearRow(free={k: sign}, rhs=0.0, rel="<=",
                                     label=f"sign[{k}]"))
 
     d_lmis: List[MatrixIneq] = []
-    for b, dim in enumerate(q.block_dims):  # C_b - sum_k w_k A_kb >= 0
-        coeffs = {k: -r.blocks[b] for k, r in enumerate(q.rows) if b in r.blocks}
-        d_lmis.append(MatrixIneq(dim=dim, const=q.C[b].copy(), coeffs=coeffs,
+    for b, dim in enumerate(p.block_dims):  # sign * (C_b - sum_k v_k A_kb) >= 0
+        coeffs = {k: -sign * r.blocks[b] for k, r in enumerate(p.rows) if b in r.blocks}
+        d_lmis.append(MatrixIneq(dim=dim, const=sign * p.C[b], coeffs=coeffs,
                                  label=f"block[{b}]"))
 
     dual = SdpProblem(
-        block_dims=d_block_dims,
-        C=d_C,
-        n_free=m,
-        free_obj=d_free_obj,
+        block_dims=[l.dim for l in p.lmis],
+        C=[-sign * l.const for l in p.lmis],
+        n_free=len(p.rows),
+        free_obj=np.array([r.rhs for r in p.rows], dtype=float),
         rows=d_rows,
         lmis=d_lmis,
-        sense="max",
+        sense="max" if p.sense == "min" else "min",
     )
-    if simplify:
-        dual = _eliminate_slack_scalars(dual)
-    return dual if p.sense == "min" else dual.negated()
+    return _eliminate_slack_scalars(dual) if simplify else dual
 
 
 def _eliminate_slack_scalars(p: SdpProblem) -> SdpProblem:

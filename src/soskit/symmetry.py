@@ -261,21 +261,10 @@ class OrbitBasis:
             m[r, c] = 1.0
         return m
 
-    def B(self, i: int) -> np.ndarray:
-        return self.E(i) / float(self.sizes[i]) ** 0.5
-
     def L_exact(self, k: int) -> List[List[RadicalSum]]:
         d = self.d
         return [[self.lam[(k, j)].get(i, RadicalSum()) for j in range(d)]
                 for i in range(d)]
-
-    def coordinates(self, X: np.ndarray) -> np.ndarray:
-        """Coordinates of the commutant projection of X over the B basis."""
-        out = np.zeros(self.d)
-        for i, orbit in enumerate(self.orbits):
-            t = sum(X[r, c] for r, c in orbit)
-            out[i] = t / float(self.sizes[i]) ** 0.5
-        return out
 
     def sym_groups(self) -> List[Tuple[int, ...]]:
         """Transpose-paired orbit indices: (j,) when E_j is symmetric, else

@@ -139,6 +139,12 @@ class TestSdpa:
         bad = tmp_path / "bad.dat-s"
         bad.write_text("not an sdpa file")
         assert cli.main(["sdp", "solve", str(bad)]) == 1
+        assert cli.main(["sdp", "import-sdpa", str(bad)]) == 1
+        assert capsys.readouterr().err.count("error: bad SDPA file") == 2
+
+    def test_missing_file(self, capsys):
+        assert cli.main(["sdp", "import-sdpa", "/nonexistent.dat-s"]) == 1
+        assert "error: input file not found" in capsys.readouterr().err
 
 
 class TestSymReduce:
@@ -152,6 +158,13 @@ class TestSymReduce:
     def test_bad_action(self, capsys, c5_file):
         assert cli.main(["sym", "reduce", "--graph", c5_file,
                          "--action", "sporadic 5"]) == 1
+
+    def test_malformed_graph(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n1 x\n")
+        assert cli.main(["sym", "reduce", "--graph", str(bad),
+                         "--action", "dihedral 5"]) == 1
+        assert "error: bad edge list" in capsys.readouterr().err
 
 
 class TestApcount:
@@ -212,3 +225,15 @@ class TestTheta:
         code, data = run(capsys, "theta", "prime", "--graph", c5_file)
         assert code == 0
         assert 2 - 1e-6 <= data["bound"] <= 5 ** 0.5 + 1e-6
+
+    @pytest.mark.parametrize("kind", ["compute", "prime"])
+    def test_missing_graph(self, capsys, kind):
+        assert cli.main(["theta", kind, "--graph", "/nonexistent.txt"]) == 1
+        assert "error: input file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["1 x", "1", "2 2"])
+    def test_malformed_graph(self, capsys, tmp_path, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0 1\n{line}\n")
+        assert cli.main(["theta", "compute", "--graph", str(bad)]) == 1
+        assert "error: bad edge list" in capsys.readouterr().err

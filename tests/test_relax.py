@@ -96,6 +96,21 @@ class TestBuildMomentPrimal:
         b = sdp.solve(build_moment_primal(shifted, 2)[0]).primal_obj
         assert abs((b - a) - 5.0) < 1e-6
 
+    def test_dirac_moments_of_feasible_point(self, corpus):
+        # the moments y_a = x*^a of a feasible point x* satisfy every row and
+        # matrix inequality of the moment side, with objective f(x*)
+        for entry in corpus:
+            point = (1.0, 0.0) if entry.name == "circle_eq" else (0.0,) * entry.program.n
+            for s in entry.orders:
+                prob, info = build_moment_primal(entry.program, s)
+                y = np.zeros(prob.n_free)
+                for m, j in info.moment_index.items():
+                    y[j] = np.prod([x ** e for x, e in zip(point, m)])
+                rep = sdp.check_feasible(prob, [], y)
+                assert rep.feasible(1e-9), (entry.name, s)
+                expect = entry.program.objective.to_float().evaluate(point)
+                assert abs(rep.objective - expect) < 1e-12, (entry.name, s)
+
     def test_returned_moment_vector_is_feasible(self):
         # the solution mapping must hand back a usable moment vector
         p = PolyProgram(1, Polynomial(1, {(1,): 1}),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soskit import apcount, ipm, sdp
+from soskit import apcount, graphs, ipm, sdp
 from soskit.sdp import (
     LinearRow,
     MatrixIneq,
@@ -112,8 +112,23 @@ class TestDualOf:
     def test_bidual_round_trip(self):
         ineq = SdpProblem(block_dims=[2], C=[np.diag([1.0, -2.0])],
                           rows=[LinearRow(blocks={0: np.eye(2)}, rhs=1.0, rel="<=")])
-        for p in (gap_example(), theta_c5(), ineq):
+        max_ineq = SdpProblem(block_dims=[2], C=[np.diag([1.0, -2.0])],
+                              rows=[LinearRow(blocks={0: np.eye(2)}, rhs=1.0, rel="<=")],
+                              sense="max")
+        theta_prime_c5 = graphs.theta_problem(graphs.Graph.cycle(5), prime=True)
+        for p in (gap_example(), theta_c5(), ineq, theta_prime_c5, max_ineq):
             assert structurally_equal(p, dual_of(dual_of(p)), tol=1e-12)
+
+    def test_max_problem_textbook_signs(self):
+        # max <diag(1, -2), X> s.t. tr X = 1 dualizes to min v s.t.
+        # v I - diag(1, -2) >= 0, so v = 1 is feasible with objective 1
+        p = SdpProblem(block_dims=[2], C=[np.diag([1.0, -2.0])],
+                       rows=[LinearRow(blocks={0: np.eye(2)}, rhs=1.0)], sense="max")
+        d = dual_of(p)
+        assert d.sense == "min"
+        rep = check_feasible(d, [], [1.0])
+        assert rep.feasible(1e-12)
+        assert rep.objective == 1.0
 
     def test_dual_value_agrees(self):
         rng = np.random.default_rng(13)
@@ -208,6 +223,18 @@ class TestSolve:
         assert abs(s.primal_obj) < 1e-6
         s2 = solve(SdpProblem(block_dims=[2], C=[np.diag([1.0, -1.0])]), max_iter=60)
         assert s2.status != sdp.OPTIMAL
+
+    def test_facial_reduction_empties_a_block(self):
+        # X0 = 0 pins the only entry of block 0, so the IPM runs with a 0x0
+        # block; the optimum puts tr X1 = 1 on the cheaper diagonal entry
+        p = SdpProblem(block_dims=[1, 2], C=[np.eye(1), np.diag([1.0, 3.0])],
+                       rows=[LinearRow(blocks={0: np.eye(1)}, rhs=0.0),
+                             LinearRow(blocks={1: np.eye(2)}, rhs=1.0)])
+        s = solve(p)
+        assert s.status == sdp.OPTIMAL
+        assert abs(s.primal_obj - 1.0) < 1e-7
+        assert s.marginal
+        assert s.X[0].shape == (1, 1)
 
     def test_facial_reduction_detects_forced_infeasibility(self):
         # X11 = 0 forces the whole first row of X to vanish, so X12 = 5 is
