@@ -138,7 +138,6 @@ def cmd_pop_solve(args) -> int:
     }
     if sol.status == sdp.OPTIMAL:
         cert = relax.extract_certificate(sol, info, prog)
-        mode = relax.EXACT if cert.mode == relax.EXACT else "float"
         verdict = relax.verify_certificate(prog, cert, mode=cert.mode)
         tol_id = 0.0 if cert.mode == relax.EXACT else relax.float_identity_tol(prog.objective)
         payload["verified"] = verdict.ok(tol_id)
@@ -264,7 +263,10 @@ def cmd_sym_reduce(args) -> int:
 
 
 def cmd_apcount_mono(args) -> int:
-    prob, _ = apcount.build_mono_relaxation(args.n, use_symmetry=args.sym)
+    try:
+        prob, _ = apcount.build_mono_relaxation(args.n, use_symmetry=args.sym)
+    except ValueError as e:
+        raise CliError(str(e))
     sol = sdp.solve(prob, tol=args.tol)
     oracle = apcount.brute_force_R(args.n) if args.n <= 24 else None
     payload = {
@@ -285,9 +287,12 @@ def cmd_apcount_density(args) -> int:
         raise CliError(f"need 0 <= D <= p, got D={D}, p={p}")
     if args.order != 3:
         raise CliError("the density relaxation is built at order 3")
-    prob, info = apcount.build_density_relaxation(p, D, use_symmetry=args.sym)
+    try:
+        lam = apcount.density_lambda(p, D)
+        prob, _ = apcount.build_density_relaxation(p, D, use_symmetry=args.sym)
+    except ValueError as e:
+        raise CliError(str(e))
     sol = sdp.solve(prob, tol=args.tol)
-    lam = apcount.density_lambda(p, D)
     oracle = apcount.brute_force_W(p, D) if comb(p, D) <= 10 ** 6 else None
     payload = {
         "problem": "apcount-density",
@@ -329,9 +334,9 @@ def _table_row(n: int) -> dict:
 
 
 def cmd_apcount_tables(args) -> int:
+    if not 3 <= args.min <= args.max <= 24:
+        raise CliError("table range limited to 3 <= min <= max <= 24")
     ns = list(range(args.min, args.max + 1))
-    if any(n < 3 for n in ns) or args.max > 24:
-        raise CliError("table range limited to 3 <= n <= 24")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_table_row, ns))

@@ -90,14 +90,15 @@ def hamming_graph(q: int, n: int, d: int) -> Graph:
     return Graph.from_edges(len(words), edges)
 
 
-def _theta_problem(g: Graph, nonnegative: bool) -> sdp.SdpProblem:
+def theta_problem(g: Graph, prime: bool = False) -> sdp.SdpProblem:
+    """The SDP of ``lovasz_theta``, or of ``lovasz_theta_prime`` with prime."""
     n = g.n
     rows = [sdp.LinearRow(blocks={0: np.eye(n)}, rhs=1.0, rel="==", label="trace")]
     for u, v in sorted(g.edges):
         a = np.zeros((n, n))
         a[u, v] = a[v, u] = 0.5
         rows.append(sdp.LinearRow(blocks={0: a}, rhs=0.0, rel="==", label=f"edge{u},{v}"))
-    if nonnegative:
+    if prime:
         edge_set = set(g.edges)
         for u, v in combinations(range(n), 2):
             if (u, v) in edge_set:
@@ -110,7 +111,7 @@ def _theta_problem(g: Graph, nonnegative: bool) -> sdp.SdpProblem:
 
 def lovasz_theta(g: Graph, tol: float = 1e-9) -> float:
     """theta(G) = max tr(JX) : tr(X) = 1, X_uv = 0 on edges, X >= 0 (PSD)."""
-    sol = sdp.solve(_theta_problem(g, nonnegative=False), tol=tol)
+    sol = sdp.solve(theta_problem(g), tol=tol)
     if sol.status != sdp.OPTIMAL:
         raise RuntimeError(f"theta solve did not converge: {sol.status}")
     return sol.primal_obj
@@ -118,14 +119,10 @@ def lovasz_theta(g: Graph, tol: float = 1e-9) -> float:
 
 def lovasz_theta_prime(g: Graph, tol: float = 1e-9) -> float:
     """theta'(G): theta with X additionally entrywise nonnegative."""
-    sol = sdp.solve(_theta_problem(g, nonnegative=True), tol=tol)
+    sol = sdp.solve(theta_problem(g, prime=True), tol=tol)
     if sol.status != sdp.OPTIMAL:
         raise RuntimeError(f"theta' solve did not converge: {sol.status}")
     return sol.primal_obj
-
-
-def theta_problem(g: Graph, prime: bool = False) -> sdp.SdpProblem:
-    return _theta_problem(g, nonnegative=prime)
 
 
 def brute_force_alpha(g: Graph) -> int:

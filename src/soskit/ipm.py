@@ -3,6 +3,11 @@
 Standard form:  min sum_b <C_b, X_b> + cf.u
                 s.t. sum_b <A_kb, X_b> + d_k.u = b_k,   X_b >= 0, u free.
 
+The rows are held as one matrix A with a row per constraint and the
+vectorized blocks side by side in its columns, so A(X) = A vec(X), A*(y) is
+y'A cut into blocks, and the HKM Schur complement is one product A T' (T's
+block b holds X_b A_kb S_b^-1).
+
 Search direction is HKM with a Mehrotra predictor-corrector.  Free scalars
 are kept as genuinely free columns of the Schur system: each iteration forms
 the bordered KKT matrix K = [[M, D], [D', 0]] (M the HKM Schur complement, D
@@ -20,11 +25,13 @@ measure of SDPA.
 
 A structural preprocessing pass removes facial degeneracy of the form
 "diagonal entry pinned to zero": such a row forces the whole row and column
-of that block to vanish, so the block is shrunk before iterating.  Whenever
-the pass shrinks a block, the returned solution is flagged marginal, since
-the original problem had no strictly feasible point; rows left empty
-(0 = 0) are dropped without that flag.  One solve is
-deterministic: fixed operation order, no randomness.
+of that block to vanish.  ``_face`` finds the face these pins leave, pin
+after pin, without copying the problem, and ``_restrict`` copies the
+problem onto it only when the face cuts something.  Whenever a block
+shrinks, the returned solution is flagged marginal, since the original
+problem had no strictly feasible point; rows left empty (0 = 0) are dropped
+without that flag.  One solve is deterministic: fixed operation order, no
+randomness.
 """
 
 from __future__ import annotations
@@ -75,10 +82,10 @@ ITERATE_CAP = 1e6  # optimality is never claimed on iterates past this scale
 
 
 @dataclass
-class _Reduction:
-    keep: List[List[int]]        # kept original indices per original block
+class _Face:
+    keep: List[np.ndarray]       # kept original indices per block
     kept_rows: List[int]
-    reduced: bool
+    reduced: bool                # some block lost an index
 
 
 def relative_gap(pobj: float, dobj: float) -> float:
@@ -87,116 +94,84 @@ def relative_gap(pobj: float, dobj: float) -> float:
     return abs(pobj - dobj) / max(1.0, (abs(pobj) + abs(dobj)) / 2.0)
 
 
-def _facial_reduce(form: StdForm):
-    """Shrink blocks along diagonal entries pinned to zero.
+def _face(form: StdForm) -> Optional[_Face]:
+    """The face left by diagonal entries pinned to zero, found without
+    copying the problem.
 
-    Returns (reduced form, reduction map) or (None, None) when a pinned
-    entry makes the problem structurally infeasible.
+    A row without free scalars whose only live entry is the diagonal entry i
+    of block b, with rhs 0, pins that entry: index i of block b is dropped,
+    which can leave another row with a single live entry.  Rows left with no
+    live entry are dropped.  Returns None when a pinned entry must be
+    negative or an empty row has a nonzero rhs (structurally infeasible).
     """
-    dims = list(form.dims)
-    keep = [list(range(d)) for d in dims]
-    rows = [StdRow({b: a.copy() for b, a in r.blocks.items()}, dict(r.free), r.rhs)
-            for r in form.rows]
-    alive = [True] * len(rows)
-    C = [c.copy() for c in form.C]
+    alive = [np.ones(d, dtype=bool) for d in form.dims]
+    support = [{b: np.nonzero(a) for b, a in r.blocks.items()} for r in form.rows]
+    dead = [False] * len(form.rows)
     reduced = False
-
-    def drop(b: int, orig_i: int) -> bool:
-        pos = keep[b].index(orig_i)
-        keep[b].pop(pos)
-        C[b] = np.delete(np.delete(C[b], pos, 0), pos, 1)
-        for r in rows:
-            if b in r.blocks:
-                a = np.delete(np.delete(r.blocks[b], pos, 0), pos, 1)
-                if np.any(a):
-                    r.blocks[b] = a
-                else:
-                    del r.blocks[b]
-        return True
 
     changed = True
     while changed:
         changed = False
-        for k, r in enumerate(rows):
-            if not alive[k] or r.free:
+        for k, r in enumerate(form.rows):
+            if dead[k] or r.free:
                 continue
-            live_blocks = {b: a for b, a in r.blocks.items() if np.any(a)}
-            if not live_blocks:
+            live, hit = 0, None
+            for b, (ii, jj) in support[k].items():
+                on = np.flatnonzero(alive[b][ii] & alive[b][jj])
+                live += on.size
+                if live > 1:
+                    break
+                if on.size:
+                    hit = (b, ii[on[0]], jj[on[0]])
+            if live == 0:
                 if r.rhs != 0.0:
-                    return None, None
-                alive[k] = False
+                    return None
+                dead[k] = True
                 continue
-            if len(live_blocks) != 1:
+            if live > 1 or hit[1] != hit[2]:
                 continue
-            (b, a), = live_blocks.items()
-            nz = np.argwhere(a != 0.0)
-            if len(nz) != 1 or nz[0][0] != nz[0][1]:
-                continue
-            i = int(nz[0][0])
-            pinned = r.rhs / a[i, i]
+            b, i, _ = hit
+            pinned = r.rhs / r.blocks[b][i, i]
             if pinned < 0.0:
-                return None, None
+                return None
             if pinned > 0.0:
                 continue
-            reduced = True
-            alive[k] = False
-            changed = changed or drop(b, keep[b][i])
+            reduced = changed = dead[k] = True
+            alive[b][i] = False
 
-    out_rows, kept_rows = [], []
-    for k, r in enumerate(rows):
-        if not alive[k]:
-            continue
-        if not r.blocks and not r.free:
-            if r.rhs != 0.0:
-                return None, None
-            continue
-        kept_rows.append(k)
-        out_rows.append(r)
+    return _Face(keep=[np.flatnonzero(a) for a in alive],
+                 kept_rows=[k for k, d in enumerate(dead) if not d],
+                 reduced=reduced)
 
-    red = StdForm(
-        dims=[len(k) for k in keep],
-        C=C,
-        rows=out_rows,
-        n_free=form.n_free,
-        free_obj=form.free_obj,
-        b=np.array([r.rhs for r in out_rows], dtype=float),
-    )
-    return red, _Reduction(keep=keep, kept_rows=kept_rows, reduced=reduced)
+
+def _restrict(form: StdForm, face: _Face) -> StdForm:
+    """The problem on the face: ``form`` itself when the face cuts nothing,
+    else its kept rows with every block restricted to its kept indices."""
+    if not face.reduced and len(face.kept_rows) == len(form.rows):
+        return form
+    ix = [np.ix_(k, k) for k in face.keep]
+    rows = [StdRow({b: a[ix[b]] for b, a in form.rows[k].blocks.items()},
+                   form.rows[k].free, form.rows[k].rhs) for k in face.kept_rows]
+    return StdForm(dims=[len(k) for k in face.keep],
+                   C=[c[i] for c, i in zip(form.C, ix)], rows=rows,
+                   n_free=form.n_free, free_obj=form.free_obj,
+                   b=form.b[face.kept_rows])
 
 
 def _stack_rows(form: StdForm):
-    """Dense per-block row stacks A[b] of shape (m, dim_b, dim_b) and the
-    free-coefficient matrix D of shape (m, n_free)."""
+    """The rows as one matrix A of shape (m, sum_b dim_b^2), row k holding
+    vec(A_k1), ..., vec(A_kB) with block b in columns off[b]:off[b+1]; the
+    offsets off; and the free-coefficient matrix D of shape (m, n_free)."""
     m = len(form.rows)
-    stacks = []
-    for b, d in enumerate(form.dims):
-        a = np.zeros((m, d, d))
-        for k, r in enumerate(form.rows):
-            if b in r.blocks:
-                a[k] = r.blocks[b]
-        stacks.append(a)
+    off = np.cumsum([0] + [d * d for d in form.dims])
+    A = np.zeros((m, off[-1]))
     D = np.zeros((m, form.n_free))
     for k, r in enumerate(form.rows):
+        for b, a in r.blocks.items():
+            A[k, off[b]:off[b + 1]] = a.reshape(-1)
         for j, c in r.free.items():
             D[k, j] = c
-    return stacks, D
-
-
-def _apply_A(stacks, X):
-    """A(X)_k = sum_b <A_kb, X_b>."""
-    m = stacks[0].shape[0] if stacks else 0
-    out = np.zeros(m)
-    if m == 0:
-        return out
-    for a, x in zip(stacks, X):
-        if x.size:
-            out += a.reshape(m, -1) @ x.reshape(-1)
-    return out
-
-
-def _apply_At(stacks, y, b):
-    """A*_b(y) = sum_k y_k A_kb."""
-    return np.tensordot(y, stacks[b], axes=(0, 0))
+    return A, off, D
 
 
 def _max_step(L: np.ndarray, delta: np.ndarray) -> float:
@@ -264,15 +239,19 @@ def _kkt_solve(K: np.ndarray, Kinv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200) -> StdResult:
     """Solve a standard-form SDP from the scaled identity.
 
-    Each iteration factors the bordered KKT matrix once (see the module
-    docstring) and refines both directions against the unshifted matrix.
+    The IPM runs on the face left by pinned diagonal entries (``_face``);
+    ``form`` is copied only when that face cuts a row or an index, and X, S
+    and y are lifted back to its shape.  The rows are stacked into one
+    matrix once per solve.  Each iteration factors the bordered KKT matrix
+    once (see the module docstring) and refines both directions against the
+    unshifted matrix.
     ``optimal`` means pres <= tol, dres <= tol and relative_gap(pobj, dobj)
     <= tol, so the absolute gap is at most tol * max(1, (|pobj| + |dobj|)
     / 2), on iterates no larger than ITERATE_CAP times the data scale.  A
     run that stops otherwise returns the best iterate it saw.
     """
-    red, rmap = _facial_reduce(form)
-    if red is None:
+    face = _face(form)
+    if face is None:
         return StdResult(
             status="primal_infeasible_cert", pobj=np.nan, dobj=np.nan,
             relgap=np.inf, pres=np.inf, dres=np.inf, iterations=0,
@@ -280,21 +259,21 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200) -> StdResul
             S=[np.zeros((d, d)) for d in form.dims],
             y=np.zeros(len(form.rows)), u=np.zeros(form.n_free), marginal=True)
 
-    res = _solve_core(red, tol, max_iter)
+    res = _solve_core(_restrict(form, face), tol, max_iter)
 
-    if rmap.reduced:
+    if face.reduced:
         X = [np.zeros((d, d)) for d in form.dims]
         S = [np.zeros((d, d)) for d in form.dims]
-        for b, k in enumerate(rmap.keep):
+        for b, k in enumerate(face.keep):
             X[b][np.ix_(k, k)] = res.X[b]
             S[b][np.ix_(k, k)] = res.S[b]
         res.X, res.S = X, S
         res.marginal = True
     # rows dropped as empty (0 = 0) get a zero multiplier; they remove no
     # interior, so they alone do not make the solution marginal
-    if len(rmap.kept_rows) != len(form.rows):
+    if len(face.kept_rows) != len(form.rows):
         y = np.zeros(len(form.rows))
-        y[rmap.kept_rows] = res.y
+        y[face.kept_rows] = res.y
         res.y = y
     return res
 
@@ -306,7 +285,19 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     nf = form.n_free
     nu = max(sum(dims), 1)
 
-    stacks, D = _stack_rows(form)
+    A, off, D = _stack_rows(form)
+
+    def split(w):  # views of w's column blocks, each last axis as d x d
+        return [w[..., off[i]:off[i + 1]].reshape(w.shape[:-1] + (d, d))
+                for i, d in enumerate(dims)]
+
+    def vec(blocks):  # laid out as the columns of A
+        return np.concatenate([np.zeros(0)] + [x.reshape(-1) for x in blocks])
+
+    # T's block b holds the rows X_b A_kb Sinv_b of the Schur product
+    T = np.empty_like(A)
+    Ab, Tb = split(A), split(T)
+
     b = form.b
     cf = form.free_obj
     scale = 1.0 + max(
@@ -329,9 +320,9 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     best_age = 0
 
     for it in range(max_iter + 1):
-        rp = b - _apply_A(stacks, X) - (D @ u if nf else 0.0)
-        rf = cf - D.T @ y if nf else np.zeros(0)
-        Rd = [form.C[i] - S[i] - _apply_At(stacks, y, i) for i in range(nblk)]
+        rp = b - A @ vec(X) - D @ u
+        rf = cf - D.T @ y
+        Rd = [c - s - a for c, s, a in zip(form.C, S, split(y @ A))]
 
         pobj = sum(float(np.sum(c * x)) for c, x in zip(form.C, X))
         pobj += float(cf @ u) if nf else 0.0
@@ -394,19 +385,13 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             inv = np.linalg.solve(l, np.eye(dims[i]))
             Sinv.append(inv.T @ inv)
 
-        # HKM Schur complement M_kl = sum_b <A_kb, X_b A_lb Sinv_b>, formed
-        # in place as the leading block of K = [[M, D], [D', 0]]
+        # HKM Schur complement M_kl = sum_b <A_kb, X_b A_lb Sinv_b> = (A T')_kl,
+        # formed in place as the leading block of K = [[M, D], [D', 0]]
+        for a, t, x, si in zip(Ab, Tb, X, Sinv):
+            np.matmul(x, a @ si, out=t)
         K = np.zeros((m + nf, m + nf))
         M = K[:m, :m]
-        XRdSinv = []
-        for i in range(nblk):
-            XRdSinv.append(X[i] @ Rd[i] @ Sinv[i])
-            if m == 0:
-                continue
-            a = stacks[i]
-            P = np.matmul(a, Sinv[i])
-            T = np.matmul(X[i], P)
-            M += a.reshape(m, -1) @ T.reshape(m, -1).T
+        np.matmul(A, T.T, out=M)
         M[...] = (M + M.T) / 2.0
         K[:m, m:] = D
         K[m:, :m] = D.T
@@ -415,17 +400,13 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             status = "numerical_failure"
             break
 
+        XRdSinv = [x @ r @ si for x, r, si in zip(X, Rd, Sinv)]
+
         def directions(Rc):
-            h = rp.copy()
-            for i in range(nblk):
-                if m == 0:
-                    continue
-                a = stacks[i].reshape(m, -1)
-                h -= a @ (Rc[i] @ Sinv[i]).reshape(-1)
-                h += a @ XRdSinv[i].reshape(-1)
-            sol = _kkt_solve(K, Kinv, np.concatenate([h, rf]))
+            v = vec([xr - rc @ si for xr, rc, si in zip(XRdSinv, Rc, Sinv)])
+            sol = _kkt_solve(K, Kinv, np.concatenate([rp + A @ v, rf]))
             dy, du = sol[:m], sol[m:]
-            dS = [Rd[i] - _apply_At(stacks, dy, i) for i in range(nblk)]
+            dS = [r - a for r, a in zip(Rd, split(dy @ A))]
             dX = []
             for i in range(nblk):
                 v = (Rc[i] - X[i] @ dS[i]) @ Sinv[i]

@@ -4,7 +4,8 @@ A problem holds PSD variable blocks X_b, free scalar variables u, scalar
 rows  sum_b <A_kb, X_b> + d_k.u  (<= or ==)  b_k, and matrix inequalities
 G0 + sum_j u_j G_j >= 0 over the free scalars.  This mixed form is closed
 under Lagrangian duality: blocks dualize to matrix inequalities and rows to
-free scalars, so ``dual_of`` is an involution up to sign normalization.
+free scalars, so ``dual_of`` is an involution: dualizing twice returns
+the problem itself.
 """
 
 from __future__ import annotations
@@ -330,89 +331,38 @@ def _eliminate_slack_scalars(p: SdpProblem) -> SdpProblem:
     )
 
 
-def _canonical_signs(p: SdpProblem) -> SdpProblem:
-    """Flip each free variable so its first nonzero appearance (objective,
-    then rows in order, then matrix-inequality coefficients) is positive, and
-    flip equality rows so their first nonzero coefficient is positive."""
-    flip = np.ones(p.n_free)
-    for j in range(p.n_free):
-        lead = p.free_obj[j]
-        if lead == 0.0:
-            for r in p.rows:
-                if r.free.get(j, 0.0) != 0.0:
-                    lead = r.free[j]
-                    break
-        if lead == 0.0:
-            for l in p.lmis:
-                g = l.coeffs.get(j)
-                if g is not None and np.any(g):
-                    lead = g.flatten()[np.flatnonzero(g.flatten())[0]]
-                    break
-        if lead < 0.0:
-            flip[j] = -1.0
-    rows = []
-    for r in p.rows:
-        free = {j: flip[j] * c for j, c in r.free.items()}
-        blocks = {b: a.copy() for b, a in r.blocks.items()}
-        rhs = r.rhs
-        if r.rel == "==":
-            lead = 0.0
-            for b in sorted(blocks):
-                a = blocks[b]
-                nz = np.flatnonzero(a.flatten())
-                if nz.size:
-                    lead = a.flatten()[nz[0]]
-                    break
-            if lead == 0.0:
-                for j in sorted(free):
-                    if free[j] != 0.0:
-                        lead = free[j]
-                        break
-            if lead < 0.0:
-                blocks = {b: -a for b, a in blocks.items()}
-                free = {j: -c for j, c in free.items()}
-                rhs = -rhs
-        rows.append(LinearRow(blocks=blocks, free=free, rhs=rhs, rel=r.rel, label=r.label))
-    lmis = [MatrixIneq(dim=l.dim, const=l.const.copy(),
-                       coeffs={j: flip[j] * g for j, g in l.coeffs.items()},
-                       diag=l.diag, label=l.label) for l in p.lmis]
-    return SdpProblem(block_dims=list(p.block_dims), C=[c.copy() for c in p.C],
-                      n_free=p.n_free, free_obj=flip * p.free_obj, rows=rows,
-                      lmis=lmis, sense=p.sense)
-
-
 def structurally_equal(p: SdpProblem, q: SdpProblem, tol: float = 0.0) -> bool:
-    """Structural equality up to sense normalization and variable/row sign
-    flips (dualizing twice returns the original problem in this sense)."""
-    a = _canonical_signs(p if p.sense == "min" else p.negated())
-    b = _canonical_signs(q if q.sense == "min" else q.negated())
-    if a.block_dims != b.block_dims or a.n_free != b.n_free:
+    """Field-by-field equality of sense, dimensions, relations and data, with
+    entries equal exactly or, given ``tol``, within that absolute slack;
+    labels and names are ignored.  Dualizing twice returns the original
+    problem in this sense."""
+    if p.sense != q.sense or p.block_dims != q.block_dims or p.n_free != q.n_free:
         return False
-    if len(a.rows) != len(b.rows) or len(a.lmis) != len(b.lmis):
+    if len(p.rows) != len(q.rows) or len(p.lmis) != len(q.lmis):
         return False
 
     def close(x, y):
         return np.allclose(x, y, rtol=0.0, atol=tol) if tol else np.array_equal(x, y)
 
-    if not all(close(x, y) for x, y in zip(a.C, b.C)):
+    if not all(close(x, y) for x, y in zip(p.C, q.C)):
         return False
-    if not close(a.free_obj, b.free_obj):
+    if not close(p.free_obj, q.free_obj):
         return False
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(p.rows, q.rows):
         if ra.rel != rb.rel or set(ra.blocks) != set(rb.blocks):
             return False
         if abs(ra.rhs - rb.rhs) > tol:
             return False
         if not all(close(ra.blocks[k], rb.blocks[k]) for k in ra.blocks):
             return False
-        fa, fb = np.zeros(a.n_free), np.zeros(b.n_free)
+        fa, fb = np.zeros(p.n_free), np.zeros(q.n_free)
         for j, c in ra.free.items():
             fa[j] = c
         for j, c in rb.free.items():
             fb[j] = c
         if not close(fa, fb):
             return False
-    for la, lb in zip(a.lmis, b.lmis):
+    for la, lb in zip(p.lmis, q.lmis):
         if la.dim != lb.dim or set(la.coeffs) != set(lb.coeffs):
             return False
         if not close(la.const, lb.const):
@@ -508,8 +458,8 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     if cost_dual < cost_direct:
         # simplify=False keeps the row/multiplier indexing _from_dual relies on
         std = _standardize(dual_of(q, simplify=False).negated())
-        rmap = ipm._facial_reduce(std)[1]  # None: structurally infeasible
-        if rmap is not None and not rmap.reduced:
+        face = ipm._face(std)  # None: structurally infeasible
+        if face is not None and not face.reduced:
             orientation = "dual"
             reason = f"cost_dual {cost_dual} < cost_direct {cost_direct}"
         else:

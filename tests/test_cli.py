@@ -206,6 +206,19 @@ class TestApcount:
         assert -2 <= row12["brute_force_R"] <= 16
         assert (row12["table_lower"], row12["table_upper"]) == ("-2", "16")
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--p", "6", "--D", "2"],
+        ["density", "--p", "9", "--D", "2", "--sym"],
+        ["mono", "--n", "2"],
+        ["tables", "--min", "10", "--max", "5", "--pretty"],
+        ["tables", "--min", "10", "--max", "5"],
+    ])
+    def test_bad_parameters(self, capsys, argv):
+        assert cli.main(["apcount"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert not captured.out
+
     def test_tables_deterministic(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert cli.main(["apcount", "tables", "--min", "3", "--max", "5",

@@ -224,6 +224,15 @@ class TestSolve:
         s2 = solve(SdpProblem(block_dims=[2], C=[np.diag([1.0, -1.0])]), max_iter=60)
         assert s2.status != sdp.OPTIMAL
 
+    def test_free_scalars_only(self):
+        # no PSD block at all: the IPM's row matrix has zero columns
+        p = SdpProblem(n_free=2, free_obj=np.array([1.0, 1.0]),
+                       rows=[LinearRow(free={0: 1.0, 1: 1.0}, rhs=2.0),
+                             LinearRow(free={0: 1.0}, rhs=1.0)])
+        s = solve(p)
+        assert s.status == sdp.OPTIMAL
+        assert np.allclose(s.free, [1.0, 1.0], atol=1e-7)
+
     def test_facial_reduction_empties_a_block(self):
         # X0 = 0 pins the only entry of block 0, so the IPM runs with a 0x0
         # block; the optimum puts tr X1 = 1 on the cheaper diagonal entry
@@ -247,6 +256,25 @@ class TestSolve:
         s = solve(p)
         assert s.status == sdp.PRIMAL_INFEASIBLE
         assert s.iterations == 0
+
+    def test_facial_reduction_follows_a_chained_pin(self):
+        # X00 = 0 pins index 0, and only then does X00 + X11 = 0 pin index 1;
+        # losing either pin would let the objective reach -1 or -2
+        p = SdpProblem(block_dims=[3], C=[np.diag([-1.0, -2.0, 1.0])],
+                       rows=[LinearRow(blocks={0: np.diag([1.0, 0.0, 0.0])}, rhs=0.0),
+                             LinearRow(blocks={0: np.diag([1.0, 1.0, 0.0])}, rhs=0.0),
+                             LinearRow(blocks={0: np.eye(3)}, rhs=1.0)])
+        s = solve(p)
+        assert s.status == sdp.OPTIMAL
+        assert abs(s.primal_obj - 1.0) < 1e-7
+        assert s.marginal
+        face = ipm._face(sdp._standardize(p))
+        assert [list(k) for k in face.keep] == [[2]]
+        assert face.kept_rows == [2]
+
+    def test_face_that_cuts_nothing_keeps_the_problem(self):
+        std = sdp._standardize(theta_c5().negated())
+        assert ipm._restrict(std, ipm._face(std)) is std
 
 
 class TestOrientation:
