@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
 Commands mirror the pipeline: build a relaxation, optionally reduce it by
-symmetry, solve, extract a certificate and re-verify.  All results are JSON
-(human tables are rendered from the JSON, never computed separately); output
-is deterministic for a fixed config and seed.  Exit codes: 0 conclusive,
-2 inconclusive solve, 1 error.  SOSKIT_LOG=debug|info|quiet controls
-stderr verbosity.
+symmetry, solve, extract a certificate and re-verify.  All results are JSON,
+with NaN and infinities written as null (human tables are rendered from the
+JSON, never computed separately); output is deterministic for a fixed config
+and seed.  Exit codes: 0 conclusive, 2 inconclusive solve, 1 error.
+SOSKIT_LOG=debug|info|quiet controls stderr verbosity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from math import comb
+from math import comb, isfinite
 from pathlib import Path
 
 from soskit import apcount, graphs, relax, sdp, symmetry
@@ -40,8 +40,19 @@ def _setup_logging():
                         format="soskit: %(message)s")
 
 
+def _finite(v):
+    """``v`` with every NaN and infinity written as None: JSON has neither."""
+    if isinstance(v, float):
+        return v if isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -161,7 +172,7 @@ def cmd_pop_sos_check(args) -> int:
         "problem": "sos-check",
         "params": {"order": args.order, "basis_degree": d, "seed": args.seed},
         "status": res.status,
-        "margin": None if res.margin != res.margin else res.margin,  # NaN -> null
+        "margin": res.margin,
         "solver_status": res.solver_status,
     }
     if res.certificate is not None and args.cert_out:

@@ -3,10 +3,11 @@
 Standard form:  min sum_b <C_b, X_b> + cf.u
                 s.t. sum_b <A_kb, X_b> + d_k.u = b_k,   X_b >= 0, u free.
 
-The rows are held as one matrix A with a row per constraint and the
-vectorized blocks side by side in its columns, so A(X) = A vec(X), A*(y) is
-y'A cut into blocks, and the HKM Schur complement is one product A T' (T's
-block b holds X_b A_kb S_b^-1).
+``StdForm`` holds the rows as one matrix A with a row per constraint and
+the vectorized blocks side by side in its columns; the IPM solves with that
+matrix as it is, so A(X) = A vec(X), A*(y) is y'A cut into blocks, and the
+HKM Schur complement is one product A T' (T's block b holds X_b A_kb
+S_b^-1).
 
 Search direction is HKM with a Mehrotra predictor-corrector.  Free scalars
 are kept as genuinely free columns of the Schur system: each iteration forms
@@ -25,38 +26,57 @@ measure of SDPA.
 
 A structural preprocessing pass removes facial degeneracy of the form
 "diagonal entry pinned to zero": such a row forces the whole row and column
-of that block to vanish.  ``_face`` finds the face these pins leave, pin
-after pin, without copying the problem, and ``_restrict`` copies the
-problem onto it only when the face cuts something.  Whenever a block
-shrinks, the returned solution is flagged marginal, since the original
-problem had no strictly feasible point; rows left empty (0 = 0) are dropped
-without that flag.  One solve is deterministic: fixed operation order, no
-randomness.
+of that block to vanish.  ``_face`` finds the face these pins leave in
+vectorized sweeps over A, without copying the problem, and ``_restrict``
+slices A onto the face's rows and columns only when the face cuts
+something.  Whenever a block shrinks, the returned solution is flagged
+marginal, since the original problem had no strictly feasible point; rows
+left empty (0 = 0) are dropped without that flag.  One solve is
+deterministic: fixed operation order, no randomness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
 
 @dataclass
-class StdRow:
-    blocks: Dict[int, np.ndarray]
-    free: Dict[int, float]
-    rhs: float
-
-
-@dataclass
 class StdForm:
+    """min c.vec(X) + free_obj.u  s.t.  rows vec(X) + free u = b,  X_b >= 0.
+
+    ``rows`` has shape (m, sum_b dims[b]^2): row k holds vec(A_k1), ...,
+    vec(A_kB), with block b in columns off[b]:off[b+1]; ``c`` is laid out on
+    the same columns, and ``free`` (m, n_free) holds the free coefficients.
+    The IPM solves with these arrays as they are; the column layout is known
+    only here, and callers reach a block through ``blocks()``.
+    """
     dims: List[int]
-    C: List[np.ndarray]
-    rows: List[StdRow]
-    n_free: int
+    rows: np.ndarray
+    free: np.ndarray
+    c: np.ndarray
     free_obj: np.ndarray
     b: np.ndarray
+    off: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.off = np.cumsum([0] + [d * d for d in self.dims])
+
+    @classmethod
+    def zeros(cls, dims: List[int], m: int, n_free: int) -> "StdForm":
+        """The all-zero form with m rows and n_free free scalars."""
+        n = sum(d * d for d in dims)
+        return cls(dims=list(dims), rows=np.zeros((m, n)), free=np.zeros((m, n_free)),
+                   c=np.zeros(n), free_obj=np.zeros(n_free), b=np.zeros(m))
+
+    def blocks(self, w: Optional[np.ndarray] = None) -> List[np.ndarray]:
+        """Views of the column blocks of w (default ``rows``), each block's
+        last axis as a d x d matrix."""
+        w = self.rows if w is None else w
+        return [w[..., self.off[i]:self.off[i + 1]].reshape(w.shape[:-1] + (d, d))
+                for i, d in enumerate(self.dims)]
 
 
 @dataclass
@@ -86,6 +106,7 @@ class _Face:
     keep: List[np.ndarray]       # kept original indices per block
     kept_rows: List[int]
     reduced: bool                # some block lost an index
+    cols: np.ndarray             # kept columns of ``rows``, in restricted order
 
 
 def relative_gap(pobj: float, dobj: float) -> float:
@@ -100,78 +121,58 @@ def _face(form: StdForm) -> Optional[_Face]:
 
     A row without free scalars whose only live entry is the diagonal entry i
     of block b, with rhs 0, pins that entry: index i of block b is dropped,
-    which can leave another row with a single live entry.  Rows left with no
-    live entry are dropped.  Returns None when a pinned entry must be
-    negative or an empty row has a nonzero rhs (structurally infeasible).
+    which can leave another row with a single live entry.  Each sweep drops
+    every entry pinned at its start, until a sweep pins nothing.  Rows left
+    with no live entry are dropped.  Returns None when a pinned entry must
+    be negative or an empty row has a nonzero rhs (structurally infeasible).
     """
-    alive = [np.ones(d, dtype=bool) for d in form.dims]
-    support = [{b: np.nonzero(a) for b, a in r.blocks.items()} for r in form.rows]
-    dead = [False] * len(form.rows)
+    start = np.cumsum([0] + form.dims)
+    # each column's entry (i, j), numbered across the blocks' indices
+    ii, jj = ij = np.empty((2, form.off[-1]), dtype=np.intp)
+    for s, blk in zip(start, form.blocks(ij)):
+        blk[...] = s + np.indices(blk.shape[1:])
+    nonzero = form.rows != 0.0
+    has_free = np.any(form.free != 0.0, axis=1)  # such rows pin nothing
+    alive = np.ones(start[-1], dtype=bool)
+    dead = np.zeros(len(form.b), dtype=bool)
     reduced = False
 
-    changed = True
-    while changed:
-        changed = False
-        for k, r in enumerate(form.rows):
-            if dead[k] or r.free:
-                continue
-            live, hit = 0, None
-            for b, (ii, jj) in support[k].items():
-                on = np.flatnonzero(alive[b][ii] & alive[b][jj])
-                live += on.size
-                if live > 1:
-                    break
-                if on.size:
-                    hit = (b, ii[on[0]], jj[on[0]])
-            if live == 0:
-                if r.rhs != 0.0:
-                    return None
-                dead[k] = True
-                continue
-            if live > 1 or hit[1] != hit[2]:
-                continue
-            b, i, _ = hit
-            pinned = r.rhs / r.blocks[b][i, i]
-            if pinned < 0.0:
-                return None
-            if pinned > 0.0:
-                continue
-            reduced = changed = dead[k] = True
-            alive[b][i] = False
+    while True:
+        k = np.flatnonzero(~(has_free | dead))
+        live = nonzero[k] & (alive[ii] & alive[jj])
+        count = np.count_nonzero(live, axis=1)
+        empty = k[count == 0]
+        if np.any(form.b[empty] != 0.0):
+            return None
+        dead[empty] = True
+        k = k[count == 1]
+        col = np.nonzero(live[count == 1])[1]  # each such row's one entry
+        on_diag = ii[col] == jj[col]
+        k, col = k[on_diag], col[on_diag]
+        pinned = form.b[k] / form.rows[k, col]
+        if np.any(pinned < 0.0):
+            return None
+        k, col = k[pinned == 0.0], col[pinned == 0.0]
+        if not k.size:
+            break
+        dead[k] = True
+        alive[ii[col]] = False
+        reduced = True
 
-    return _Face(keep=[np.flatnonzero(a) for a in alive],
-                 kept_rows=[k for k, d in enumerate(dead) if not d],
-                 reduced=reduced)
+    return _Face(keep=[np.flatnonzero(alive[s:s + d]) for s, d in zip(start, form.dims)],
+                 kept_rows=np.flatnonzero(~dead).tolist(), reduced=reduced,
+                 cols=np.flatnonzero(alive[ii] & alive[jj]))
 
 
 def _restrict(form: StdForm, face: _Face) -> StdForm:
     """The problem on the face: ``form`` itself when the face cuts nothing,
-    else its kept rows with every block restricted to its kept indices."""
+    else its kept rows on the kept columns."""
     if not face.reduced and len(face.kept_rows) == len(form.rows):
         return form
-    ix = [np.ix_(k, k) for k in face.keep]
-    rows = [StdRow({b: a[ix[b]] for b, a in form.rows[k].blocks.items()},
-                   form.rows[k].free, form.rows[k].rhs) for k in face.kept_rows]
-    return StdForm(dims=[len(k) for k in face.keep],
-                   C=[c[i] for c, i in zip(form.C, ix)], rows=rows,
-                   n_free=form.n_free, free_obj=form.free_obj,
-                   b=form.b[face.kept_rows])
-
-
-def _stack_rows(form: StdForm):
-    """The rows as one matrix A of shape (m, sum_b dim_b^2), row k holding
-    vec(A_k1), ..., vec(A_kB) with block b in columns off[b]:off[b+1]; the
-    offsets off; and the free-coefficient matrix D of shape (m, n_free)."""
-    m = len(form.rows)
-    off = np.cumsum([0] + [d * d for d in form.dims])
-    A = np.zeros((m, off[-1]))
-    D = np.zeros((m, form.n_free))
-    for k, r in enumerate(form.rows):
-        for b, a in r.blocks.items():
-            A[k, off[b]:off[b + 1]] = a.reshape(-1)
-        for j, c in r.free.items():
-            D[k, j] = c
-    return A, off, D
+    ix = np.ix_(face.kept_rows, face.cols)
+    return StdForm(dims=[len(k) for k in face.keep], rows=form.rows[ix],
+                   free=form.free[face.kept_rows], c=form.c[face.cols],
+                   free_obj=form.free_obj, b=form.b[face.kept_rows])
 
 
 def _max_step(L: np.ndarray, delta: np.ndarray) -> float:
@@ -236,15 +237,19 @@ def _kkt_solve(K: np.ndarray, Kinv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
+def _vec(blocks: List[np.ndarray]) -> np.ndarray:
+    """The blocks laid out as the columns of ``StdForm.rows``."""
+    return np.concatenate([np.zeros(0)] + [x.reshape(-1) for x in blocks])
+
+
 def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200) -> StdResult:
     """Solve a standard-form SDP from the scaled identity.
 
     The IPM runs on the face left by pinned diagonal entries (``_face``);
-    ``form`` is copied only when that face cuts a row or an index, and X, S
-    and y are lifted back to its shape.  The rows are stacked into one
-    matrix once per solve.  Each iteration factors the bordered KKT matrix
-    once (see the module docstring) and refines both directions against the
-    unshifted matrix.
+    ``form`` is sliced onto it only when that face cuts a row or an index,
+    and X, S and y are lifted back to its shape.  Each iteration factors the
+    bordered KKT matrix once (see the module docstring) and refines both
+    directions against the unshifted matrix.
     ``optimal`` means pres <= tol, dres <= tol and relative_gap(pobj, dobj)
     <= tol, so the absolute gap is at most tol * max(1, (|pobj| + |dobj|)
     / 2), on iterates no larger than ITERATE_CAP times the data scale.  A
@@ -257,17 +262,17 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200) -> StdResul
             relgap=np.inf, pres=np.inf, dres=np.inf, iterations=0,
             X=[np.zeros((d, d)) for d in form.dims],
             S=[np.zeros((d, d)) for d in form.dims],
-            y=np.zeros(len(form.rows)), u=np.zeros(form.n_free), marginal=True)
+            y=np.zeros(len(form.rows)), u=np.zeros(form.free.shape[1]),
+            marginal=True)
 
     res = _solve_core(_restrict(form, face), tol, max_iter)
 
     if face.reduced:
-        X = [np.zeros((d, d)) for d in form.dims]
-        S = [np.zeros((d, d)) for d in form.dims]
-        for b, k in enumerate(face.keep):
-            X[b][np.ix_(k, k)] = res.X[b]
-            S[b][np.ix_(k, k)] = res.S[b]
-        res.X, res.S = X, S
+        def lift(blocks):
+            w = np.zeros(form.off[-1])
+            w[face.cols] = _vec(blocks)
+            return form.blocks(w)
+        res.X, res.S = lift(res.X), lift(res.S)
         res.marginal = True
     # rows dropped as empty (0 = 0) get a zero multiplier; they remove no
     # interior, so they alone do not make the solution marginal
@@ -281,29 +286,19 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200) -> StdResul
 def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     dims = form.dims
     nblk = len(dims)
-    m = len(form.rows)
-    nf = form.n_free
+    A, D = form.rows, form.free
+    m, nf = D.shape
     nu = max(sum(dims), 1)
-
-    A, off, D = _stack_rows(form)
-
-    def split(w):  # views of w's column blocks, each last axis as d x d
-        return [w[..., off[i]:off[i + 1]].reshape(w.shape[:-1] + (d, d))
-                for i, d in enumerate(dims)]
-
-    def vec(blocks):  # laid out as the columns of A
-        return np.concatenate([np.zeros(0)] + [x.reshape(-1) for x in blocks])
+    C = form.blocks(form.c)
 
     # T's block b holds the rows X_b A_kb Sinv_b of the Schur product
     T = np.empty_like(A)
-    Ab, Tb = split(A), split(T)
+    Ab, Tb = form.blocks(), form.blocks(T)
 
     b = form.b
     cf = form.free_obj
-    scale = 1.0 + max(
-        float(np.max(np.abs(b))) if m else 0.0,
-        float(np.sqrt(sum(np.sum(c * c) for c in form.C))),
-    )
+    cnorm = float(np.sqrt(sum(np.sum(c * c) for c in C)))
+    scale = 1.0 + max(float(np.max(np.abs(b))) if m else 0.0, cnorm)
 
     X = [scale * np.eye(d) for d in dims]
     S = [scale * np.eye(d) for d in dims]
@@ -320,11 +315,11 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     best_age = 0
 
     for it in range(max_iter + 1):
-        rp = b - A @ vec(X) - D @ u
+        rp = b - A @ _vec(X) - D @ u
         rf = cf - D.T @ y
-        Rd = [c - s - a for c, s, a in zip(form.C, S, split(y @ A))]
+        Rd = [c - s - a for c, s, a in zip(C, S, form.blocks(y @ A))]
 
-        pobj = sum(float(np.sum(c * x)) for c, x in zip(form.C, X))
+        pobj = sum(float(np.sum(c * x)) for c, x in zip(C, X))
         pobj += float(cf @ u) if nf else 0.0
         dobj = float(b @ y) if m else 0.0
         mu = sum(float(np.sum(x * s)) for x, s in zip(X, S)) / nu
@@ -333,8 +328,7 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         fres = (float(np.linalg.norm(rf)) / (1.0 + float(np.linalg.norm(cf)))
                 if nf else 0.0)
         dres = max(
-            float(np.sqrt(sum(np.sum(r * r) for r in Rd)))
-            / (1.0 + float(np.sqrt(sum(np.sum(c * c) for c in form.C)))),
+            float(np.sqrt(sum(np.sum(r * r) for r in Rd))) / (1.0 + cnorm),
             fres,
         )
         relgap = relative_gap(pobj, dobj)
@@ -403,10 +397,10 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         XRdSinv = [x @ r @ si for x, r, si in zip(X, Rd, Sinv)]
 
         def directions(Rc):
-            v = vec([xr - rc @ si for xr, rc, si in zip(XRdSinv, Rc, Sinv)])
+            v = _vec([xr - rc @ si for xr, rc, si in zip(XRdSinv, Rc, Sinv)])
             sol = _kkt_solve(K, Kinv, np.concatenate([rp + A @ v, rf]))
             dy, du = sol[:m], sol[m:]
-            dS = [r - a for r, a in zip(Rd, split(dy @ A))]
+            dS = [r - a for r, a in zip(Rd, form.blocks(dy @ A))]
             dX = []
             for i in range(nblk):
                 v = (Rc[i] - X[i] @ dS[i]) @ Sinv[i]

@@ -353,13 +353,20 @@ def float_identity_tol(f: Polynomial) -> float:
     return 1e-6 * (1.0 + float(f.max_abs_coefficient()))
 
 
+def _clip_psd(q: np.ndarray):
+    """The eigenvalues of the symmetric q, and q with its negative
+    eigenvalues clipped to zero, symmetrized."""
+    vals, vecs = np.linalg.eigh(q)
+    clipped = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
+    return vals, (clipped + clipped.T) / 2.0
+
+
 def extract_certificate(sol: sdp.SdpSolution, info: SosDualInfo, p: PolyProgram,
-                        rationalize: bool = True,
-                        psd_clip: float = 1e-6) -> Certificate:
+                        rationalize: bool = True) -> Certificate:
     """Read λ, Gram matrices and equality multipliers off a solved SOS dual.
 
     Gram matrices are symmetrized and eigenvalue-clipped at zero; if the
-    clip exceeds psd_clip*(1+||Q||) the certificate is flagged numeric-only.
+    clip exceeds 1e-6*(1+||Q||) the certificate is flagged numeric-only.
     With rationalize, a continued-fraction rounding (denominator cap 1e6)
     is attempted and kept only when it verifies exactly.
     """
@@ -369,11 +376,10 @@ def extract_certificate(sol: sdp.SdpSolution, info: SosDualInfo, p: PolyProgram,
     for blk in info.gram_blocks:
         q = np.array(sol.X[blk])
         q = (q + q.T) / 2.0
-        vals, vecs = np.linalg.eigh(q)
-        if vals.size and vals[0] < -psd_clip * (1.0 + np.linalg.norm(q)):
+        vals, clipped = _clip_psd(q)
+        if vals.size and vals[0] < -1e-6 * (1.0 + np.linalg.norm(q)):
             numeric_only = True
-        clipped = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
-        grams.append((clipped + clipped.T) / 2.0)
+        grams.append(clipped)
     mults = []
     for k, idx in enumerate(info.eq_mult_indices):
         terms = {g: float(sol.free[j]) for g, j in idx.items()}
@@ -454,15 +460,12 @@ def check_sos(f: Polynomial, d: int, tol: float = 1e-8, max_iter: int = 200) -> 
         return SosCheck(status="inconclusive", certificate=None,
                         margin=float("nan"), solver_status=sol.status)
     t = float(sol.free[0])
-    eps = 1e-6 * (1.0 + float(f.max_abs_coefficient()))
-    if t > eps:
+    if t > float_identity_tol(f):
         return SosCheck(status="infeasible", certificate=None, margin=t,
                         solver_status=sol.status)
     q = np.array(sol.X[0])
-    q = (q + q.T) / 2.0 - t * np.eye(len(basis))
-    vals, vecs = np.linalg.eigh(q)
-    q = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
-    cert = Certificate(lam=0.0, gram=[(q + q.T) / 2.0], eq_multipliers=[],
+    _, q = _clip_psd((q + q.T) / 2.0 - t * np.eye(len(basis)))
+    cert = Certificate(lam=0.0, gram=[q], eq_multipliers=[],
                        orders=[d], mode=FLOAT)
     trivial = PolyProgram(n, f)
     exact = rationalize_certificate(cert)

@@ -152,9 +152,10 @@ class SdpSolution:
 
 # -- PSD tests ---------------------------------------------------------------
 
-def is_psd(M, mode: str = "float", sym_tol: float = 1e-9):
+def is_psd(M, mode: str = "float"):
     """PSD test. Float mode thresholds the minimum eigenvalue at
-    -1e-8*||M||; exact mode decides over the rationals.  Returns
+    -1e-8*||M|| and rejects a matrix asymmetric beyond 1e-9*max(1, ||M||);
+    exact mode decides over the rationals.  Returns
     (verdict, witness) where witness is a vector x with x'Mx < 0 when the
     verdict is False."""
     if mode == "exact":
@@ -163,7 +164,7 @@ def is_psd(M, mode: str = "float", sym_tol: float = 1e-9):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.linalg.norm(M)
-    if np.max(np.abs(M - M.T)) > sym_tol * max(1.0, scale):
+    if np.max(np.abs(M - M.T)) > 1e-9 * max(1.0, scale):
         raise ValueError("matrix is not symmetric")
     if M.shape[0] == 0:
         return True, None
@@ -545,45 +546,42 @@ def _from_dual(q: SdpProblem, res: ipm.StdResult, tol: float) -> SdpSolution:
 
 
 def _standardize(q: SdpProblem) -> ipm.StdForm:
-    """Rewrite a min-sense mixed problem in pure equality standard form:
-    matrix inequalities become slack blocks pinned entrywise, placed right
-    after the variable blocks in order, and inequality rows gain 1x1 slack
-    blocks after those."""
-    dims = list(q.block_dims)
-    C = [c.copy() for c in q.C]
-    rows: List[ipm.StdRow] = []
-    for r in q.rows:
-        rows.append(ipm.StdRow(dict(r.blocks), dict(r.free), r.rhs))
+    """Rewrite a min-sense mixed problem in pure equality standard form.
 
-    for l in q.lmis:
-        bidx = len(dims)
-        dims.append(l.dim)
-        C.append(np.zeros((l.dim, l.dim)))
-        for i in range(l.dim):
-            for j in range(i, l.dim):
-                a = np.zeros((l.dim, l.dim))
-                if i == j:
-                    a[i, i] = 1.0
-                else:
-                    a[i, j] = a[j, i] = 0.5
-                free = {jj: -g[i, j] for jj, g in l.coeffs.items() if g[i, j] != 0.0}
-                rows.append(ipm.StdRow({bidx: a}, free, float(l.const[i, j])))
-
+    Blocks: the variable blocks, then one slack block per matrix inequality,
+    in order, then a 1x1 slack block per inequality row, in row order.
+    Rows: the problem's rows, in order, then for each matrix inequality the
+    rows pinning its slack block entrywise to G0 + sum_j u_j G_j, entry
+    (i, j) for i <= j in row-major order."""
+    ineq = [k for k, r in enumerate(q.rows) if r.rel == "<="]
+    nb = len(q.block_dims)
+    dims = list(q.block_dims) + [l.dim for l in q.lmis] + [1] * len(ineq)
+    m = len(q.rows) + sum(l.dim * (l.dim + 1) // 2 for l in q.lmis)
+    form = ipm.StdForm.zeros(dims, m, q.n_free)
+    A = form.blocks()
+    for c, cb in zip(q.C, form.blocks(form.c)):
+        cb[...] = c
+    form.free_obj[:] = q.free_obj
     for k, r in enumerate(q.rows):
-        if r.rel == "<=":
-            bidx = len(dims)
-            dims.append(1)
-            C.append(np.zeros((1, 1)))
-            rows[k].blocks[bidx] = np.ones((1, 1))
+        for b, a in r.blocks.items():
+            A[b][k] = a
+        for j, c in r.free.items():
+            form.free[k, j] = c
+        form.b[k] = r.rhs
 
-    return ipm.StdForm(
-        dims=dims,
-        C=C,
-        rows=rows,
-        n_free=q.n_free,
-        free_obj=q.free_obj.copy(),
-        b=np.array([r.rhs for r in rows], dtype=float),
-    )
+    k = len(q.rows)
+    for l, slack in zip(q.lmis, A[nb:]):
+        i, j = np.triu_indices(l.dim)
+        pins = np.arange(k, k + i.size)
+        slack[pins, i, j] = slack[pins, j, i] = np.where(i == j, 1.0, 0.5)
+        for jj, g in l.coeffs.items():
+            form.free[pins, jj] = 0.0 - g[i, j]  # +0.0 where g has no entry
+        form.b[pins] = l.const[i, j]
+        k += i.size
+
+    for k, slack in zip(ineq, A[nb + len(q.lmis):]):
+        slack[k] = 1.0
+    return form
 
 
 # -- SDPA sparse format --------------------------------------------------------

@@ -422,8 +422,7 @@ def phi_check(basis: OrbitBasis, x: Sequence, y: Sequence) -> bool:
     return all(lhs[a][b] == rhs[a][b] for a in range(d) for b in range(d))
 
 
-def group_average(action: GroupAction, X: np.ndarray,
-                  basis: Optional[OrbitBasis] = None) -> np.ndarray:
+def group_average(action: GroupAction, X: np.ndarray) -> np.ndarray:
     """Orthogonal projection of X onto the commutant.
 
     Algebraically identical to averaging M_g X M_g' over the group, but
@@ -432,10 +431,8 @@ def group_average(action: GroupAction, X: np.ndarray,
     X = np.asarray(X, dtype=float)
     if X.shape != (action.size, action.size):
         raise ValueError("matrix size does not match the action")
-    if basis is None:
-        basis = commutant_basis(action)
     out = np.zeros_like(X)
-    for orbit in basis.orbits:
+    for orbit in _pair_orbits(action):
         t = sum(X[r, c] for r, c in orbit) / len(orbit)
         for r, c in orbit:
             out[r, c] = t
@@ -459,9 +456,7 @@ class ReducedSdp:
         return self.basis.lift(full)
 
 
-def reduce_sdp(p: sdp.SdpProblem, action: GroupAction,
-               basis: Optional[OrbitBasis] = None,
-               tol: float = 1e-10) -> ReducedSdp:
+def reduce_sdp(p: sdp.SdpProblem, action: GroupAction) -> ReducedSdp:
     """Reduce a single-block invariant SDP to orbit coordinates.
 
     The objective must be fixed by the action; the constraint family must be
@@ -476,8 +471,7 @@ def reduce_sdp(p: sdp.SdpProblem, action: GroupAction,
     n = p.block_dims[0]
     if action.size != n:
         raise ValueError("action size does not match the block dimension")
-    if basis is None:
-        basis = commutant_basis(action)
+    basis = commutant_basis(action)
 
     C = p.C[0]
     scale = 1.0 + float(np.max(np.abs(C)))
@@ -485,7 +479,7 @@ def reduce_sdp(p: sdp.SdpProblem, action: GroupAction,
         M = perm_matrix(g)
         dev = M @ C @ M.T - C
         worst = np.unravel_index(np.argmax(np.abs(dev)), dev.shape)
-        if abs(dev[worst]) > tol * scale:
+        if abs(dev[worst]) > 1e-10 * scale:
             raise ValueError(
                 f"objective not invariant: generator {gi} moves entry "
                 f"{tuple(int(v) for v in worst)} by {dev[worst]:.3e}")

@@ -30,10 +30,14 @@ def c5_file(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    return code, json.loads(out, parse_constant=_reject_constant) if out.strip() else None
 
 
 class TestPopSolve:
@@ -84,6 +88,13 @@ class TestSosCheck:
         path.write_text(json.dumps(p.to_json()))
         code, data = run(capsys, "pop", "sos-check", str(path), "--order", "2")
         assert code == 0 and data["status"] == "feasible"
+
+    def test_odd_degree_margin_is_null(self, capsys, tmp_path):
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps(PolyProgram(1, Polynomial(1, {(3,): 1})).to_json()))
+        code, data = run(capsys, "pop", "sos-check", str(path), "--order", "4")
+        assert code == 0 and data["status"] == "infeasible"
+        assert data["margin"] is None
 
 
 class TestCertVerify:

@@ -247,15 +247,24 @@ class TestSolve:
 
     def test_facial_reduction_detects_forced_infeasibility(self):
         # X11 = 0 forces the whole first row of X to vanish, so X12 = 5 is
-        # structurally impossible
+        # structurally impossible; X11 = -1 pins a diagonal entry below zero
         a12 = np.zeros((2, 2))
         a12[0, 1] = a12[1, 0] = 0.5
-        p = SdpProblem(block_dims=[2], C=[np.eye(2)],
-                       rows=[LinearRow(blocks={0: np.diag([1.0, 0.0])}, rhs=0.0),
-                             LinearRow(blocks={0: a12}, rhs=5.0)])
-        s = solve(p)
-        assert s.status == sdp.PRIMAL_INFEASIBLE
-        assert s.iterations == 0
+        x11 = np.diag([1.0, 0.0])
+        forced = SdpProblem(block_dims=[2], C=[np.eye(2)],
+                            rows=[LinearRow(blocks={0: x11}, rhs=0.0),
+                                  LinearRow(blocks={0: a12}, rhs=5.0)])
+        negative = SdpProblem(block_dims=[2], C=[np.eye(2)],
+                              rows=[LinearRow(blocks={0: x11}, rhs=-1.0)])
+        for p in (forced, negative):
+            s = solve(p)
+            assert s.status == sdp.PRIMAL_INFEASIBLE
+            assert s.iterations == 0
+        # with a free scalar, X11 + u = 0 pins nothing: u can take any sign
+        free = SdpProblem(block_dims=[2], C=[np.eye(2)], n_free=1,
+                          rows=[LinearRow(blocks={0: x11}, free={0: 1.0}, rhs=0.0)])
+        face = ipm._face(sdp._standardize(free))
+        assert not face.reduced and face.kept_rows == [0]
 
     def test_facial_reduction_follows_a_chained_pin(self):
         # X00 = 0 pins index 0, and only then does X00 + X11 = 0 pin index 1;
@@ -275,6 +284,80 @@ class TestSolve:
     def test_face_that_cuts_nothing_keeps_the_problem(self):
         std = sdp._standardize(theta_c5().negated())
         assert ipm._restrict(std, ipm._face(std)) is std
+
+    def test_face_matches_a_per_row_fixpoint(self):
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(300):
+            std = sdp._standardize(_random_problem(rng))
+            face, ref = ipm._face(std), _reference_face(std)
+            if ref is None:
+                assert face is None
+                outcomes.add("infeasible")
+                continue
+            keep, kept_rows, reduced = ref
+            assert [list(k) for k in face.keep] == [list(k) for k in keep]
+            assert face.kept_rows == kept_rows
+            assert face.reduced == reduced
+            outcomes.add("reduced" if reduced else "kept")
+        assert outcomes == {"infeasible", "reduced", "kept"}
+
+    def test_standard_form_free_coefficients_have_no_negative_zero(self):
+        free = sdp._standardize(gap_example()).free
+        assert not np.any((free == 0.0) & np.signbit(free))
+
+
+def _random_problem(rng):
+    """A small problem of sparse rows: diagonal and off-diagonal entries,
+    <= rows, free scalars and matrix inequalities."""
+    dims = [int(d) for d in rng.integers(1, 4, size=rng.integers(1, 3))]
+    nf = int(rng.integers(0, 2))
+    rows = []
+    for _ in range(rng.integers(1, 6)):
+        b = int(rng.integers(len(dims)))
+        a = np.diag(rng.choice([0.0, 0.0, 1.0, 2.0], size=dims[b]))
+        if rng.random() < 0.3:
+            i, j = rng.integers(dims[b], size=2)
+            a[i, j] += 1.0
+            a[j, i] += 1.0
+        rows.append(LinearRow(blocks={b: a}, free={0: 1.0} if nf and rng.random() < 0.2 else {},
+                              rhs=rng.choice([0.0, 0.0, 1.0, -1.0]),
+                              rel="<=" if rng.random() < 0.2 else "=="))
+    lmis = [MatrixIneq(dim=int(d), const=np.diag(rng.choice([0.0, 1.0, -1.0], size=d)),
+                       coeffs={0: np.eye(d)} if nf and rng.random() < 0.5 else {})
+            for d in rng.integers(1, 3, size=rng.integers(0, 2))]
+    return SdpProblem(block_dims=dims, C=[np.eye(d) for d in dims], n_free=nf,
+                      rows=rows, lmis=lmis)
+
+
+def _reference_face(form):
+    """The pinned face, one row at a time until a sweep pins nothing:
+    (keep, kept_rows, reduced), or None when structurally infeasible."""
+    A = form.blocks()
+    alive = [np.ones(d, dtype=bool) for d in form.dims]
+    dead = [False] * len(form.b)
+    reduced, changed = False, True
+    while changed:
+        changed = False
+        for k in range(len(form.b)):
+            if dead[k] or np.any(form.free[k]):
+                continue
+            live = [(b, i, j) for b, a in enumerate(A) for i, j in zip(*np.nonzero(a[k]))
+                    if alive[b][i] and alive[b][j]]
+            if not live:
+                if form.b[k] != 0.0:
+                    return None
+                dead[k] = True
+            elif len(live) == 1 and live[0][1] == live[0][2]:
+                b, i, _ = live[0]
+                pinned = form.b[k] / A[b][k, i, i]
+                if pinned < 0.0:
+                    return None
+                if pinned == 0.0:
+                    alive[b][i] = False
+                    dead[k] = reduced = changed = True
+    return ([np.flatnonzero(a) for a in alive],
+            [k for k, d in enumerate(dead) if not d], reduced)
 
 
 class TestOrientation:
