@@ -9,13 +9,14 @@ objective over truncated moment sequences, one moment per monomial row, with
 PSD moment and localizing matrices from the Gram blocks and linear pinning
 rows from the equality multipliers.
 
-Certificates are verified by full polynomial expansion, in exact rational
-arithmetic when all data is rational.
+A certificate is verified identity first: only when the expanded identity
+holds within the mode's tolerance are its Gram matrices tested for PSD, the
+expensive step in exact mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -237,7 +238,6 @@ class Certificate:
     eq_multipliers: List[Polynomial]
     orders: List[int]
     mode: str = FLOAT
-    numeric_only: bool = False
 
     def to_json(self) -> dict:
         def cell(v):
@@ -291,115 +291,109 @@ def expand_gram(n: int, gram, order: int, mode: str) -> Polynomial:
 
 @dataclass
 class Verdict:
-    identity_residual: Polynomial
-    psd_ok: bool
-    psd_failures: List[int] = field(default_factory=list)
+    """identity_residual is σ0 + Σ σi·gi + Σ ck·hk + λ - f, and tol the largest
+    residual coefficient accepted: 0 in exact mode, float_identity_tol(f) in
+    float mode.  psd_ok and psd_failures (indices of non-PSD Gram matrices)
+    are None when the identity failed and the PSD test was skipped."""
 
-    def ok(self, tol: float = 0.0) -> bool:
-        if not self.psd_ok:
-            return False
-        if self.identity_residual.is_zero():
-            return True
-        return float(self.identity_residual.max_abs_coefficient()) <= tol
+    identity_residual: Polynomial
+    tol: float
+    psd_ok: Optional[bool] = None
+    psd_failures: Optional[List[int]] = None
+
+    def identity_ok(self) -> bool:
+        r = self.identity_residual
+        return r.is_zero() or r.max_abs_coefficient() <= self.tol
+
+    def ok(self) -> bool:
+        return self.identity_ok() and bool(self.psd_ok)
 
 
 def verify_certificate(p: PolyProgram, cert: Certificate, mode: str = EXACT) -> Verdict:
-    """Expand σ0 + Σ σi·gi + Σ ck·hk + λ - f and test the Gram matrices.
+    """Expand σ0 + Σ σi·gi + Σ ck·hk + λ - f, then test the Gram matrices.
 
     Exact mode demands rational data throughout and a residual that is
     identically zero; float mode tolerates residual coefficients up to
-    1e-6*(1 + max |coef| of f).  Signs of equality multipliers are not
-    checked (any sign is valid).
+    1e-6*(1 + max |coef| of f).  The PSD test runs only when the residual
+    is within that tolerance.  Signs of equality multipliers are not
+    checked (any sign is valid).  A certificate whose Gram or order count,
+    or a Gram size, does not fit p raises ValueError.
     """
-    if len(cert.gram) != 1 + len(p.ineqs):
-        raise ValueError(f"expected {1 + len(p.ineqs)} Gram matrices, got {len(cert.gram)}")
+    if len(cert.gram) != 1 + len(p.ineqs) or len(cert.orders) != len(cert.gram):
+        raise ValueError(f"expected {1 + len(p.ineqs)} Gram matrices and orders, "
+                         f"got {len(cert.gram)} and {len(cert.orders)}")
     if len(cert.eq_multipliers) != len(p.eqs):
         raise ValueError(f"expected {len(p.eqs)} equality multipliers")
-    if mode == EXACT and cert.mode != EXACT:
+    exact = mode == EXACT
+    if exact and cert.mode != EXACT:
         raise ValueError("exact verification needs a rational certificate")
 
-    if mode == EXACT:
-        f = p.objective
-        gs = p.ineqs
-        hs = p.eqs
-        mults = cert.eq_multipliers
-        lam = Polynomial.constant(p.n, Fraction(cert.lam))
-    else:
-        f = p.objective.to_float()
-        gs = tuple(g.to_float() for g in p.ineqs)
-        hs = tuple(h.to_float() for h in p.eqs)
-        mults = [c.to_float() for c in cert.eq_multipliers]
-        lam = Polynomial.constant(p.n, float(cert.lam), FLOAT)
+    pmode = EXACT if exact else FLOAT
+    conv = (lambda q: q) if exact else Polynomial.to_float
+    residual = Polynomial(p.n, {}, pmode)
+    for i, (g, q, d) in enumerate(zip((Polynomial.constant(p.n, 1),) + p.ineqs,
+                                      cert.gram, cert.orders)):
+        size = len(monomial_vector(p.n, d))
+        if len(q) != size or any(len(row) != size for row in q):
+            raise ValueError(f"the Gram matrix of σ{i} must be {size}x{size} for order {d}")
+        residual = residual + expand_gram(p.n, q, d, pmode) * conv(g)
+    for h, c in zip(p.eqs, cert.eq_multipliers):
+        residual = residual + conv(c) * conv(h)
+    lam = Polynomial.constant(p.n, Fraction(cert.lam) if exact else float(cert.lam), pmode)
+    verdict = Verdict(identity_residual=residual + lam - conv(p.objective),
+                      tol=0.0 if exact else float_identity_tol(p.objective))
+    if not verdict.identity_ok():
+        return verdict
 
-    pmode = EXACT if mode == EXACT else FLOAT
-    residual = expand_gram(p.n, cert.gram[0], cert.orders[0], pmode)
-    for g, q, d in zip(gs, cert.gram[1:], cert.orders[1:]):
-        residual = residual + expand_gram(p.n, q, d, pmode) * g
-    for h, c in zip(hs, mults):
-        residual = residual + c * h
-    residual = residual + lam - f
-
-    failures = []
-    for i, q in enumerate(cert.gram):
-        if len(q) == 0:
-            continue
-        verdict, _ = sdp.is_psd(q, mode="exact" if mode == EXACT else "float")
-        if not verdict:
-            failures.append(i)
-    return Verdict(identity_residual=residual, psd_ok=not failures, psd_failures=failures)
+    verdict.psd_failures = [i for i, q in enumerate(cert.gram)
+                            if not sdp.is_psd(q, mode=pmode)[0]]
+    verdict.psd_ok = not verdict.psd_failures
+    return verdict
 
 
 def float_identity_tol(f: Polynomial) -> float:
     return 1e-6 * (1.0 + float(f.max_abs_coefficient()))
 
 
-def _clip_psd(q: np.ndarray):
-    """The eigenvalues of the symmetric q, and q with its negative
-    eigenvalues clipped to zero, symmetrized."""
+def _clip_psd(q: np.ndarray) -> np.ndarray:
+    """The symmetric q with its negative eigenvalues clipped to zero,
+    symmetrized."""
     vals, vecs = np.linalg.eigh(q)
     clipped = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
-    return vals, (clipped + clipped.T) / 2.0
+    return (clipped + clipped.T) / 2.0
 
 
-def extract_certificate(sol: sdp.SdpSolution, info: SosDualInfo, p: PolyProgram,
-                        rationalize: bool = True) -> Certificate:
+def _exact_if_verified(p: PolyProgram, cert: Certificate) -> Certificate:
+    """The continued-fraction rounding of the float cert when it verifies
+    exactly, else cert itself."""
+    exact = rationalize_certificate(cert)
+    return exact if verify_certificate(p, exact, mode=EXACT).ok() else cert
+
+
+def extract_certificate(sol: sdp.SdpSolution, info: SosDualInfo,
+                        p: PolyProgram) -> Certificate:
     """Read λ, Gram matrices and equality multipliers off a solved SOS dual.
 
-    Gram matrices are symmetrized and eigenvalue-clipped at zero; if the
-    clip exceeds 1e-6*(1+||Q||) the certificate is flagged numeric-only.
-    With rationalize, a continued-fraction rounding (denominator cap 1e6)
-    is attempted and kept only when it verifies exactly.
+    Gram matrices are symmetrized and eigenvalue-clipped at zero.  The
+    continued-fraction rounding of the result (denominator cap 1e6) is
+    returned when it verifies exactly, the float certificate otherwise.
     """
-    lam = float(sol.free[info.lambda_index])
     grams = []
-    numeric_only = False
     for blk in info.gram_blocks:
         q = np.array(sol.X[blk])
-        q = (q + q.T) / 2.0
-        vals, clipped = _clip_psd(q)
-        if vals.size and vals[0] < -1e-6 * (1.0 + np.linalg.norm(q)):
-            numeric_only = True
-        grams.append(clipped)
-    mults = []
-    for k, idx in enumerate(info.eq_mult_indices):
-        terms = {g: float(sol.free[j]) for g, j in idx.items()}
-        mults.append(Polynomial(info.n, terms, FLOAT))
-    cert = Certificate(lam=lam, gram=grams, eq_multipliers=mults,
-                       orders=list(info.gram_orders), mode=FLOAT,
-                       numeric_only=numeric_only)
-    if rationalize and not numeric_only:
-        exact = rationalize_certificate(cert)
-        verdict = verify_certificate(p, exact, mode=EXACT)
-        if verdict.ok():
-            return exact
-    return cert
+        grams.append(_clip_psd((q + q.T) / 2.0))
+    mults = [Polynomial(info.n, {g: float(sol.free[j]) for g, j in idx.items()}, FLOAT)
+             for idx in info.eq_mult_indices]
+    cert = Certificate(lam=float(sol.free[info.lambda_index]), gram=grams,
+                       eq_multipliers=mults, orders=list(info.gram_orders), mode=FLOAT)
+    return _exact_if_verified(p, cert)
 
 
-def rationalize_certificate(cert: Certificate,
-                            cap: int = RATIONALIZE_DENOMINATOR_CAP) -> Certificate:
-    """Continued-fraction rounding of every numeric entry."""
+def rationalize_certificate(cert: Certificate) -> Certificate:
+    """Continued-fraction rounding of every numeric entry, denominators
+    capped at RATIONALIZE_DENOMINATOR_CAP."""
     def rat(v) -> Fraction:
-        return Fraction(float(v)).limit_denominator(cap)
+        return Fraction(float(v)).limit_denominator(RATIONALIZE_DENOMINATOR_CAP)
 
     grams = [[[rat(v) for v in row] for row in np.atleast_2d(q).tolist()]
              for q in cert.gram]
@@ -464,12 +458,8 @@ def check_sos(f: Polynomial, d: int, tol: float = 1e-8, max_iter: int = 200) -> 
         return SosCheck(status="infeasible", certificate=None, margin=t,
                         solver_status=sol.status)
     q = np.array(sol.X[0])
-    _, q = _clip_psd((q + q.T) / 2.0 - t * np.eye(len(basis)))
-    cert = Certificate(lam=0.0, gram=[q], eq_multipliers=[],
-                       orders=[d], mode=FLOAT)
-    trivial = PolyProgram(n, f)
-    exact = rationalize_certificate(cert)
-    if verify_certificate(trivial, exact, mode=EXACT).ok():
-        cert = exact
+    q = _clip_psd((q + q.T) / 2.0 - t * np.eye(len(basis)))
+    cert = _exact_if_verified(PolyProgram(n, f), Certificate(
+        lam=0.0, gram=[q], eq_multipliers=[], orders=[d], mode=FLOAT))
     return SosCheck(status="feasible", certificate=cert, margin=t,
                     solver_status=sol.status)

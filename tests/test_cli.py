@@ -75,6 +75,14 @@ class TestPopSolve:
         assert code == 0
         assert abs(data["bound"]) < 1e-6
 
+    def test_moment_side_has_no_certificate(self, capsys, disk_file, tmp_path):
+        cert = tmp_path / "cert.json"
+        code = cli.main(["pop", "solve", disk_file, "--moment", "--order", "2",
+                         "--cert-out", str(cert)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not cert.exists()
+
 
 class TestSosCheck:
     def test_motzkin_infeasible(self, capsys, motzkin_file):
@@ -120,6 +128,7 @@ class TestCertVerify:
         code, out = run(capsys, "cert", "verify", cert, prog)
         assert code == 1
         assert out["residual_terms"] == 1  # the constant monomial survives
+        assert out["psd_ok"] is None and out["psd_failures"] is None  # PSD test skipped
 
     def test_dimension_mismatch(self, capsys, tmp_path):
         cert, _ = self._make_cert(capsys, tmp_path, 5, 4)
@@ -130,6 +139,18 @@ class TestCertVerify:
         err = capsys.readouterr().err
         assert code == 1
         assert "Gram" in err or "dimension" in err
+
+    @pytest.mark.parametrize("orders, named", [([1], "σ0"), ([], "orders")])
+    def test_gram_does_not_fit_orders(self, capsys, tmp_path, orders, named):
+        prog = tmp_path / "square.json"
+        prog.write_text(json.dumps(PolyProgram(1, Polynomial(1, {(2,): 1})).to_json()))
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"lambda": "0", "grams": [[["1"]]],
+                                    "eq_multipliers": [], "orders": orders}))
+        code = cli.main(["cert", "verify", str(cert), str(prog)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and named in err
 
 
 class TestSdpa:

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import grid_minimum
 from soskit import sdp
-from soskit.poly import EXACT, FLOAT, Polynomial, motzkin
+from soskit.apcount import density_certificate, density_program
+from soskit.poly import EXACT, FLOAT, Polynomial, monomials_up_to_degree, motzkin
 from soskit.relax import (
     Certificate,
     PolyProgram,
@@ -28,6 +29,13 @@ def disk_program():
     return PolyProgram(2, f, ineqs=(g,))
 
 
+def ball_quartic(n, seed):
+    """A dense quartic with coefficients in {-1, -0.9, ..., 1} on the unit ball."""
+    rng = random.Random(seed)
+    terms = {m: Fraction(rng.randint(-10, 10), 10) for m in monomials_up_to_degree(n, 4)}
+    return add_ball_constraint(PolyProgram(n, Polynomial(n, terms)), 1)
+
+
 class TestBuildSosDual:
     def test_square_unconstrained(self):
         p = PolyProgram(1, Polynomial(1, {(2,): 1}))
@@ -37,8 +45,7 @@ class TestBuildSosDual:
         assert abs(sol.primal_obj) < 1e-7
         cert = extract_certificate(sol, info, p)
         v = verify_certificate(p, cert, mode=cert.mode)
-        tol = 0.0 if cert.mode == EXACT else float_identity_tol(p.objective)
-        assert v.ok(tol)
+        assert v.ok()
         # one valid Gram for x^2 over (1, x) is [[0,0],[0,1]]
         q = np.array(cert.gram[0], dtype=float)
         assert abs(q[1, 1] - 1.0) < 1e-6
@@ -193,8 +200,7 @@ class TestCertificates:
         sol = sdp.solve(prob)
         cert = extract_certificate(sol, info, p)
         v = verify_certificate(p, cert, mode=cert.mode)
-        tol = 0.0 if cert.mode == EXACT else float_identity_tol(p.objective)
-        assert v.ok(tol)
+        assert v.ok()
         assert abs(float(cert.lam)) < 1e-6
         # certified bound holds at feasible samples
         rng = random.Random(1)
@@ -218,11 +224,13 @@ class TestCertificates:
     def test_corrupted_gram_reported(self):
         p = disk_program()
         prob, info = build_sos_dual(p, 2)
-        cert = extract_certificate(sdp.solve(prob), info, p, rationalize=False)
-        cert.gram[0] = np.array(cert.gram[0])
+        sol = sdp.solve(prob)
+        cert = Certificate(lam=float(sol.free[info.lambda_index]),
+                           gram=[np.array(sol.X[b]) for b in info.gram_blocks],
+                           eq_multipliers=[], orders=list(info.gram_orders), mode=FLOAT)
         cert.gram[0][0, 0] += 0.5
         v = verify_certificate(p, cert, mode=FLOAT)
-        assert not v.ok(float_identity_tol(p.objective))
+        assert not v.ok()
         assert abs(float(v.identity_residual.coefficient_of((0, 0)))) > 0.4
 
     def test_rationalize_caps_denominator(self):
@@ -254,8 +262,62 @@ class TestCertificates:
         assert back.mode == cert.mode
         assert back.orders == cert.orders
         v = verify_certificate(p, back, mode=back.mode)
-        tol = 0.0 if back.mode == EXACT else float_identity_tol(p.objective)
-        assert v.ok(tol)
+        assert v.ok()
+
+
+class TestVerifyOrder:
+    @staticmethod
+    def count_exact_psd(monkeypatch):
+        calls = []
+        real = sdp.is_psd_exact
+
+        def counting(M):
+            calls.append(len(M))
+            return real(M)
+
+        monkeypatch.setattr(sdp, "is_psd_exact", counting)
+        return calls
+
+    def test_failed_identity_skips_psd_test(self, monkeypatch):
+        p = ball_quartic(4, seed=1)
+        prob, info = build_sos_dual(p, 4)
+        sol = sdp.solve(prob)
+        assert sol.status == sdp.OPTIMAL
+        cert = extract_certificate(sol, info, p)
+        assert cert.mode == FLOAT  # the entrywise rounding did not verify
+        rounded = rationalize_certificate(cert)
+        calls = self.count_exact_psd(monkeypatch)
+        v = verify_certificate(p, rounded, mode=EXACT)
+        assert not v.identity_residual.is_zero()
+        assert not v.ok()
+        assert v.psd_ok is None and v.psd_failures is None
+        assert calls == []
+
+    def test_holding_identity_gets_psd_test(self, monkeypatch):
+        calls = self.count_exact_psd(monkeypatch)
+        v = verify_certificate(density_program(5, 2), density_certificate(5, 2),
+                               mode=EXACT)
+        assert v.ok() and v.psd_failures == []
+        assert calls
+
+    def test_verdict_owns_its_tolerance(self):
+        tol = float_identity_tol(Polynomial(1, {(2,): 1}))  # 2e-6 for f = x^2
+
+        def verdict(lam, mode, q11=1):  # the residual is the constant lam
+            gram = np.diag([0.0, q11]) if mode == FLOAT else [[0, 0], [0, q11]]
+            cert = Certificate(lam=lam, gram=[gram], eq_multipliers=[],
+                               orders=[1], mode=mode)
+            return verify_certificate(PolyProgram(1, Polynomial(1, {(2,): q11})),
+                                      cert, mode=mode)
+
+        inside, outside = verdict(0.99 * tol, FLOAT), verdict(1.01 * tol, FLOAT)
+        assert inside.tol == tol and inside.ok()
+        assert not outside.ok() and outside.psd_ok is None
+        exact = verdict(Fraction(1, 10 ** 9), EXACT)
+        assert exact.tol == 0 and not exact.ok() and exact.psd_ok is None
+        assert verdict(Fraction(0), EXACT).ok()
+        negative = verdict(Fraction(0), EXACT, q11=-1)  # identity holds, Gram is not PSD
+        assert not negative.ok() and negative.psd_failures == [0]
 
 
 class TestHierarchySpot:
