@@ -9,6 +9,14 @@ matrix as it is, so A(X) = A vec(X), A*(y) is y'A cut into blocks, and the
 HKM Schur complement is one product A T' (T's block b holds X_b A_kb
 S_b^-1).
 
+Every 1x1 block is one entry of a single nonnegative orthant, the LP cone of
+mixed-cone IPMs such as SDPA and SeDuMi: its x and s are vectors on those
+blocks' columns of A, its Schur term scales those columns by x / s inside the
+one product A T', its directions are entrywise, its step length is a ratio
+test and its cone guard is x > 0, so the LAPACK calls of an iteration follow
+only the blocks larger than 1x1.  A form without 1x1 blocks runs the
+per-block matrix arithmetic alone.
+
 Search direction is HKM with a Mehrotra predictor-corrector.  Free scalars
 are kept as genuinely free columns of the Schur system: each iteration forms
 the bordered KKT matrix K = [[M, D], [D', 0]] (M the HKM Schur complement, D
@@ -242,20 +250,23 @@ def _vec(blocks: List[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.zeros(0)] + [x.reshape(-1) for x in blocks])
 
 
-def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200) -> StdResult:
+def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
+              face: Optional[_Face] = None) -> StdResult:
     """Solve a standard-form SDP from the scaled identity.
 
-    The IPM runs on the face left by pinned diagonal entries (``_face``);
+    The IPM runs on the face left by pinned diagonal entries (``_face``,
+    computed here unless the caller passes the face it already found);
     ``form`` is sliced onto it only when that face cuts a row or an index,
     and X, S and y are lifted back to its shape.  Each iteration factors the
     bordered KKT matrix once (see the module docstring) and refines both
-    directions against the unshifted matrix.
+    directions against the unshifted matrix.  The 1x1 blocks are solved
+    together as one nonnegative orthant.
     ``optimal`` means pres <= tol, dres <= tol and relative_gap(pobj, dobj)
     <= tol, so the absolute gap is at most tol * max(1, (|pobj| + |dobj|)
     / 2), on iterates no larger than ITERATE_CAP times the data scale.  A
     run that stops otherwise returns the best iterate it saw.
     """
-    face = _face(form)
+    face = _face(form) if face is None else face
     if face is None:
         return StdResult(
             status="primal_infeasible_cert", pobj=np.nan, dobj=np.nan,
@@ -283,25 +294,43 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200) -> StdResul
     return res
 
 
+def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest t with v + t*dv >= 0 given v > 0: ``_max_step`` on the
+    orthant, with the same threshold on dv/v."""
+    r = dv / v
+    neg = r < -1e-14
+    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
+
+
 def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     dims = form.dims
-    nblk = len(dims)
     A, D = form.rows, form.free
     m, nf = D.shape
     nu = max(sum(dims), 1)
-    C = form.blocks(form.c)
 
+    # X and S live in full column vectors: the d != 1 blocks are matrix views
+    # into them, the 1x1 blocks one orthant vector on their columns ``lp``
+    psd = [(o, d) for o, d in zip(form.off, dims) if d != 1]
+    lp = np.array([o for o, d in zip(form.off, dims) if d == 1], dtype=np.intp)
+
+    def views(w):
+        return [w[..., o:o + d * d].reshape(w.shape[:-1] + (d, d)) for o, d in psd]
+
+    C, cl, Alp = views(form.c), form.c[lp], A[:, lp]
     # T's block b holds the rows X_b A_kb Sinv_b of the Schur product
     T = np.empty_like(A)
-    Ab, Tb = form.blocks(), form.blocks(T)
+    Ab, Tb = views(A), views(T)
 
     b = form.b
     cf = form.free_obj
-    cnorm = float(np.sqrt(sum(np.sum(c * c) for c in C)))
+    cnorm = float(np.sqrt(sum(np.sum(c * c) for c in C) + cl @ cl))
     scale = 1.0 + max(float(np.max(np.abs(b))) if m else 0.0, cnorm)
 
-    X = [scale * np.eye(d) for d in dims]
-    S = [scale * np.eye(d) for d in dims]
+    xv, sv = np.zeros(form.off[-1]), np.zeros(form.off[-1])
+    for w in (xv, sv):
+        for blk in views(w):
+            blk[...] = scale * np.eye(len(blk))
+        w[lp] = scale
     y = np.zeros(m)
     u = np.zeros(nf)
 
@@ -311,37 +340,40 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     it = 0
     pres = dres = relgap = np.inf
     pobj = dobj = np.nan
-    best = None          # (error, X, S, y, u, pobj, dobj, pres, dres, relgap)
+    best = None          # (error, xv, sv, y, u, pobj, dobj, pres, dres, relgap)
     best_age = 0
 
     for it in range(max_iter + 1):
-        rp = b - A @ _vec(X) - D @ u
+        X, S, x, s = views(xv), views(sv), xv[lp], sv[lp]
+        rp = b - A @ xv - D @ u
         rf = cf - D.T @ y
-        Rd = [c - s - a for c, s, a in zip(C, S, form.blocks(y @ A))]
+        rdv = form.c - sv - y @ A
+        Rd, rd = views(rdv), rdv[lp]
 
-        pobj = sum(float(np.sum(c * x)) for c, x in zip(C, X))
+        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(C, X)) + float(cl @ x)
         pobj += float(cf @ u) if nf else 0.0
         dobj = float(b @ y) if m else 0.0
-        mu = sum(float(np.sum(x * s)) for x, s in zip(X, S)) / nu
+        mu = (sum(float(np.sum(xb * sb)) for xb, sb in zip(X, S)) + float(x @ s)) / nu
 
         pres = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
         fres = (float(np.linalg.norm(rf)) / (1.0 + float(np.linalg.norm(cf)))
                 if nf else 0.0)
         dres = max(
-            float(np.sqrt(sum(np.sum(r * r) for r in Rd))) / (1.0 + cnorm),
+            float(np.sqrt(sum(np.sum(r * r) for r in Rd) + rd @ rd)) / (1.0 + cnorm),
             fres,
         )
         relgap = relative_gap(pobj, dobj)
 
         itnorm = max(
-            [float(np.linalg.norm(x)) for x in X + S if x.size]
+            [float(np.linalg.norm(w)) for w in X + S if w.size]
+            + [float(np.max(np.abs(w))) for w in (x, s) if lp.size]
             + [float(np.max(np.abs(y))) if m else 0.0,
                float(np.max(np.abs(u))) if nf else 0.0]
         )
         err = max(pres, dres, relgap)
         if itnorm <= ITERATE_CAP * scale and (best is None or err < best[0]):
-            best = (err, [x.copy() for x in X], [s.copy() for s in S],
-                    y.copy(), u.copy(), pobj, dobj, pres, dres, relgap)
+            best = (err, xv.copy(), sv.copy(), y.copy(), u.copy(),
+                    pobj, dobj, pres, dres, relgap)
             best_age = 0
         else:
             best_age += 1
@@ -369,20 +401,23 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             status = "max_iter"
             break
 
-        Ls = [_chol(s) for s in S]
-        Lx = [_chol(x) for x in X]
-        if any(l is None for l in Ls) or any(l is None for l in Lx):
+        Ls = [_chol(sb) for sb in S]
+        Lx = [_chol(xb) for xb in X]
+        if (any(l is None for l in Ls) or any(l is None for l in Lx)
+                or not (np.all(x > 0.0) and np.all(s > 0.0))):
             status = "numerical_failure"
             break
         Sinv = []
-        for i, l in enumerate(Ls):
-            inv = np.linalg.solve(l, np.eye(dims[i]))
+        for l in Ls:
+            inv = np.linalg.solve(l, np.eye(len(l)))
             Sinv.append(inv.T @ inv)
 
         # HKM Schur complement M_kl = sum_b <A_kb, X_b A_lb Sinv_b> = (A T')_kl,
-        # formed in place as the leading block of K = [[M, D], [D', 0]]
-        for a, t, x, si in zip(Ab, Tb, X, Sinv):
-            np.matmul(x, a @ si, out=t)
+        # formed in place as the leading block of K = [[M, D], [D', 0]]; the
+        # orthant's columns of T are its columns of A scaled by x / s
+        for a, t, xb, si in zip(Ab, Tb, X, Sinv):
+            np.matmul(xb, a @ si, out=t)
+        T[:, lp] = Alp * (x / s)
         K = np.zeros((m + nf, m + nf))
         M = K[:m, :m]
         np.matmul(A, T.T, out=M)
@@ -394,57 +429,65 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             status = "numerical_failure"
             break
 
-        XRdSinv = [x @ r @ si for x, r, si in zip(X, Rd, Sinv)]
+        XRdSinv = [xb @ r @ si for xb, r, si in zip(X, Rd, Sinv)]
 
-        def directions(Rc):
-            v = _vec([xr - rc @ si for xr, rc, si in zip(XRdSinv, Rc, Sinv)])
+        def directions(Rc, rc):
+            v = np.empty_like(xv)
+            for vb, xr, rcb, si in zip(views(v), XRdSinv, Rc, Sinv):
+                vb[...] = xr - rcb @ si
+            v[lp] = (x * rd - rc) / s
             sol = _kkt_solve(K, Kinv, np.concatenate([rp + A @ v, rf]))
             dy, du = sol[:m], sol[m:]
-            dS = [r - a for r, a in zip(Rd, form.blocks(dy @ A))]
-            dX = []
-            for i in range(nblk):
-                v = (Rc[i] - X[i] @ dS[i]) @ Sinv[i]
-                dX.append((v + v.T) / 2.0)
-            return dX, dS, dy, du
+            dsv = rdv - dy @ A
+            dxv = np.empty_like(xv)
+            for dxb, rcb, xb, dsb, si in zip(views(dxv), Rc, X, views(dsv), Sinv):
+                w = (rcb - xb @ dsb) @ si
+                dxb[...] = (w + w.T) / 2.0
+            dxv[lp] = (rc - x * dsv[lp]) / s
+            return dxv, dsv, dy, du
+
+        def steps(dxv, dsv, frac=1.0):
+            ap = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Lx, views(dxv))]
+                     + [frac * _ratio_step(x, dxv[lp])])
+            ad = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Ls, views(dsv))]
+                     + [frac * _ratio_step(s, dsv[lp])])
+            return ap, ad
 
         # predictor
-        Rc_aff = [-(X[i] @ S[i]) for i in range(nblk)]
-        dXa, dSa, _, _ = directions(Rc_aff)
-        ap = min([1.0] + [_max_step(Lx[i], dXa[i]) for i in range(nblk)])
-        ad = min([1.0] + [_max_step(Ls[i], dSa[i]) for i in range(nblk)])
-        mu_aff = sum(
-            float(np.sum((X[i] + ap * dXa[i]) * (S[i] + ad * dSa[i])))
-            for i in range(nblk)
-        ) / nu
+        dxa, dsa, _, _ = directions([-(xb @ sb) for xb, sb in zip(X, S)], -(x * s))
+        ap, ad = steps(dxa, dsa)
+        xa, sa = xv + ap * dxa, sv + ad * dsa
+        mu_aff = (sum(float(np.sum(xb * sb)) for xb, sb in zip(views(xa), views(sa)))
+                  + float(xa[lp] @ sa[lp])) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
         # corrector
-        Rc = [sigma * mu * np.eye(dims[i]) - X[i] @ S[i] - dXa[i] @ dSa[i]
-              for i in range(nblk)]
-        dX, dS, dy, du = directions(Rc)
-        ap = min([1.0] + [STEP_FRACTION * _max_step(Lx[i], dX[i]) for i in range(nblk)])
-        ad = min([1.0] + [STEP_FRACTION * _max_step(Ls[i], dS[i]) for i in range(nblk)])
+        Rc = [sigma * mu * np.eye(len(xb)) - xb @ sb - dxb @ dsb
+              for xb, sb, dxb, dsb in zip(X, S, views(dxa), views(dsa))]
+        dxv, dsv, dy, du = directions(Rc, sigma * mu - x * s - dxa[lp] * dsa[lp])
+        ap, ad = steps(dxv, dsv, STEP_FRACTION)
 
         # guard against rounding past the cone boundary
         for _ in range(30):
-            if all(_chol(X[i] + ap * dX[i]) is not None for i in range(nblk)):
+            xa = xv + ap * dxv
+            if np.all(xa[lp] > 0.0) and all(_chol(w) is not None for w in views(xa)):
                 break
             ap *= 0.8
         for _ in range(30):
-            if all(_chol(S[i] + ad * dS[i]) is not None for i in range(nblk)):
+            sa = sv + ad * dsv
+            if np.all(sa[lp] > 0.0) and all(_chol(w) is not None for w in views(sa)):
                 break
             ad *= 0.8
 
-        for i in range(nblk):
-            X[i] = X[i] + ap * dX[i]
-            S[i] = S[i] + ad * dS[i]
+        xv = xv + ap * dxv
+        sv = sv + ad * dsv
         y = y + ad * dy
         if nf:
             u = u + ap * du
 
     # a stalled run ends at its best iterate, not wherever it drifted
     if status != "optimal" and best is not None and best[0] < max(pres, dres, relgap):
-        _, X, S, y, u, pobj, dobj, pres, dres, relgap = best
+        _, xv, sv, y, u, pobj, dobj, pres, dres, relgap = best
 
     # Slater-failure signatures: feasibility converged but the gap did not,
     # or the iterates ran away while staying feasible
@@ -460,8 +503,8 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         pres=pres,
         dres=dres,
         iterations=it,
-        X=X,
-        S=S,
+        X=form.blocks(xv),
+        S=form.blocks(sv),
         y=y,
         u=u,
         marginal=marginal,

@@ -376,7 +376,8 @@ def extract_certificate(sol: sdp.SdpSolution, info: SosDualInfo,
 
     Gram matrices are symmetrized and eigenvalue-clipped at zero.  The
     continued-fraction rounding of the result (denominator cap 1e6) is
-    returned when it verifies exactly, the float certificate otherwise.
+    returned when it verifies exactly, the float certificate otherwise, so
+    an exact certificate returned here needs no second verification.
     """
     grams = []
     for blk in info.gram_blocks:

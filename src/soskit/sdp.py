@@ -426,7 +426,8 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     """Solve with the primal-dual interior-point method, in one orientation.
 
     Matrix inequalities are lifted into slack blocks and inequality rows gain
-    1x1 slack blocks (``_standardize``).  The orientation is chosen once,
+    1x1 slack blocks (``_standardize``), which the IPM solves together as one
+    nonnegative-orthant (LP) cone.  The orientation is chosen once,
     before the IPM runs: the Lagrangian dual is solved, and its solution
     mapped back, when its standard form is the smaller one by the cost model
     (free scalars plus block triangles plus two per inequality row, against
@@ -438,7 +439,9 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     its status; ``orientation`` on the solution says which form was solved,
     and the choice and its reason are logged at INFO on ``soskit.sdp``.
     Each IPM iteration factors its KKT system once and refines both
-    directions against the unshifted system.
+    directions against the unshifted system.  The dual's facial-reduction
+    face, found to choose the orientation, is handed to the solve rather
+    than found again.
 
     ``optimal`` promises relative residuals at most ``tol`` and a duality
     gap |primal_obj - dual_obj| at most tol * max(1, (|primal_obj| +
@@ -468,7 +471,7 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     log.info("%s orientation: %s", orientation, reason)
 
     if orientation == "dual":
-        sol = _from_dual(q, ipm.solve_std(std, tol=tol, max_iter=max_iter), tol)
+        sol = _from_dual(q, ipm.solve_std(std, tol=tol, max_iter=max_iter, face=face), tol)
     else:
         std = _standardize(q)
         sol = _from_direct(q, ipm.solve_std(std, tol=tol, max_iter=max_iter))
@@ -549,7 +552,8 @@ def _standardize(q: SdpProblem) -> ipm.StdForm:
     """Rewrite a min-sense mixed problem in pure equality standard form.
 
     Blocks: the variable blocks, then one slack block per matrix inequality,
-    in order, then a 1x1 slack block per inequality row, in row order.
+    in order, then a 1x1 slack block per inequality row, in row order; the
+    IPM solves every 1x1 block as an entry of one LP cone (``ipm``).
     Rows: the problem's rows, in order, then for each matrix inequality the
     rows pinning its slack block entrywise to G0 + sum_j u_j G_j, entry
     (i, j) for i <= j in row-major order."""

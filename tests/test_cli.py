@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from soskit import cli
+from soskit import cli, relax, sdp
 from soskit.poly import Polynomial, motzkin
 from soskit.relax import PolyProgram
 
@@ -50,6 +50,23 @@ class TestPopSolve:
         assert data["result"]["status"] == "optimal"
         assert data["verified"]
         assert data["certificate_path"] == cert
+
+    def test_exact_certificate_verified_once(self, capsys, disk_file, monkeypatch):
+        exact, psd = [], []
+        verify, is_psd_exact = relax.verify_certificate, sdp.is_psd_exact
+
+        def counted_verify(prog, cert, mode=relax.EXACT):
+            if mode == relax.EXACT:
+                exact.append(cert)
+            return verify(prog, cert, mode=mode)
+
+        monkeypatch.setattr(relax, "verify_certificate", counted_verify)
+        monkeypatch.setattr(sdp, "is_psd_exact", lambda M: psd.append(M) or is_psd_exact(M))
+        code, data = run(capsys, "pop", "solve", disk_file, "--order", "2")
+        assert code == 0
+        assert data["verified"] and data["certificate_mode"] == relax.EXACT
+        assert len(exact) == 1
+        assert len(psd) == 2
 
     def test_motzkin_inconclusive_exit(self, capsys, motzkin_file):
         code, data = run(capsys, "pop", "solve", motzkin_file, "--order", "6")

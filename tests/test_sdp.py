@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -381,12 +382,131 @@ class TestOrientation:
         assert s.orientation == "direct"
         assert s.to_json()["orientation"] == "direct"
 
-    def test_dual_orientation_solved_once(self, ipm_calls):
+    def test_dual_orientation_solved_once(self, ipm_calls, monkeypatch):
+        # the face found to choose the orientation is the one the solve uses
+        faces = []
+        real = ipm._face
+        monkeypatch.setattr(ipm, "_face", lambda form: faces.append(form) or real(form))
         prob, _ = apcount.build_density_relaxation(5, 2, use_symmetry=True)
         s = solve(prob)
         assert len(ipm_calls) == 1
+        assert len(faces) == 1 and faces[0] is ipm_calls[0]
         assert s.orientation == "dual"
         assert s.status == sdp.OPTIMAL
+
+
+def _lp_vertex_optimum(c, rows):
+    """min c.x over x >= 0 and rows (a, rhs, rel), exactly: the best
+    feasible vertex, each one the Fraction solution of n tight constraints
+    that include every equality row."""
+    n = len(c)
+    eqs = [(a, r) for a, r, rel in rows if rel == "=="]
+    others = [(a, r) for a, r, rel in rows if rel == "<="]
+    others += [([int(i == j) for i in range(n)], 0) for j in range(n)]
+    best = None
+    for extra in itertools.combinations(others, n - len(eqs)):
+        tight = [([Fraction(v) for v in a], Fraction(r)) for a, r in eqs + list(extra)]
+        x = _fraction_solve(tight)
+        if x is None or any(v < 0 for v in x):
+            continue
+        if any(sum(Fraction(ai) * xi for ai, xi in zip(a, x)) > r
+               for a, r, rel in rows if rel == "<="):
+            continue
+        val = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+        best = val if best is None else min(best, val)
+    return best
+
+
+def _fraction_solve(tight):
+    """The unique solution of the square system [(a, rhs)], or None."""
+    m = [a + [r] for a, r in tight]
+    n = len(m)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col] / m[col][col]
+                m[i] = [u - f * v for u, v in zip(m[i], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+class TestOrthant:
+    """The 1x1 blocks are solved as one nonnegative orthant."""
+
+    def test_random_lps_match_vertex_enumeration(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            n = rng.choice([2, 3])
+            x0 = [rng.randint(1, 3) for _ in range(n)]  # a strictly feasible point
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                a = [rng.randint(-3, 3) for _ in range(n)]
+                lhs = sum(ai * xi for ai, xi in zip(a, x0))
+                if rng.random() < 0.3 and not any(r[2] == "==" for r in rows):
+                    rows.append((a, lhs, "=="))
+                else:
+                    rows.append((a, lhs + rng.randint(1, 4), "<="))
+            a = [rng.randint(1, 3) for _ in range(n)]  # bounds the polytope
+            rows.append((a, sum(ai * xi for ai, xi in zip(a, x0)) + rng.randint(1, 4), "<="))
+            c = [rng.randint(-5, 5) for _ in range(n)]
+            p = SdpProblem(
+                block_dims=[1] * n, C=[np.full((1, 1), float(cj)) for cj in c],
+                rows=[LinearRow(blocks={j: np.full((1, 1), float(aj))
+                                        for j, aj in enumerate(a) if aj},
+                                rhs=float(r), rel=rel) for a, r, rel in rows])
+            # the gap is relative to objectives of up to about 50, so 1e-7
+            # absolute needs a tighter tol than the default 1e-8
+            s = solve(p, tol=1e-9)
+            assert s.status == sdp.OPTIMAL
+            assert abs(s.primal_obj - float(_lp_vertex_optimum(c, rows))) <= 1e-7
+
+    def test_mixed_psd_and_orthant(self):
+        # min <C,X> + 2 x1 - x2  s.t.  tr X + x1 + x2 = 1,  x2 <= 1/2: the
+        # mass goes to x2 up to 1/2, the rest to the cheaper of X and x1,
+        # unless X's least eigenvalue beats x2 itself
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            C = rng.normal(size=(3, 3))
+            C = (C + C.T) / 2
+            lam = float(np.linalg.eigvalsh(C)[0])
+            p = SdpProblem(
+                block_dims=[3, 1, 1], C=[C, np.full((1, 1), 2.0), np.full((1, 1), -1.0)],
+                rows=[LinearRow(blocks={0: np.eye(3), 1: np.eye(1), 2: np.eye(1)}, rhs=1.0),
+                      LinearRow(blocks={2: np.eye(1)}, rhs=0.5, rel="<=")])
+            s = solve(p)
+            assert s.status == sdp.OPTIMAL
+            expect = lam if lam <= -1.0 else -0.5 + min(lam, 2.0) / 2.0
+            assert abs(s.primal_obj - expect) <= 1e-7
+
+    def test_infeasible_and_unbounded_lps_not_optimal(self):
+        infeasible = SdpProblem(block_dims=[1], C=[np.eye(1)],
+                                rows=[LinearRow(blocks={0: np.eye(1)}, rhs=-1.0, rel="<=")])
+        unbounded = SdpProblem(block_dims=[1], C=[-np.eye(1)])
+        for p in (infeasible, unbounded):
+            assert solve(p).status != sdp.OPTIMAL
+
+    def test_lapack_calls_per_iteration_do_not_grow_with_orthant(self, monkeypatch):
+        # theta'(C5) has 5 nonnegativity rows, theta'(H(2,4,2)) 88; each
+        # solves one PSD block next to its orthant
+        counts = {}
+        for name in ("cholesky", "eigvalsh", "solve"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        per_iteration = []
+        for g in (graphs.Graph.cycle(5), graphs.hamming_graph(2, 4, 2)):
+            counts.clear()
+            s = solve(graphs.theta_problem(g, prime=True))
+            assert s.status == sdp.OPTIMAL
+            per_iteration.append({k: v / s.iterations for k, v in counts.items()})
+        assert per_iteration[0] == per_iteration[1]
 
 
 class TestKktAndStopTest:
