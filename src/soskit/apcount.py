@@ -229,28 +229,31 @@ def density_certificate(p: int, D: int) -> Certificate:
     if not 0 <= D <= p:
         raise ValueError("need 0 <= D <= p")
     dim = p + 1  # basis (1, X_0 .. X_{p-1})
-    inv = Fraction(1, p - 1)
     half = (p - 1) // 2
+    entry: Dict[int, Fraction] = {}  # integer entry v -> v/(p-1)
     grams: List[List[List[Fraction]]] = [[[Fraction(0)]]]  # σ0 = 0 on basis (1)
     for i in range(p):
-        q = [[Fraction(0)] * dim for _ in range(dim)]
+        q = [[0] * dim for _ in range(dim)]  # (p-1) times the Gram, in ints
 
-        def add_outer(vec: Dict[int, Fraction]):
+        def add_outer(vec: Dict[int, int]):
             for a, va in vec.items():
+                row = q[a]
                 for b, vb in vec.items():
-                    q[a][b] += inv * va * vb
+                    row[b] += va * vb
 
         for r in range(1, half + 1):
             for s in range(r + 1, half + 1):
-                w: Dict[int, Fraction] = {}
+                w: Dict[int, int] = {}
                 for pos, sign in (((i + r) % p, 1), ((i - r) % p, 1),
                                   ((i + s) % p, -1), ((i - s) % p, -1)):
-                    w[1 + pos] = w.get(1 + pos, Fraction(0)) + sign
+                    w[1 + pos] = w.get(1 + pos, 0) + sign
                 add_outer(w)
-        v = {1 + j: Fraction(-1) for j in range(p)}
-        v[1 + i] = v[1 + i] + D
+        v = {1 + j: -1 for j in range(p)}
+        v[1 + i] += D
         add_outer(v)
-        grams.append(q)
+        for x in {x for row in q for x in row} - entry.keys():
+            entry[x] = Fraction(x, p - 1)
+        grams.append([[entry[x] for x in row] for row in q])
     sigma3 = Polynomial.constant(p, Fraction((D - 1) ** 2, p - 1))
     sigma4 = Polynomial.constant(p, Fraction(4 * D - p - 3, 2 * (p - 1)))
     return Certificate(

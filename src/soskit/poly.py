@@ -10,6 +10,7 @@ is an error; conversion is explicit via ``to_float``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[int, ...]
@@ -24,7 +25,7 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_sort_key(m: Monomial):

@@ -10,15 +10,18 @@ PSD moment and localizing matrices from the Gram blocks and linear pinning
 rows from the equality multipliers.
 
 A certificate is verified identity first: only when the expanded identity
-holds within the mode's tolerance are its Gram matrices tested for PSD, the
-expensive step in exact mode.
+holds within the mode's tolerance are its Gram matrices tested for PSD.
+Exact mode does both steps in Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from math import comb, lcm
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from soskit.poly import (
     FLOAT,
     Monomial,
     Polynomial,
+    _as_exact,
     mono_mul,
     monomials_up_to_degree,
 )
@@ -109,14 +113,17 @@ class SosDualInfo:
     eq_mult_indices: List[Dict[Monomial, int]]  # per equality: monomial -> free index
 
 
-def _pair_index(basis: Sequence[Monomial]) -> Dict[Monomial, list]:
-    """For a monomial basis, map each product monomial to the (i, j) pairs
-    producing it."""
+@lru_cache(maxsize=64)
+def _pair_index(n: int, order: int) -> Mapping[Monomial, Tuple[Tuple[int, int], ...]]:
+    """Map each product of two monomials of the order-``order`` basis over n
+    variables to the (i, j) pairs of basis indices producing it.  Computed
+    once per (n, order); every caller shares the one read-only map."""
+    basis = monomial_vector(n, order)
     out: Dict[Monomial, list] = {}
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             out.setdefault(mono_mul(a, b), []).append((i, j))
-    return out
+    return MappingProxyType({m: tuple(pairs) for m, pairs in out.items()})
 
 
 def build_sos_dual(p: PolyProgram, s: int,
@@ -133,7 +140,7 @@ def build_sos_dual(p: PolyProgram, s: int,
     sos_mults = (Polynomial.constant(n, 1),) + p.ineqs  # g0 = 1 carries σ0
     orders = [(s - g.degree()) // 2 for g in sos_mults]
     bases = [monomial_vector(n, d) for d in orders]
-    pair_maps = [_pair_index(basis) for basis in bases]
+    pair_maps = [_pair_index(n, d) for d in orders]
 
     monos = monomials_up_to_degree(n, s)
     row_of = {m: k for k, m in enumerate(monos)}
@@ -275,20 +282,6 @@ class Certificate:
         )
 
 
-def expand_gram(n: int, gram, order: int, mode: str) -> Polynomial:
-    """v_order(x)' Q v_order(x) as a polynomial."""
-    basis = monomial_vector(n, order)
-    terms: Dict[Monomial, object] = {}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            q = gram[i][j]
-            if q == 0:
-                continue
-            m = mono_mul(a, b)
-            terms[m] = terms.get(m, 0) + q
-    return Polynomial(n, terms, mode)
-
-
 @dataclass
 class Verdict:
     """identity_residual is σ0 + Σ σi·gi + Σ ck·hk + λ - f, and tol the largest
@@ -314,10 +307,14 @@ def verify_certificate(p: PolyProgram, cert: Certificate, mode: str = EXACT) -> 
 
     Exact mode demands rational data throughout and a residual that is
     identically zero; float mode tolerates residual coefficients up to
-    1e-6*(1 + max |coef| of f).  The PSD test runs only when the residual
-    is within that tolerance.  Signs of equality multipliers are not
-    checked (any sign is valid).  A certificate whose Gram or order count,
-    or a Gram size, does not fit p raises ValueError.
+    1e-6*(1 + max |coef| of f).  The PSD test (``sdp.is_psd``, exact or
+    float) runs only when the residual is within that tolerance.  Signs of
+    equality multipliers are not checked (any sign is valid).  A
+    certificate whose Gram or order count, or a Gram size, does not fit p
+    raises ValueError.
+
+    Both modes expand the identity in one pass into one dict with
+    ``_identity_residual`` and build one polynomial from it.
     """
     if len(cert.gram) != 1 + len(p.ineqs) or len(cert.orders) != len(cert.gram):
         raise ValueError(f"expected {1 + len(p.ineqs)} Gram matrices and orders, "
@@ -327,28 +324,75 @@ def verify_certificate(p: PolyProgram, cert: Certificate, mode: str = EXACT) -> 
     exact = mode == EXACT
     if exact and cert.mode != EXACT:
         raise ValueError("exact verification needs a rational certificate")
-
-    pmode = EXACT if exact else FLOAT
-    conv = (lambda q: q) if exact else Polynomial.to_float
-    residual = Polynomial(p.n, {}, pmode)
-    for i, (g, q, d) in enumerate(zip((Polynomial.constant(p.n, 1),) + p.ineqs,
-                                      cert.gram, cert.orders)):
-        size = len(monomial_vector(p.n, d))
+    for i, (q, d) in enumerate(zip(cert.gram, cert.orders)):
+        size = comb(p.n + d, d)
         if len(q) != size or any(len(row) != size for row in q):
             raise ValueError(f"the Gram matrix of σ{i} must be {size}x{size} for order {d}")
-        residual = residual + expand_gram(p.n, q, d, pmode) * conv(g)
-    for h, c in zip(p.eqs, cert.eq_multipliers):
-        residual = residual + conv(c) * conv(h)
-    lam = Polynomial.constant(p.n, Fraction(cert.lam) if exact else float(cert.lam), pmode)
-    verdict = Verdict(identity_residual=residual + lam - conv(p.objective),
+
+    verdict = Verdict(identity_residual=_identity_residual(p, cert, exact),
                       tol=0.0 if exact else float_identity_tol(p.objective))
     if not verdict.identity_ok():
         return verdict
 
     verdict.psd_failures = [i for i, q in enumerate(cert.gram)
-                            if not sdp.is_psd(q, mode=pmode)[0]]
+                            if not sdp.is_psd(q, mode=EXACT if exact else FLOAT)[0]]
     verdict.psd_ok = not verdict.psd_failures
     return verdict
+
+
+def _exact_ratio(c) -> Tuple[int, int]:
+    if type(c) is not Fraction:
+        c = _as_exact(c)  # refuses floats
+    return c.numerator, c.denominator
+
+
+def _float_ratio(c) -> Tuple[float, int]:
+    return float(c), 1
+
+
+def _identity_residual(p: PolyProgram, cert: Certificate, exact: bool) -> Polynomial:
+    """σ0 + Σ σi·gi + Σ ck·hk + λ - f as one polynomial.
+
+    Every coefficient is read as a (numerator, denominator) pair, a float
+    over 1 in float mode, and each product of two coefficients is appended
+    as the pair of products to its monomial's list.  Each list is summed
+    once, at the end, over the lcm of its denominators, so exact mode does
+    its arithmetic in Python ints and makes a Fraction only for a nonzero
+    residual coefficient."""
+    n = p.n
+    ratio = _exact_ratio if exact else _float_ratio
+    parts: Dict[Monomial, list] = {}
+
+    def factor(poly: Polynomial):
+        return [(m, ratio(c)) for m, c in poly.terms.items()]
+
+    sos_mults = (Polynomial.constant(n, 1),) + p.ineqs
+    for g, q, d in zip(sos_mults, cert.gram, cert.orders):
+        nd = [[ratio(v) for v in row] for row in (q.tolist() if isinstance(q, np.ndarray) else q)]
+        gterms = factor(g)
+        for prod, pairs in _pair_index(n, d).items():
+            entries = [nd[i][j] for i, j in pairs if nd[i][j][0]]
+            if not entries:
+                continue
+            for gm, (gn, gd) in gterms:
+                parts.setdefault(mono_mul(prod, gm), []).extend(
+                    (a * gn, b * gd) for a, b in entries)
+    for h, c in zip(p.eqs, cert.eq_multipliers):
+        hterms = factor(h)
+        for cm, (cn, cd) in factor(c):
+            for hm, (hn, hd) in hterms:
+                parts.setdefault(mono_mul(cm, hm), []).append((cn * hn, cd * hd))
+    parts.setdefault((0,) * n, []).append(ratio(cert.lam))
+    for m, (a, b) in factor(p.objective):
+        parts.setdefault(m, []).append((-a, b))
+
+    terms = {}
+    for m, ps in parts.items():
+        den = lcm(*(b for _, b in ps))
+        num = sum(a * (den // b) for a, b in ps)
+        if num:
+            terms[m] = Fraction(num, den) if exact else num
+    return Polynomial(n, terms, EXACT if exact else FLOAT)
 
 
 def float_identity_tol(f: Polynomial) -> float:
@@ -429,7 +473,7 @@ def check_sos(f: Polynomial, d: int, tol: float = 1e-8, max_iter: int = 200) -> 
                         solver_status="odd_degree")
     n = f.n
     basis = monomial_vector(n, d)
-    pairs = _pair_index(basis)
+    pairs = _pair_index(n, d)
     rows = []
     for alpha in monomials_up_to_degree(n, 2 * d):
         a = np.zeros((len(basis),) * 2)

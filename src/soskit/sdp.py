@@ -13,7 +13,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from math import lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +54,9 @@ class LinearRow:
 
 @dataclass
 class MatrixIneq:
-    """const + sum_j coeffs[j]*u_j >= 0 (positive semidefinite)."""
+    """const + sum_j coeffs[j]*u_j >= 0 (positive semidefinite).  A diagonal
+    one (SDPA's negative block size) has diagonal data, and its slack
+    standardizes to dim entries of the LP cone."""
 
     dim: int
     const: np.ndarray
@@ -69,6 +72,9 @@ class MatrixIneq:
         for g in self.coeffs.values():
             if g.shape != (self.dim, self.dim):
                 raise ValueError("coefficient matrix has wrong shape")
+        if self.diag and any(np.count_nonzero(g - np.diag(np.diag(g)))
+                             for g in (self.const, *self.coeffs.values())):
+            raise ValueError("diagonal matrix inequality has off-diagonal entries")
 
     def value(self, u: Sequence[float]) -> np.ndarray:
         out = self.const.copy()
@@ -176,44 +182,82 @@ def is_psd(M, mode: str = "float"):
 
 
 def is_psd_exact(M):
-    """Exact PSD decision for a symmetric rational matrix via pivoted
-    symmetric elimination; witness is rational with x'Mx < 0."""
+    """Exact PSD decision for a symmetric rational matrix; witness is rational
+    with x'Mx < 0.
+
+    The entries (ints, Fractions, or anything ``Fraction`` accepts) are read
+    as numerator and denominator and scaled by the lcm of the denominators,
+    and the integer matrix is decided by symmetric Bareiss elimination with
+    diagonal pivoting (Bareiss 1968, Math. Comp. 22): a pivot p updates every
+    remaining entry to (p*a_ij - a_ip*a_pj) // prev, prev the pivot before
+    it (1 at the start).  The division is exact, as each entry is then the
+    minor of the scaled matrix bordering the pivots with row i and column j,
+    the Schur complement times the positive minor of the pivots.  So its
+    signs decide, with the rules of rational elimination: a negative
+    diagonal entry, or remaining diagonal entries all zero with a nonzero
+    entry among them, means not PSD; otherwise the first positive diagonal
+    entry is the next pivot.  Only a rejection makes Fractions, to lift the
+    witness back through the pivots.  Raises ValueError if M is not
+    symmetric.
+    """
     n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] for i in range(n)]
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix must be square")
+    nd = [[(v.numerator, v.denominator) if type(v) is Fraction else _ratio(v) for v in row]
+          for row in M]
+    dens = {d for row in nd for _, d in row}
+    L = lcm(*dens)
+    scale = {d: L // d for d in dens}
+    A = [[a * scale[d] for a, d in row] for row in nd]
     for i in range(n):
         for j in range(i):
             if A[i][j] != A[j][i]:
                 raise ValueError("matrix is not symmetric")
+
     active = list(range(n))
-    steps = []  # (pivot index, {j: col_j/pivot}) for witness lifting
-
-    def lift(w):
-        for piv, mults in reversed(steps):
-            x = -sum(m * w.get(j, Fraction(0)) for j, m in mults.items())
-            if x:
-                w[piv] = x
-        return [w.get(i, Fraction(0)) for i in range(n)]
-
+    pivots = []  # (index, pivot value), in elimination order
+    prev = 1
     while active:
         neg = next((i for i in active if A[i][i] < 0), None)
         if neg is not None:
-            return False, lift({neg: Fraction(1)})
+            return False, _lift_witness(A, pivots, {neg: 1})
         piv = next((i for i in active if A[i][i] > 0), None)
         if piv is None:
             for i in active:
                 for j in active:
                     if A[i][j] != 0:
-                        sgn = Fraction(-1) if A[i][j] > 0 else Fraction(1)
-                        return False, lift({i: Fraction(1), j: sgn})
+                        sgn = -1 if A[i][j] > 0 else 1
+                        return False, _lift_witness(A, pivots, {i: 1, j: sgn})
             return True, None
-        p = A[piv][piv]
-        col = {j: A[j][piv] for j in active if j != piv and A[j][piv] != 0}
         active.remove(piv)
-        for i in col:
-            for j in col:
-                A[i][j] -= col[i] * col[j] / p
-        steps.append((piv, {j: c / p for j, c in col.items()}))
+        rp, p = A[piv], A[piv][piv]
+        for t, i in enumerate(active):
+            ri, c = A[i], rp[i]
+            for j in active[t:]:
+                ri[j] = A[j][i] = (p * ri[j] - c * rp[j]) // prev
+        pivots.append((piv, p))
+        prev = p
     return True, None
+
+
+def _ratio(v) -> Tuple[int, int]:
+    """(numerator, denominator) of an entry that ``Fraction`` accepts."""
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    return int(v.numerator), int(v.denominator)
+
+
+def _lift_witness(A, pivots, w) -> List[Fraction]:
+    """A vector x with x'Mx < 0 from w, a vector on the remaining indices
+    with w'Sw < 0 for their Schur complement S: back-substitution through
+    the pivots, whose rows of A are the Bareiss rows at their step."""
+    x = {i: Fraction(v) for i, v in w.items()}
+    for piv, p in reversed(pivots):
+        row = A[piv]
+        s = sum(row[j] * v for j, v in x.items())
+        if s:
+            x[piv] = -s / p
+    return [x.get(i, Fraction(0)) for i in range(len(A))]
 
 
 # -- duality -----------------------------------------------------------------
@@ -431,7 +475,7 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     before the IPM runs: the Lagrangian dual is solved, and its solution
     mapped back, when its standard form is the smaller one by the cost model
     (free scalars plus block triangles plus two per inequality row, against
-    rows plus matrix-inequality triangles) and facial reduction leaves it
+    rows plus the matrix inequalities' pin rows) and facial reduction leaves it
     unchanged: a dual that the pass shrinks has no strictly feasible point,
     so its solution need not map back to one of the problem.  Otherwise the
     problem is solved directly.  Either way
@@ -454,7 +498,7 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     q = p if p.sense == "min" else p.negated()
 
     n_ineq = sum(1 for r in q.rows if r.rel == "<=")
-    cost_direct = len(q.rows) + sum(l.dim * (l.dim + 1) // 2 for l in q.lmis)
+    cost_direct = len(q.rows) + sum(_pin_rows(l) for l in q.lmis)
     cost_dual = q.n_free + sum(d * (d + 1) // 2 for d in q.block_dims) + 2 * n_ineq
 
     orientation = "direct"
@@ -492,6 +536,14 @@ def _weak_duality_postcheck(sol: SdpSolution, sense: str, tol: float) -> SdpSolu
 def _from_direct(q: SdpProblem, res: ipm.StdResult) -> SdpSolution:
     """The solution of a min-sense problem from its own standard form."""
     nb = len(q.block_dims)
+    Z, blk = [], nb  # a diagonal inequality's multiplier is its 1x1 slacks' S
+    for l in q.lmis:
+        if l.diag:
+            Z.append(np.diag([s[0, 0] for s in res.S[blk: blk + l.dim]]))
+            blk += l.dim
+        else:
+            Z.append(res.S[blk])
+            blk += 1
     return SdpSolution(
         status=res.status,
         primal_obj=res.pobj,
@@ -501,7 +553,7 @@ def _from_direct(q: SdpProblem, res: ipm.StdResult) -> SdpSolution:
         X=res.X[:nb],
         free=res.u.copy(),
         y=res.y[: len(q.rows)].copy(),
-        Z=res.S[nb: nb + len(q.lmis)],
+        Z=Z,
         marginal=res.marginal,
         primal_residual=res.pres,
         dual_residual=res.dres,
@@ -551,16 +603,19 @@ def _from_dual(q: SdpProblem, res: ipm.StdResult, tol: float) -> SdpSolution:
 def _standardize(q: SdpProblem) -> ipm.StdForm:
     """Rewrite a min-sense mixed problem in pure equality standard form.
 
-    Blocks: the variable blocks, then one slack block per matrix inequality,
-    in order, then a 1x1 slack block per inequality row, in row order; the
-    IPM solves every 1x1 block as an entry of one LP cone (``ipm``).
-    Rows: the problem's rows, in order, then for each matrix inequality the
-    rows pinning its slack block entrywise to G0 + sum_j u_j G_j, entry
-    (i, j) for i <= j in row-major order."""
+    Blocks: the variable blocks, then the slack blocks of the matrix
+    inequalities, in order: one d x d block for each, or d 1x1 blocks, one
+    per diagonal entry, for a diagonal one; then a 1x1 slack block per
+    inequality row, in row order.  The IPM solves every 1x1 block as an
+    entry of one LP cone (``ipm``).  Rows: the problem's rows, in order,
+    then for each matrix inequality the rows pinning its slack entrywise to
+    G0 + sum_j u_j G_j, entry (i, j) for i <= j in row-major order, or
+    entry (i, i) alone for a diagonal one."""
     ineq = [k for k, r in enumerate(q.rows) if r.rel == "<="]
     nb = len(q.block_dims)
-    dims = list(q.block_dims) + [l.dim for l in q.lmis] + [1] * len(ineq)
-    m = len(q.rows) + sum(l.dim * (l.dim + 1) // 2 for l in q.lmis)
+    slack_dims = [d for l in q.lmis for d in ([1] * l.dim if l.diag else [l.dim])]
+    dims = list(q.block_dims) + slack_dims + [1] * len(ineq)
+    m = len(q.rows) + sum(_pin_rows(l) for l in q.lmis)
     form = ipm.StdForm.zeros(dims, m, q.n_free)
     A = form.blocks()
     for c, cb in zip(q.C, form.blocks(form.c)):
@@ -573,19 +628,32 @@ def _standardize(q: SdpProblem) -> ipm.StdForm:
             form.free[k, j] = c
         form.b[k] = r.rhs
 
-    k = len(q.rows)
-    for l, slack in zip(q.lmis, A[nb:]):
-        i, j = np.triu_indices(l.dim)
+    k, blk = len(q.rows), nb
+    for l in q.lmis:
+        if l.diag:  # entry (i, i) is the one column of 1x1 block blk + i
+            i = j = np.arange(l.dim)
+            ij = ji = form.off[blk: blk + l.dim]
+            blk += l.dim
+        else:
+            i, j = np.triu_indices(l.dim)
+            ij, ji = form.off[blk] + i * l.dim + j, form.off[blk] + j * l.dim + i
+            blk += 1
         pins = np.arange(k, k + i.size)
-        slack[pins, i, j] = slack[pins, j, i] = np.where(i == j, 1.0, 0.5)
+        form.rows[pins, ij] = form.rows[pins, ji] = np.where(i == j, 1.0, 0.5)
         for jj, g in l.coeffs.items():
             form.free[pins, jj] = 0.0 - g[i, j]  # +0.0 where g has no entry
         form.b[pins] = l.const[i, j]
         k += i.size
 
-    for k, slack in zip(ineq, A[nb + len(q.lmis):]):
+    for k, slack in zip(ineq, A[nb + len(slack_dims):]):
         slack[k] = 1.0
     return form
+
+
+def _pin_rows(l: MatrixIneq) -> int:
+    """Standard-form rows pinning the slack of l: one per diagonal entry of a
+    diagonal inequality, one per upper-triangle entry otherwise."""
+    return l.dim if l.diag else l.dim * (l.dim + 1) // 2
 
 
 # -- SDPA sparse format --------------------------------------------------------

@@ -23,6 +23,7 @@ from soskit.apcount import (
     mono_program,
     same_color_indicator,
 )
+from soskit.poly import Polynomial
 from soskit.relax import extract_certificate, verify_certificate
 from soskit.symmetry import affine_action
 
@@ -189,6 +190,56 @@ class TestDensityCertificate:
         assert cert.lam == 0
         v = verify_certificate(density_program(5, 0), cert, mode="exact")
         assert v.ok()
+
+
+    @staticmethod
+    def _docstring_certificate_json(p, D):
+        """The certificate of density_certificate's docstring, built in
+        Fractions: the multiplier of X_i is the Gram over (1, X_0..X_{p-1})
+        of (1/(p-1)) [sum_{0<r<s<=(p-1)/2} (X_{i+r} + X_{i-r} - X_{i+s} - X_{i-s})^2
+        + (D X_i - sum_j X_j)^2]."""
+        inv = Fraction(1, p - 1)
+        half = (p - 1) // 2
+        grams = [[["0"]]]
+        for i in range(p):
+            forms = []
+            for r in range(1, half + 1):
+                for s in range(r + 1, half + 1):
+                    w = [Fraction(0)] * (p + 1)
+                    for pos, sign in (((i + r) % p, 1), ((i - r) % p, 1),
+                                      ((i + s) % p, -1), ((i - s) % p, -1)):
+                        w[1 + pos] += sign
+                    forms.append(w)
+            forms.append([Fraction(0)] + [Fraction(D if j == i else 0) - 1 for j in range(p)])
+            q = [[Fraction(0)] * (p + 1) for _ in range(p + 1)]
+            for w in forms:
+                support = [a for a, wa in enumerate(w) if wa]
+                for a in support:
+                    for b in support:
+                        q[a][b] += inv * w[a] * w[b]
+            grams.append([[str(v) for v in row] for row in q])
+        half3 = Fraction(p + 3, 2)
+        lam = (Fraction(D) ** 3 - half3 * D ** 2 + (half3 - 1) * D) / (p - 1)
+        mults = [Polynomial.constant(p, c).to_json_terms()
+                 for c in (Fraction((D - 1) ** 2, p - 1), Fraction(4 * D - p - 3, 2 * (p - 1)))]
+        return {"lambda": str(lam), "grams": grams, "eq_multipliers": mults,
+                "orders": [0] + [1] * p, "mode": "exact"}
+
+    def test_matches_docstring_sum_of_squares(self):
+        for p in (5, 7, 11):
+            for D in range(p + 1):
+                assert density_certificate(p, D).to_json() == \
+                    self._docstring_certificate_json(p, D), f"p={p} D={D}"
+
+    def test_gram_moved_by_one_billionth_fails_identity(self):
+        prog, cert = density_program(7, 3), density_certificate(7, 3)
+        assert verify_certificate(prog, cert, mode="exact").ok()
+        # the multiplier of X_1, entry (X_2, X_2): the residual gains X_1 X_2^2 / 10^9
+        cert.gram[2][3][3] += Fraction(1, 10 ** 9)
+        v = verify_certificate(prog, cert, mode="exact")
+        assert not v.identity_ok() and not v.ok()
+        assert v.psd_ok is None
+        assert v.identity_residual.terms == {(0, 1, 2, 0, 0, 0, 0): Fraction(1, 10 ** 9)}
 
 
 class TestDensityRelaxation:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from soskit import cli, relax, sdp
@@ -183,6 +184,27 @@ class TestSdpa:
         assert code == 0
         # exported form is the negated max problem; optimum 0 either way
         assert abs(sol["primal_obj"]) < 1e-6
+
+    def test_inequality_rows_round_trip_through_solve(self, capsys, tmp_path):
+        # max <C, X> + u  s.t.  tr X + u <= 1,  X01 == 1/5,  0 <= u <= 1/4:
+        # the exported file holds the rows as one diagonal matrix inequality
+        c = np.array([[1.0, 0.5], [0.5, 2.0]])
+        prob = sdp.SdpProblem(
+            block_dims=[2], C=[c], n_free=1, free_obj=np.array([1.0]),
+            rows=[sdp.LinearRow(blocks={0: np.eye(2)}, free={0: 1.0}, rhs=1.0, rel="<="),
+                  sdp.LinearRow(blocks={0: np.array([[0.0, 0.5], [0.5, 0.0]])}, rhs=0.2),
+                  sdp.LinearRow(free={0: 1.0}, rhs=0.25, rel="<="),
+                  sdp.LinearRow(free={0: -1.0}, rhs=0.0, rel="<=")],
+            sense="max")
+        dat = tmp_path / "ineq.dat-s"
+        dat.write_text(sdp.export_sdpa(sdp.to_sdpa_form(prob)))
+        code, back = run(capsys, "sdp", "import-sdpa", str(dat))
+        assert code == 0 and back["roundtrip_ok"] and back["blocks"][-1] == -5
+        code, sol = run(capsys, "sdp", "solve", str(dat))
+        assert code == 0 and sol["status"] == "optimal"
+        direct = sdp.solve(prob)
+        assert direct.status == sdp.OPTIMAL
+        assert abs(sol["primal_obj"] + direct.primal_obj) < 1e-6  # exported negated
 
     def test_bad_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.dat-s"

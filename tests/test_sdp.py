@@ -88,6 +88,105 @@ class TestIsPsd:
         assert sum(w[a] * m[a][b] * w[b] for a in range(2) for b in range(2)) < 0
 
 
+def _psd_by_fractions(M):
+    """Reference PSD decision: pivoted symmetric elimination in Fractions
+    (the rational elimination is_psd_exact replaced with integer Bareiss)."""
+    n = len(M)
+    A = [[Fraction(M[i][j]) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    while active:
+        if any(A[i][i] < 0 for i in active):
+            return False
+        piv = next((i for i in active if A[i][i] > 0), None)
+        if piv is None:
+            return all(A[i][j] == 0 for i in active for j in active)
+        p = A[piv][piv]
+        col = {j: A[j][piv] for j in active if j != piv and A[j][piv] != 0}
+        active.remove(piv)
+        for i in col:
+            for j in col:
+                A[i][j] -= col[i] * col[j] / p
+    return True
+
+
+class TestIsPsdExact:
+    """Integer Bareiss elimination against the Fraction reference."""
+
+    @staticmethod
+    def _check(m):
+        ok, w = sdp.is_psd_exact(m)
+        assert ok == _psd_by_fractions(m), m
+        if ok:
+            assert w is None
+        else:
+            assert all(isinstance(v, Fraction) for v in w) and len(w) == len(m)
+            assert sum(w[a] * m[a][b] * w[b] for a in range(len(m))
+                       for b in range(len(m))) < 0
+
+    @staticmethod
+    def _gram(rng, n, k, den):
+        """L L' for a random n x k rational L, denominators up to den."""
+        L = [[Fraction(rng.randint(-9, 9), rng.randint(1, den)) if rng.random() < 0.8
+              else Fraction(0) for _ in range(k)] for _ in range(n)]
+        return [[sum((L[i][t] * L[j][t] for t in range(k)), Fraction(0)) for j in range(n)]
+                for i in range(n)]
+
+    def test_empty_and_one_by_one(self):
+        assert sdp.is_psd_exact([]) == (True, None)
+        for v in (Fraction(0), Fraction(3, 7), 2):
+            assert sdp.is_psd_exact([[v]]) == (True, None)
+        ok, w = sdp.is_psd_exact([[Fraction(-1, 10 ** 6)]])
+        assert not ok and w == [Fraction(1)]
+
+    def test_rank_deficient_with_large_denominators(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            m = self._gram(rng, n, rng.randint(0, n - 1), 10 ** 6)
+            assert sdp.is_psd_exact(m) == (True, None)
+            self._check(m)
+
+    def test_zero_rows_and_columns(self):
+        rng = random.Random(22)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            m = self._gram(rng, n, rng.randint(0, n), 10 ** 6)
+            zeros = sorted(rng.sample(range(n + 1), rng.randint(1, 2)))
+            for z in zeros:
+                for row in m:
+                    row.insert(z, Fraction(0))
+                m.insert(z, [Fraction(0)] * len(m[0]))
+            self._check(m)
+            assert sdp.is_psd_exact(m)[0]
+            # a nonzero entry in a zero row and column: never PSD
+            i = zeros[0]
+            j = rng.choice([j for j in range(len(m)) if j != i])
+            m[i][j] = m[j][i] = Fraction(1, 10 ** 6)
+            self._check(m)
+            assert not sdp.is_psd_exact(m)[0]
+
+    def test_indefinite_perturbations(self):
+        rng = random.Random(23)
+        rejected = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            m = self._gram(rng, n, rng.randint(0, n), rng.choice([4, 10 ** 3, 10 ** 6]))
+            i, j = rng.randrange(n), rng.randrange(n)
+            e = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10), rng.randint(1, 10 ** 6))
+            m[i][j] += e
+            if i != j:
+                m[j][i] += e
+            self._check(m)
+            rejected += not sdp.is_psd_exact(m)[0]
+        assert 30 < rejected < 150  # both verdicts are exercised
+
+    def test_accepts_ints_and_rejects_asymmetry(self):
+        assert sdp.is_psd_exact([[2, -1], [-1, 2]]) == (True, None)
+        assert not sdp.is_psd_exact([[1, 2], [2, 1]])[0]
+        with pytest.raises(ValueError):
+            sdp.is_psd_exact([[Fraction(1), Fraction(1, 3)], [Fraction(1, 2), Fraction(1)]])
+
+
 class TestDualOf:
     def test_gap_example_printed_dual(self):
         d = dual_of(gap_example())
@@ -605,6 +704,40 @@ class TestSdpa:
         assert structurally_equal(p, q)
         s = solve(q)  # min t : t*I - I >= 0  ->  1
         assert abs(s.primal_obj - 1.0) < 1e-7
+
+    @staticmethod
+    def _bounds_lp(diag):
+        """min c.u  s.t.  u_j >= -1 (j < 3),  u_j <= 1 (j >= 3), as one
+        6-entry matrix inequality with 1 + u_j or 1 - u_j on its diagonal."""
+        coeffs = {j: np.diag([(1.0 if j < 3 else -1.0) if k == j else 0.0 for k in range(6)])
+                  for j in range(6)}
+        return SdpProblem(n_free=6, free_obj=np.array([1.0, 2.0, 0.5, -1.0, -2.0, -0.5]),
+                          lmis=[MatrixIneq(dim=6, const=np.eye(6), coeffs=coeffs, diag=diag)],
+                          sense="min")
+
+    def test_diagonal_inequality_standardizes_to_the_lp_cone(self):
+        form = sdp._standardize(self._bounds_lp(diag=True))
+        assert form.dims == [1] * 6 and form.rows.shape == (6, 6)
+        assert np.array_equal(form.rows, np.eye(6))
+        np.testing.assert_array_equal(form.free, -np.diag([1.0] * 3 + [-1.0] * 3))
+        dense = sdp._standardize(self._bounds_lp(diag=False))
+        assert dense.dims == [6] and len(dense.rows) == 21
+
+    def test_diagonal_inequality_keeps_optimum_and_multiplier(self):
+        s, d = solve(self._bounds_lp(diag=True)), solve(self._bounds_lp(diag=False))
+        assert s.status == d.status == sdp.OPTIMAL
+        assert s.orientation == "direct"  # the 6 pin rows cost no more than the dual
+        assert abs(s.primal_obj + 7.0) < 1e-7 and abs(s.primal_obj - d.primal_obj) < 1e-7
+        np.testing.assert_allclose(s.free, [-1.0] * 3 + [1.0] * 3, atol=1e-7)
+        Z = s.Z[0]
+        assert Z.shape == (6, 6) and np.count_nonzero(Z - np.diag(np.diag(Z))) == 0
+        np.testing.assert_allclose(np.diag(Z), [1.0, 2.0, 0.5] * 2, atol=1e-7)
+
+    def test_diagonal_inequality_rejects_off_diagonal_data(self):
+        with pytest.raises(ValueError):
+            MatrixIneq(dim=2, const=np.ones((2, 2)), diag=True)
+        with pytest.raises(ValueError):
+            import_sdpa("1\n1\n-2\n1.0\n1 1 1 2 1.0\n")
 
     def test_import_rejects_bad_files(self):
         with pytest.raises(ValueError):
