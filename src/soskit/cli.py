@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from math import comb, isfinite
 from pathlib import Path
 
@@ -482,9 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:

@@ -8,21 +8,26 @@ matrices (L_k)_{ij} = lam_{kj}^i.  A sum over the B basis is PSD exactly
 when the corresponding sum over the L basis is, which shrinks an invariant
 PSD constraint from |Z| to the number of orbits.
 
-The lam parameters involve square roots of integers; they are kept exact as
-sums of rational multiples of square roots of squarefree integers.
+The lam parameters are lam_{ij}^k = c_{ij}^k sqrt(t_k/(t_i t_j)), where
+c_{ij}^k counts walks of E_iE_j and t_i is the size of orbit i.  The counts
+are integers, and the float L_k are computed from them directly.  The exact
+lam, sums of rational multiples of square roots of squarefree integers, are
+computed from the counts only when read (phi_check reads them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from soskit import sdp
 from soskit.moment import monomial_vector
-from soskit.poly import Monomial, Polynomial, mono_mul, monomials_up_to_degree
+from soskit.poly import Monomial, mono_mul, monomials_up_to_degree
 from soskit.relax import PolyProgram, check_order
 
 GROUP_ENUMERATION_CAP = 10 ** 6
@@ -244,22 +249,37 @@ def named_action(name: str) -> GroupAction:
 
 @dataclass
 class OrbitBasis:
+    """label[r, c] is the orbit of the pair (r, c), and counts[k, i, j] =
+    c_{ij}^k counts the walks of E_i E_j (see commutant_basis)."""
+
     size: int
     orbits: List[List[Tuple[int, int]]]
     sizes: List[int]
     transpose_of: List[int]
-    lam: Dict[Tuple[int, int], Dict[int, RadicalSum]]
-    L_float: List[np.ndarray]
+    label: np.ndarray
+    counts: np.ndarray
+    L_float: np.ndarray     # L_float[k] is the float L_k
 
     @property
     def d(self) -> int:
         return len(self.orbits)
 
+    @cached_property
+    def lam(self) -> Dict[Tuple[int, int], Dict[int, RadicalSum]]:
+        """Exact lam_{ij}^k = c_{ij}^k * sqrt(t_k/(t_i t_j)), computed from
+        counts when first read."""
+        t, counts = self.sizes, self.counts
+        return {
+            (i, j): {
+                int(k): RadicalSum.of(Fraction(int(counts[k, i, j]), t[i] * t[j]),
+                                      t[i] * t[j] * t[k])
+                for k in np.flatnonzero(counts[:, i, j])
+            }
+            for i in range(self.d) for j in range(self.d)
+        }
+
     def E(self, i: int) -> np.ndarray:
-        m = np.zeros((self.size, self.size))
-        for r, c in self.orbits[i]:
-            m[r, c] = 1.0
-        return m
+        return (self.label == i).astype(float)
 
     def L_exact(self, k: int) -> List[List[RadicalSum]]:
         d = self.d
@@ -280,12 +300,8 @@ class OrbitBasis:
 
     def lift(self, x: Sequence[float]) -> np.ndarray:
         """X = sum_i x_i B_i."""
-        X = np.zeros((self.size, self.size))
-        for i, orbit in enumerate(self.orbits):
-            v = float(x[i]) / float(self.sizes[i]) ** 0.5
-            for r, c in orbit:
-                X[r, c] += v
-        return X
+        v = np.array([float(x[i]) / float(t) ** 0.5 for i, t in enumerate(self.sizes)])
+        return v[self.label]
 
 
 def orbits(items: Sequence[T], maps: Iterable[Callable[[T], T]]) -> List[List[T]]:
@@ -314,33 +330,55 @@ def orbits(items: Sequence[T], maps: Iterable[Callable[[T], T]]) -> List[List[T]
     return list(groups.values())
 
 
-def _pair_orbits(action: GroupAction) -> List[List[Tuple[int, int]]]:
-    """Orbits of Z x Z under (i, j) -> (g(i), g(j))."""
+def _pair_orbits(action: GroupAction) -> np.ndarray:
+    """The (n, n) array of orbit labels of Z x Z under (i, j) -> (g(i), g(j)),
+    with orbits numbered by their smallest member i*n + j.
+
+    Each pair starts with its own index as label.  A round lets every label
+    fall to the smaller one across each generator's pair map, in both
+    directions, and then jumps each label to its own label.  A label always
+    names a member of its pair's orbit no larger than the pair, so when a
+    round changes nothing, labels agree along every map and each is the
+    smallest member of its orbit."""
     n = action.size
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    return orbits(pairs, [lambda ij, g=g: (g[ij[0]], g[ij[1]])
-                          for g in action.generators])
+    maps = [(np.asarray(g)[:, None] * n + np.asarray(g)).ravel() for g in action.generators]
+    label = np.arange(n * n)
+    while True:
+        before = label
+        for m in maps:
+            label = np.minimum(label, label[m])
+            label[m] = np.minimum(label[m], label)
+        label = label[label]
+        if np.array_equal(label, before):
+            return np.unique(label, return_inverse=True)[1].reshape(n, n)
+
+
+def _orbit_lists(label: np.ndarray) -> List[List[Tuple[int, int]]]:
+    """The orbits of a label array, each listing its pairs in row-major order."""
+    rows, cols = divmod(np.argsort(label, axis=None, kind="stable"), label.shape[1])
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    ends = np.cumsum(np.bincount(label.ravel())).tolist()
+    return [pairs[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def commutant_basis(action: GroupAction) -> OrbitBasis:
-    """Orbit basis of the commutant, with exact multiplication parameters
-    lam_{ij}^k = c_{ij}^k * sqrt(t_k/(t_i t_j)) where c counts walks
+    """Orbit basis of the commutant.  Its multiplication parameters are
+    lam_{ij}^k = c_{ij}^k * sqrt(t_k/(t_i t_j)), where c counts walks
     E_i E_j = sum_k c_{ij}^k E_k: for any (x, y) in orbit k,
-    c_{ij}^k = #{z : (x, z) in orbit i, (z, y) in orbit j}."""
-    pair_orbits = _pair_orbits(action)
+    c_{ij}^k = #{z : (x, z) in orbit i, (z, y) in orbit j}.  The float
+    matrices L_k come from the integer counts; the exact lam is built only
+    when read."""
+    orbit_of = _pair_orbits(action)
+    pair_orbits = _orbit_lists(orbit_of)
     n = action.size
     d = len(pair_orbits)
     sizes = [len(o) for o in pair_orbits]
-    orbit_of = np.empty((n, n), dtype=np.int64)
-    for k, orbit in enumerate(pair_orbits):
-        for r, c in orbit:
-            orbit_of[r, c] = k
-    transpose_of = [int(orbit_of[c, r]) for r, c in (o[0] for o in pair_orbits)]
+    first_x = np.array([o[0][0] for o in pair_orbits], dtype=np.int64)
+    first_y = np.array([o[0][1] for o in pair_orbits], dtype=np.int64)
+    transpose_of = orbit_of[first_y, first_x].tolist()
 
     # counts[k, i*d + j] = c_{ij}^k, read off the first pair of orbit k; one
     # row x at a time, every pair (x, y) must count the same as its orbit's
-    first_x = np.array([o[0][0] for o in pair_orbits])
-    first_y = np.array([o[0][1] for o in pair_orbits])
     counts = np.empty((d, d * d), dtype=np.int64)
     key_y = np.arange(n) * (d * d)
     for x in range(n):
@@ -352,27 +390,22 @@ def commutant_basis(action: GroupAction) -> OrbitBasis:
             raise AssertionError("commutant product not orbit-constant")
     counts = counts.reshape(d, d, d)
 
-    lam: Dict[Tuple[int, int], Dict[int, RadicalSum]] = {}
-    for i in range(d):
-        for j in range(d):
-            lam[(i, j)] = {
-                int(k): RadicalSum.of(Fraction(int(counts[k, i, j]), sizes[i] * sizes[j]),
-                                      sizes[i] * sizes[j] * sizes[k])
-                for k in np.flatnonzero(counts[:, i, j])
-            }
+    # (L_k)_{ij} = lam_{kj}^i = c_{kj}^i * s / (t_k t_j) * sqrt(r), where
+    # t_i t_k t_j = s^2 r with r squarefree: the float of the exact entry.
+    # Both sides of the division stay below 2**53, so it rounds once, as the
+    # exact Fraction does; orbits of 2**21 pairs or more go through Python
+    # ints so that t_i t_k t_j cannot overflow.
+    i, k, j = np.nonzero(counts)
+    t = np.array(sizes, dtype=np.int64 if max(sizes, default=0) < 2 ** 21 else object)
+    prods, inv = np.unique(t[i] * t[k] * t[j], return_inverse=True)
+    split = [_squarefree(int(v)) for v in prods]
+    s = np.array([q for q, _ in split], dtype=t.dtype)[inv]
+    root = np.array([float(r) ** 0.5 for _, r in split])[inv]
+    L_float = np.zeros((d, d, d))
+    L_float[k, i, j] = counts[i, k, j] * s / (t[k] * t[j]) * root
 
-    L_float = []
-    for k in range(d):
-        mat = np.zeros((d, d))
-        for i in range(d):
-            for j in range(d):
-                v = lam[(k, j)].get(i)
-                if v is not None:
-                    mat[i, j] = float(v)
-        L_float.append(mat)
-
-    return OrbitBasis(size=n, orbits=pair_orbits, sizes=sizes,
-                      transpose_of=transpose_of, lam=lam, L_float=L_float)
+    return OrbitBasis(size=n, orbits=pair_orbits, sizes=sizes, transpose_of=transpose_of,
+                      label=orbit_of, counts=counts, L_float=L_float)
 
 
 def phi_check(basis: OrbitBasis, x: Sequence, y: Sequence) -> bool:
@@ -431,12 +464,9 @@ def group_average(action: GroupAction, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape != (action.size, action.size):
         raise ValueError("matrix size does not match the action")
-    out = np.zeros_like(X)
-    for orbit in _pair_orbits(action):
-        t = sum(X[r, c] for r, c in orbit) / len(orbit)
-        for r, c in orbit:
-            out[r, c] = t
-    return out
+    label = _pair_orbits(action).ravel()
+    mean = np.bincount(label, weights=X.ravel()) / np.bincount(label)
+    return mean[label].reshape(X.shape)
 
 
 # -- reduction of invariant SDPs ------------------------------------------------
@@ -475,48 +505,50 @@ def reduce_sdp(p: sdp.SdpProblem, action: GroupAction) -> ReducedSdp:
 
     C = p.C[0]
     scale = 1.0 + float(np.max(np.abs(C)))
-    for gi, g in enumerate(action.generators):
-        M = perm_matrix(g)
-        dev = M @ C @ M.T - C
+    gens = [np.asarray(g) for g in action.generators]
+    for gi, g in enumerate(gens):
+        dev = C[np.ix_(g, g)] - C
         worst = np.unravel_index(np.argmax(np.abs(dev)), dev.shape)
         if abs(dev[worst]) > 1e-10 * scale:
             raise ValueError(
                 f"objective not invariant: generator {gi} moves entry "
                 f"{tuple(int(v) for v in worst)} by {dev[worst]:.3e}")
 
-    def row_key(a: np.ndarray, rhs: float, rel: str):
-        return (rel, round(rhs, 10), tuple(np.round(a, 10).flatten()))
+    # A[k] is row k's matrix, flattened; a generator g moves entry (i, j) of
+    # every row to (g(i), g(j)), so the moved rows are one column gather
+    zero = np.zeros((n, n))
+    A = np.array([r.blocks.get(0, zero) for r in p.rows]).reshape(len(p.rows), n * n)
 
-    keys = {}
-    for k, r in enumerate(p.rows):
-        keys.setdefault(row_key(r.blocks.get(0, np.zeros((n, n))), r.rhs, r.rel), []).append(k)
-    for gi, g in enumerate(action.generators):
-        M = perm_matrix(g)
-        for k, r in enumerate(p.rows):
-            a = r.blocks.get(0, np.zeros((n, n)))
-            moved = row_key(M @ a @ M.T, r.rhs, r.rel)
-            if moved not in keys:
+    def row_keys(a: np.ndarray):
+        # + 0.0 makes a rounded -0.0 equal to 0.0 as bytes
+        return [(r.rel, round(r.rhs, 10), v.tobytes())
+                for r, v in zip(p.rows, np.round(a, 10) + 0.0)]
+
+    family = set(row_keys(A))
+    for gi, g in enumerate(gens):
+        for k, key in enumerate(row_keys(A[:, (g[:, None] * n + g).ravel()])):
+            if key not in family:
                 raise ValueError(
                     f"constraints not invariant: generator {gi} maps row {k} "
-                    f"({r.label or 'unlabeled'}) outside the family")
+                    f"({p.rows[k].label or 'unlabeled'}) outside the family")
 
+    # coefficient of row a on group G: sum over j in G of <a, E_j> / sqrt(t_j)
     groups = basis.sym_groups()
-    sqrt_t = [float(t) ** 0.5 for t in basis.sizes]
-
-    def reduced_coeff(a: np.ndarray, group) -> float:
-        return sum(float(np.sum(a * basis.E(j))) / sqrt_t[j] for j in group)
-
-    obj = np.array([reduced_coeff(C, g) for g in groups])
+    E = np.zeros((n * n, basis.d))
+    E[np.arange(n * n), basis.label.ravel()] = 1.0
+    sqrt_t = np.array([float(t) ** 0.5 for t in basis.sizes])
+    W = np.vstack([C.reshape(1, n * n), A]) @ E / sqrt_t
+    coef = W[:, [g[0] for g in groups]]
+    pairs = [gi for gi, g in enumerate(groups) if len(g) == 2]
+    coef[:, pairs] += W[:, [groups[gi][1] for gi in pairs]]
+    obj = coef[0]
 
     rows: List[sdp.LinearRow] = []
     row_map: List[int] = []
     seen = set()
-    for k, r in enumerate(p.rows):
-        a = r.blocks.get(0, np.zeros((n, n)))
-        coeffs = {gi: reduced_coeff(a, g) for gi, g in enumerate(groups)}
-        coeffs = {i: c for i, c in coeffs.items() if abs(c) > 1e-14}
-        key = (r.rel, round(r.rhs, 10),
-               tuple(sorted((i, round(c, 10)) for i, c in coeffs.items())))
+    for k, (r, c) in enumerate(zip(p.rows, coef[1:].tolist())):
+        coeffs = {i: v for i, v in enumerate(c) if abs(v) > 1e-14}
+        key = (r.rel, round(r.rhs, 10), tuple((i, round(v, 10)) for i, v in coeffs.items()))
         if key in seen:
             continue
         seen.add(key)
@@ -545,14 +577,16 @@ def reduce_sdp(p: sdp.SdpProblem, action: GroupAction) -> ReducedSdp:
 def _monomial_map(g: Sequence[int]) -> Callable[[Monomial], Monomial]:
     """The substitution x_i -> x_{g[i]} on exponent vectors."""
     ginv = inverse(g)
-    return lambda m: tuple(m[i] for i in ginv)
+    if len(ginv) == 1:      # itemgetter of one index returns the entry, not a tuple
+        return lambda m: m
+    return itemgetter(*ginv)
 
 
-def _permutation_of(items: Sequence, image: Callable, what: str, gi: int) -> List[int]:
-    """Indices of the images of items; a ValueError names generator gi when
-    the images are not a rearrangement of items."""
-    index = {x: k for k, x in enumerate(items)}
-    perm = [index.get(image(x)) for x in items]
+def _permutation_of(items: Sequence[dict], image: Callable, what: str, gi: int) -> List[int]:
+    """Indices of the images of items, each a term dict; a ValueError names
+    generator gi when the images are not a rearrangement of items."""
+    index = {frozenset(x.items()): k for k, x in enumerate(items)}
+    perm = [index.get(frozenset(image(x).items())) for x in items]
     if None in perm or len(set(perm)) != len(items):
         raise ValueError(f"program not invariant: generator {gi} does not permute the {what}")
     return perm
@@ -607,14 +641,16 @@ def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
     gens = action.generators
     moves = [_monomial_map(g) for g in gens]
     ineq_perms, eq_perms = [], []
+    ineq_terms = [q.terms for q in prog.ineqs]
+    eq_terms = [q.terms for q in prog.eqs]
     for gi, mv in enumerate(moves):
-        def image(q: Polynomial, mv=mv) -> Polynomial:
-            return Polynomial(n, {mv(m): c for m, c in q.terms.items()}, q.mode)
+        def image(terms: Dict[Monomial, object], mv=mv) -> Dict[Monomial, object]:
+            return {mv(m): c for m, c in terms.items()}
 
-        if image(prog.objective) != prog.objective:
+        if image(prog.objective.terms) != prog.objective.terms:
             raise ValueError(f"program not invariant: generator {gi} moves the objective")
-        ineq_perms.append(_permutation_of(prog.ineqs, image, "inequalities", gi))
-        eq_perms.append(_permutation_of(prog.eqs, image, "equalities", gi))
+        ineq_perms.append(_permutation_of(ineq_terms, image, "inequalities", gi))
+        eq_perms.append(_permutation_of(eq_terms, image, "equalities", gi))
 
     monos = sorted(monomials_up_to_degree(n, s), key=lambda m: (sum(m), [-e for e in m]))
     mono_orbits = orbits(monos, moves)

@@ -245,6 +245,25 @@ class TestApcount:
         assert data["oracle"] == 1
         assert data["bound"] <= 1 + 1e-6
 
+    def test_parser_built_once_and_options_reset(self, capsys, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        try:
+            _, first = run(capsys, "apcount", "mono", "--n", "5", "--sym")
+            _, second = run(capsys, "apcount", "mono", "--n", "5")
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert first["params"]["sym"] is True
+        assert second["params"]["sym"] is False
+
     def test_density(self, capsys, tmp_path):
         cert = str(tmp_path / "d.cert.json")
         code, data = run(capsys, "apcount", "density", "--p", "5", "--D", "4",

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from soskit import sdp
+from soskit.graphs import Graph, theta_problem
+from soskit.moment import monomial_vector
 from soskit.poly import Polynomial
 from soskit.relax import PolyProgram, build_sos_dual
 from soskit.sdp import LinearRow, SdpProblem, solve
@@ -26,6 +28,7 @@ from soskit.symmetry import (
     reduce_sdp,
     symmetric_sos_dual,
 )
+from soskit.symmetry import _monomial_map, _orbit_lists, _pair_orbits, _stabilizer
 
 
 def theta_problem_cycle(n):
@@ -153,6 +156,86 @@ class TestCommutantBasis:
             assert np.allclose(X @ M, M @ X, atol=1e-12)
 
 
+def stabilizer_action():
+    """The stabilizer of x_0 under the affine group of Z_5, acting on the 21
+    monomials of degree <= 2 in 5 variables: its pair orbits have sizes 1, 2
+    and 4."""
+    action = affine_action(5)
+    stab = _stabilizer(action, action.generators, 0)
+    vec = monomial_vector(5, 2)
+    pos = {b: i for i, b in enumerate(vec)}
+    return GroupAction(len(vec), [tuple(pos[mv(b)] for b in vec)
+                                  for mv in map(_monomial_map, stab)])
+
+
+class TestStructureConstants:
+    def test_lam_built_only_when_read(self, monkeypatch):
+        calls = []
+        of = RadicalSum.of
+
+        def counting(*args):
+            calls.append(args)
+            return of(*args)
+
+        monkeypatch.setattr(RadicalSum, "of", staticmethod(counting))
+        b = commutant_basis(dihedral_action(6))
+        assert b.d == 4 and calls == []
+        lam = b.lam
+        assert len(calls) == sum(len(v) for v in lam.values()) > 0
+        assert b.lam is lam
+        x = [Fraction(1), Fraction(-2, 3), Fraction(1, 2), Fraction(5)]
+        assert phi_check(b, x, x[::-1])
+
+    @pytest.mark.parametrize("action", [
+        *(cyclic_action(n) for n in range(5, 13)),
+        *(dihedral_action(n) for n in (6, 41, 61)),
+        affine_action(7), affine_action(13), stabilizer_action(),
+    ], ids=lambda a: f"n{a.size}g{len(a.generators)}")
+    def test_float_matrices_are_floats_of_exact_entries(self, action):
+        b = commutant_basis(action)
+        exact = np.zeros((b.d, b.d, b.d))
+        for (k, j), column in b.lam.items():
+            for i, v in column.items():
+                exact[k, i, j] = float(v)
+        assert np.asarray(b.L_float).tobytes() == exact.tobytes()
+
+
+class TestPairOrbits:
+    def test_matches_union_find_on_random_groups(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                g = list(range(n))
+                if rng.random() < 0.5:      # a random permutation
+                    rng.shuffle(g)
+                else:                       # one cycle on a random support
+                    support = rng.sample(range(n), rng.randint(1, n))
+                    for a, c in zip(support, support[1:] + support[:1]):
+                        g[a] = c
+                gens.append(tuple(g))
+            action = GroupAction(n, gens)
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+            expect = orbits(pairs, [lambda ij, g=g: (g[ij[0]], g[ij[1]]) for g in gens])
+            assert _orbit_lists(_pair_orbits(action)) == expect
+
+    def test_group_average_and_basis_read_labels(self):
+        action = dihedral_action(7)
+        b = commutant_basis(action)
+        X = np.random.default_rng(4).normal(size=(7, 7))
+        avg = group_average(action, X)
+        for i, orbit in enumerate(b.orbits):
+            E = np.zeros((7, 7))
+            for r, c in orbit:
+                E[r, c] = 1.0
+            assert np.array_equal(b.E(i), E)
+            assert np.all(avg[E == 1] == sum(X[r, c] for r, c in orbit) / len(orbit))
+        x = np.arange(1.0, b.d + 1)
+        expect = sum(xi / b.sizes[i] ** 0.5 * b.E(i) for i, xi in enumerate(x))
+        assert np.array_equal(b.lift(x), expect)
+
+
 class TestPhiCheck:
     def test_single_basis_element(self):
         b = commutant_basis(cyclic_action(5))
@@ -264,6 +347,76 @@ class TestReduceSdp:
         p = SdpProblem(block_dims=[n], C=[np.ones((n, n))], rows=rows, sense="max")
         with pytest.raises(ValueError, match="row"):
             reduce_sdp(p, dihedral_action(5))
+
+
+def reference_reduction(p, basis):
+    """reduce_sdp's objective, rows, row map and L-coefficients by the
+    per-orbit formula sum_j <a, E_j> / sqrt(t_j), one E_j at a time."""
+    n = p.block_dims[0]
+    Es = []
+    for orbit in basis.orbits:
+        E = np.zeros((n, n))
+        for r, c in orbit:
+            E[r, c] = 1.0
+        Es.append(E)
+    groups = basis.sym_groups()
+
+    def coeff(a, group):
+        return sum(float(np.sum(a * Es[j])) / float(basis.sizes[j]) ** 0.5 for j in group)
+
+    obj = np.array([coeff(p.C[0], g) for g in groups])
+    rows, row_map, seen = [], [], set()
+    for k, r in enumerate(p.rows):
+        a = r.blocks.get(0, np.zeros((n, n)))
+        coeffs = {gi: coeff(a, g) for gi, g in enumerate(groups)}
+        coeffs = {i: c for i, c in coeffs.items() if abs(c) > 1e-14}
+        key = (r.rel, round(r.rhs, 10), tuple(sorted((i, round(c, 10)) for i, c in coeffs.items())))
+        if key not in seen:
+            seen.add(key)
+            rows.append((coeffs, r.rhs, r.rel, r.label))
+            row_map.append(k)
+    L = {gi: sum(basis.L_float[j] for j in g) for gi, g in enumerate(groups)}
+    return obj, rows, row_map, L
+
+
+class TestReduceSdpMatchesPerOrbitFormula:
+    @pytest.mark.parametrize("n", [5, 7, 9, 12])
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("make", [cyclic_action, dihedral_action])
+    def test_theta_of_cycle(self, n, prime, make):
+        p = theta_problem(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]), prime=prime)
+        red = reduce_sdp(p, make(n))
+        obj, rows, row_map, L = reference_reduction(p, red.basis)
+        q = red.problem
+        assert q.free_obj.tobytes() == obj.tobytes()
+        assert red.row_map == row_map
+        assert [(r.free, r.rhs, r.rel, r.label) for r in q.rows] == rows
+        for r, (coeffs, _, _, _) in zip(q.rows, rows):
+            assert all(np.float64(r.free[i]).tobytes() == np.float64(c).tobytes()
+                       for i, c in coeffs.items())
+        (lmi,) = q.lmis
+        assert lmi.coeffs.keys() == L.keys()
+        assert all(lmi.coeffs[gi].tobytes() == L[gi].tobytes() for gi in L)
+
+    def test_moved_objective_names_generator(self):
+        p = theta_problem(Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+        C = np.ones((5, 5))
+        C[0, 1] = C[1, 0] = 3.0
+        bad = SdpProblem(block_dims=[5], C=[C], rows=p.rows, sense="max")
+        # the first generator fixes the edge {0, 1}; the second moves it
+        action = GroupAction(5, [(1, 0, 4, 3, 2), (1, 2, 3, 4, 0)])
+        with pytest.raises(ValueError, match=r"generator 1 moves entry \(0, 1\) by -2\.000e\+00"):
+            reduce_sdp(bad, action)
+
+    def test_row_outside_family_names_generator_and_label(self):
+        a = np.zeros((5, 5))
+        a[0, 1] = a[1, 0] = 0.5
+        rows = [LinearRow(blocks={0: np.eye(5)}, rhs=1.0, label="trace"),
+                LinearRow(blocks={0: a}, rhs=0.0, label="edge0,1")]
+        p = SdpProblem(block_dims=[5], C=[np.ones((5, 5))], rows=rows, sense="max")
+        action = GroupAction(5, [(1, 0, 4, 3, 2), (1, 2, 3, 4, 0)])
+        with pytest.raises(ValueError, match=r"generator 1 maps row 1 \(edge0,1\) outside"):
+            reduce_sdp(p, action)
 
 
 class TestOrbitHelper:
