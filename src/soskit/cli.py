@@ -21,6 +21,8 @@ from functools import cache
 from math import comb, isfinite
 from pathlib import Path
 
+import numpy as np
+
 from soskit import apcount, graphs, relax, sdp, symmetry
 
 log = logging.getLogger("soskit")
@@ -102,23 +104,43 @@ def _status_exit(status: str) -> int:
     return EXIT_OK if status == sdp.OPTIMAL else EXIT_INCONCLUSIVE
 
 
+def _poly_values(polys, pts: np.ndarray) -> np.ndarray:
+    """Each polynomial's value (a column) at each point (a row of pts): the
+    value of every monomial that occurs, from a table of the coordinates'
+    powers, times the coefficient columns."""
+    col: dict = {}
+    for p in polys:
+        for m in p.terms:
+            col.setdefault(m, len(col))
+    coef = np.zeros((len(col), len(polys)))
+    for j, p in enumerate(polys):
+        for m, c in p.terms.items():
+            coef[col[m], j] = float(c)
+    exps = np.array(list(col), dtype=np.intp).reshape(len(col), pts.shape[1])
+    powers = pts[:, :, None] ** np.arange(exps.max(initial=0) + 1)
+    V = np.ones((len(pts), len(col)))
+    for i, e in enumerate(exps.T):
+        V *= powers[:, i, e]
+    return V @ coef
+
+
 def _spot_check(prog: relax.PolyProgram, lam: float, seed: int, tol: float) -> dict:
-    """Sample box points, keep the feasible ones, and confirm f >= lambda."""
+    """Sample box points, keep the feasible ones, and confirm f >= lambda.
+
+    The 2000 points are the draws of random.Random(seed).uniform(-1.5, 1.5),
+    a point's n coordinates in turn (uniform's a + (b - a) * random(),
+    applied to all draws at once).  The constraints are evaluated on all
+    points at once, and f on the feasible ones."""
     rng = random.Random(seed)
-    fl = prog.objective.to_float()
-    gs = [g.to_float() for g in prog.ineqs]
-    hs = [h.to_float() for h in prog.eqs]
-    checked = violations = 0
-    for _ in range(2000):
-        x = [rng.uniform(-1.5, 1.5) for _ in range(prog.n)]
-        if any(g.evaluate(x) < -1e-9 for g in gs):
-            continue
-        if any(abs(h.evaluate(x)) > 1e-7 for h in hs):
-            continue
-        checked += 1
-        if fl.evaluate(x) < lam - 1e-6 - tol:
-            violations += 1
-    return {"feasible_samples": checked, "objective_below_bound": violations}
+    u = np.array([rng.random() for _ in range(2000 * prog.n)]).reshape(-1, prog.n)
+    pts = -1.5 + 3.0 * u
+    k = len(prog.ineqs)
+    cons = _poly_values([*prog.ineqs, *prog.eqs], pts)
+    feasible = (np.all(cons[:, :k] >= -1e-9, axis=1)
+                & np.all(np.abs(cons[:, k:]) <= 1e-7, axis=1))
+    f = _poly_values([prog.objective], pts[feasible])[:, 0]
+    return {"feasible_samples": int(np.count_nonzero(feasible)),
+            "objective_below_bound": int(np.count_nonzero(f < lam - 1e-6 - tol))}
 
 
 def cmd_pop_solve(args) -> int:

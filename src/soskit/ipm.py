@@ -5,27 +5,37 @@ Standard form:  min sum_b <C_b, X_b> + cf.u
 
 ``StdForm`` holds the rows as one matrix A with a row per constraint and
 the vectorized blocks side by side in its columns; the IPM solves with that
-matrix as it is, so A(X) = A vec(X), A*(y) is y'A cut into blocks, and the
-HKM Schur complement is one product A T' (T's block b holds X_b A_kb
-S_b^-1).
+matrix as it is, so A(X) = A vec(X) and A*(y) is y'A cut into blocks.
 
 Every 1x1 block is one entry of a single nonnegative orthant, the LP cone of
 mixed-cone IPMs such as SDPA and SeDuMi: its x and s are vectors on those
-blocks' columns of A, its Schur term scales those columns by x / s inside the
-one product A T', its directions are entrywise, its step length is a ratio
-test and its cone guard is x > 0, so the LAPACK calls of an iteration follow
-only the blocks larger than 1x1.  A form without 1x1 blocks runs the
+blocks' columns of A, its directions are entrywise, its step length is a
+ratio test and its cone guard is x > 0, so the LAPACK calls of an iteration
+follow only the blocks larger than 1x1.  A form without 1x1 blocks runs the
 per-block matrix arithmetic alone.
 
-Search direction is HKM with a Mehrotra predictor-corrector.  Free scalars
-are kept as genuinely free columns of the Schur system: each iteration forms
-the bordered KKT matrix K = [[M, D], [D', 0]] (M the HKM Schur complement, D
-the free columns) and factors it once, as the inverse of K after a
-quasi-definite diagonal shift (+delta on M's block, relative to M's largest
-diagonal entry, and -delta' on the free block, relative to D's largest
-entry).  The predictor and the corrector are each refined against the
-unshifted K for as long as a step at least halves the residual, so the shift
-only damps the directions of K whose eigenvalues lie near or below it.
+Search direction is HKM with a Mehrotra predictor-corrector.  Each matrix of
+an iteration is factored once and used through its factor; the cone guard,
+which factors the blocks of the next iterate to accept its step, hands those
+factors on.  With the block factors S_b = Ls_b Ls_b' and X_b = Lx_b Lx_b',
+the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb S_b^-1) is the Gram
+matrix of the rows G_k = vec(Ls_b^-1 A_kb Lx_b), together with the
+orthant's columns of A scaled by sqrt(x / s): M = G G' is one symmetric
+rank-k product, symmetric and positive semidefinite by construction.
+S_b^-1 = Ls_b^-T Ls_b^-1, and the step length to a block's boundary is
+read off the least eigenvalue of Lx_b^-1 dX_b Lx_b^-T.  The triangular
+inverses come from a 2x2 block recursion (numpy has no triangular solve).
+
+Free scalars are kept as genuinely free columns of the Schur system: each
+iteration forms the bordered KKT matrix K = [[M, D], [D', 0]] (D the free
+columns) and factors it once, after a quasi-definite diagonal shift (+delta
+on M's block, relative to M's largest diagonal entry, and -delta' on the
+free block, relative to D's largest entry): a Cholesky factor L of
+M + delta I, and one of W'W + delta' I with W = L^-1 D, the Schur complement
+of the bordered block.  The predictor and the corrector are each refined
+against the unshifted K for as long as a step at least halves the residual,
+so the shift only damps the directions of K whose eigenvalues lie near or
+below it.  A failed factorization ends the run as ``numerical_failure``.
 
 The stop test is relative to the size of the objectives: ``optimal`` means
 the relative primal and dual residuals are at most ``tol`` and the duality
@@ -45,8 +55,9 @@ deterministic: fixed operation order, no randomness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -183,12 +194,11 @@ def _restrict(form: StdForm, face: _Face) -> StdForm:
                    free_obj=form.free_obj, b=form.b[face.kept_rows])
 
 
-def _max_step(L: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with M + t*delta >= 0 given M = L L'."""
-    if L.shape[0] == 0:
+def _max_step(Li: np.ndarray, delta: np.ndarray) -> float:
+    """Largest t with M + t*delta >= 0 given M = L L' and Li = L^-1."""
+    if Li.shape[0] == 0:
         return np.inf
-    w = np.linalg.solve(L, delta)
-    w = np.linalg.solve(L, w.T).T
+    w = Li @ delta @ Li.T
     lam = float(np.linalg.eigvalsh((w + w.T) / 2.0)[0])
     if lam >= -1e-14:
         return np.inf
@@ -202,40 +212,77 @@ def _chol(mat: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
-def _kkt_inverse(K: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """The one factorization of an iteration: the inverse of the bordered
-    matrix K = [[M, D], [D', 0]] (M is the leading m x m block) after a
+_LEAF = 48  # largest triangle ``_tril_inv`` hands to np.linalg.inv
+
+
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular L by 2x2 block recursion,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], with
+    np.linalg.inv on diagonal blocks of at most _LEAF rows (numpy has no
+    triangular solve)."""
+    n = len(L)
+    if n <= _LEAF:
+        return np.linalg.inv(L)
+    h = n // 2
+    out = np.zeros_like(L)
+    a, c = out[:h, :h], out[h:, h:]
+    a[...] = _tril_inv(L[:h, :h])
+    c[...] = _tril_inv(L[h:, h:])
+    out[h:, :h] = -(c @ (L[h:, :h] @ a))
+    return out
+
+
+def _kkt_factor(K: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """The one factorization of an iteration, of the bordered matrix
+    K = [[M, D], [D', 0]] (M is the leading m x m block) after a
     quasi-definite diagonal shift, +_KKT_SHIFT * max diag(M) on M's block and
     -_KKT_SHIFT * max |D|^2 on the free block.  The shift keeps the factored
-    matrix nonsingular when rounding leaves M indefinite or D has dependent
-    columns.  K is left unshifted.  Returns None when the shifted matrix
-    still cannot be inverted."""
+    matrix nonsingular when M is singular or D has dependent columns.  With
+    M + delta I = L L' and W = L^-1 D, the free block's Schur complement is
+    -(W'W + delta' I) = -R R', so the shifted inverse applies by products
+    with L^-1, W and R^-1.  K is left unshifted.  Returns that application,
+    or None when a Cholesky factorization fails."""
+    nf = len(K) - m
     diag = np.einsum("ii->i", K)
     top = float(np.max(diag[:m])) if m else 0.0
-    dmax = float(np.max(np.abs(K[:m, m:]))) if K[:m, m:].size else 0.0
-    saved = diag.copy()
+    D = K[:m, m:]
+    dmax = float(np.max(np.abs(D))) if D.size else 0.0
+    saved = diag[:m].copy()
     diag[:m] += _KKT_SHIFT * (top if top > 0.0 else 1.0)
-    diag[m:] -= _KKT_SHIFT * (dmax * dmax if dmax > 0.0 else 1.0)
-    try:
-        inv = np.linalg.inv(K)
-    except np.linalg.LinAlgError:
-        inv = None
-    diag[:] = saved
-    if inv is None or not np.all(np.isfinite(inv)):
+    L = _chol(K[:m, :m])
+    diag[:m] = saved
+    Li = None if L is None else _tril_inv(L)
+    if Li is None or not np.all(np.isfinite(Li)):
         return None
-    return inv
+    if not nf:
+        return lambda r: Li.T @ (Li @ r)
+    W = Li @ D
+    RR = W.T @ W
+    np.einsum("ii->i", RR)[:] += _KKT_SHIFT * (dmax * dmax if dmax > 0.0 else 1.0)
+    R = _chol(RR)
+    Ri = None if R is None else _tril_inv(R)
+    if Ri is None or not np.all(np.isfinite(Ri)):
+        return None
+
+    def apply(r):
+        z = Li @ r[:m]
+        u = Ri.T @ (Ri @ (W.T @ z - r[m:]))
+        return np.concatenate([Li.T @ (z - W @ u), u])
+    return apply
 
 
-def _kkt_solve(K: np.ndarray, Kinv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve K sol = rhs with the shifted inverse, refined against the
-    unshifted K for as long as each step at least halves the residual."""
-    sol = Kinv @ rhs
+def _kkt_solve(K: np.ndarray, Kinv: Callable[[np.ndarray], np.ndarray],
+               rhs: np.ndarray) -> np.ndarray:
+    """Solve K sol = rhs with the shifted inverse ``Kinv`` applies, refined
+    against the unshifted K for as long as each step at least halves the
+    residual."""
+    sol = Kinv(rhs)
     res = rhs - K @ sol
-    rn = float(np.linalg.norm(res))
+    rn = math.sqrt(res @ res)  # np.linalg.norm's own formula, without its overhead
     while rn > 0.0:
-        cand = sol + Kinv @ res
+        cand = sol + Kinv(res)
         cres = rhs - K @ cand
-        cn = float(np.linalg.norm(cres))
+        cn = math.sqrt(cres @ cres)
         if not cn < rn:
             break
         halved = cn <= 0.5 * rn
@@ -257,10 +304,12 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
     The IPM runs on the face left by pinned diagonal entries (``_face``,
     computed here unless the caller passes the face it already found);
     ``form`` is sliced onto it only when that face cuts a row or an index,
-    and X, S and y are lifted back to its shape.  Each iteration factors the
-    bordered KKT matrix once (see the module docstring) and refines both
-    directions against the unshifted matrix.  The 1x1 blocks are solved
-    together as one nonnegative orthant.
+    and X, S and y are lifted back to its shape.  Each iteration forms the
+    Schur complement as the Gram product M = G G' of the scaled rows, factors
+    the bordered KKT matrix once by Cholesky factors of M + delta I and of
+    the free block's Schur complement (see the module docstring), and
+    refines both directions against the unshifted matrix.  The 1x1 blocks
+    are solved together as one nonnegative orthant.
     ``optimal`` means pres <= tol, dres <= tol and relative_gap(pobj, dobj)
     <= tol, so the absolute gap is at most tol * max(1, (|pobj| + |dobj|)
     / 2), on iterates no larger than ITERATE_CAP times the data scale.  A
@@ -294,6 +343,31 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
     return res
 
 
+def _cones(form: StdForm):
+    """The cones of form's columns: (offset, d) of each block larger than
+    1x1, and the columns of the 1x1 blocks, which form one orthant."""
+    psd = [(o, d) for o, d in zip(form.off, form.dims) if d != 1]
+    lp = np.array([o for o, d in zip(form.off, form.dims) if d == 1], dtype=np.intp)
+    return psd, lp
+
+
+def _views(w: np.ndarray, psd) -> List[np.ndarray]:
+    """The blocks ``psd`` of w's last axis, each as a d x d matrix view."""
+    return [w[..., o:o + d * d].reshape(w.shape[:-1] + (d, d)) for o, d in psd]
+
+
+def _schur_rows(A: np.ndarray, psd, lp: np.ndarray, Lsi: List[np.ndarray],
+                Lx: List[np.ndarray], w: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (shaped as A) the rows G whose Gram matrix G G' is
+    the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb S_b^-1): block b
+    of row k is Ls_b^-1 A_kb Lx_b, given Ls_b^-1 and Lx_b (S_b = Ls_b Ls_b',
+    X_b = Lx_b Lx_b'), and the orthant's columns are A's scaled by
+    w = sqrt(x / s)."""
+    for a, g, li, lx in zip(_views(A, psd), _views(out, psd), Lsi, Lx):
+        np.matmul(li, a @ lx, out=g)
+    out[:, lp] = A[:, lp] * w
+
+
 def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest t with v + t*dv >= 0 given v > 0: ``_max_step`` on the
     orthant, with the same threshold on dv/v."""
@@ -310,16 +384,13 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
 
     # X and S live in full column vectors: the d != 1 blocks are matrix views
     # into them, the 1x1 blocks one orthant vector on their columns ``lp``
-    psd = [(o, d) for o, d in zip(form.off, dims) if d != 1]
-    lp = np.array([o for o, d in zip(form.off, dims) if d == 1], dtype=np.intp)
+    psd, lp = _cones(form)
 
     def views(w):
-        return [w[..., o:o + d * d].reshape(w.shape[:-1] + (d, d)) for o, d in psd]
+        return _views(w, psd)
 
-    C, cl, Alp = views(form.c), form.c[lp], A[:, lp]
-    # T's block b holds the rows X_b A_kb Sinv_b of the Schur product
-    T = np.empty_like(A)
-    Ab, Tb = views(A), views(T)
+    C, cl = views(form.c), form.c[lp]
+    G = np.empty_like(A)  # the rows of the Schur product M = G G'
 
     b = form.b
     cf = form.free_obj
@@ -342,6 +413,22 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     pobj = dobj = np.nan
     best = None          # (error, xv, sv, y, u, pobj, dobj, pres, dres, relgap)
     best_age = 0
+    # Cholesky factors of the X and S blocks, when known: sqrt(scale) I at
+    # the start, then those the cone guard found
+    Lx = Ls = [np.sqrt(scale) * np.eye(d) for _, d in psd]
+
+    def guarded(v, dv, a):
+        """v + a*dv for the first of a, 0.8a, ... (30 tries) inside the
+        cone, with its blocks' Cholesky factors; past the last try, v +
+        0.8^30 a*dv unchecked, and None."""
+        for _ in range(30):
+            va = v + a * dv
+            if np.all(va[lp] > 0.0):
+                L = [_chol(w) for w in views(va)]
+                if all(l is not None for l in L):
+                    return a, va, L
+            a *= 0.8
+        return a, v + a * dv, None
 
     for it in range(max_iter + 1):
         X, S, x, s = views(xv), views(sv), xv[lp], sv[lp]
@@ -401,30 +488,24 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             status = "max_iter"
             break
 
-        Ls = [_chol(sb) for sb in S]
-        Lx = [_chol(xb) for xb in X]
+        Ls = [_chol(sb) for sb in S] if Ls is None else Ls
+        Lx = [_chol(xb) for xb in X] if Lx is None else Lx
         if (any(l is None for l in Ls) or any(l is None for l in Lx)
                 or not (np.all(x > 0.0) and np.all(s > 0.0))):
             status = "numerical_failure"
             break
-        Sinv = []
-        for l in Ls:
-            inv = np.linalg.solve(l, np.eye(len(l)))
-            Sinv.append(inv.T @ inv)
+        Lsi = [_tril_inv(l) for l in Ls]
+        Lxi = [_tril_inv(l) for l in Lx]
+        Sinv = [li.T @ li for li in Lsi]
 
-        # HKM Schur complement M_kl = sum_b <A_kb, X_b A_lb Sinv_b> = (A T')_kl,
-        # formed in place as the leading block of K = [[M, D], [D', 0]]; the
-        # orthant's columns of T are its columns of A scaled by x / s
-        for a, t, xb, si in zip(Ab, Tb, X, Sinv):
-            np.matmul(xb, a @ si, out=t)
-        T[:, lp] = Alp * (x / s)
+        # M = G G' is one symmetric rank-k product, formed in place as the
+        # leading block of K = [[M, D], [D', 0]]
+        _schur_rows(A, psd, lp, Lsi, Lx, np.sqrt(x / s), G)
         K = np.zeros((m + nf, m + nf))
-        M = K[:m, :m]
-        np.matmul(A, T.T, out=M)
-        M[...] = (M + M.T) / 2.0
+        np.matmul(G, G.T, out=K[:m, :m])
         K[:m, m:] = D
         K[m:, :m] = D.T
-        Kinv = _kkt_inverse(K, m)
+        Kinv = _kkt_factor(K, m)
         if Kinv is None:
             status = "numerical_failure"
             break
@@ -447,9 +528,9 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             return dxv, dsv, dy, du
 
         def steps(dxv, dsv, frac=1.0):
-            ap = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Lx, views(dxv))]
+            ap = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Lxi, views(dxv))]
                      + [frac * _ratio_step(x, dxv[lp])])
-            ad = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Ls, views(dsv))]
+            ad = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Lsi, views(dsv))]
                      + [frac * _ratio_step(s, dsv[lp])])
             return ap, ad
 
@@ -467,20 +548,10 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         dxv, dsv, dy, du = directions(Rc, sigma * mu - x * s - dxa[lp] * dsa[lp])
         ap, ad = steps(dxv, dsv, STEP_FRACTION)
 
-        # guard against rounding past the cone boundary
-        for _ in range(30):
-            xa = xv + ap * dxv
-            if np.all(xa[lp] > 0.0) and all(_chol(w) is not None for w in views(xa)):
-                break
-            ap *= 0.8
-        for _ in range(30):
-            sa = sv + ad * dsv
-            if np.all(sa[lp] > 0.0) and all(_chol(w) is not None for w in views(sa)):
-                break
-            ad *= 0.8
-
-        xv = xv + ap * dxv
-        sv = sv + ad * dsv
+        # guard against rounding past the cone boundary; the factors it
+        # finds are the next iteration's
+        ap, xv, Lx = guarded(xv, dxv, ap)
+        ad, sv, Ls = guarded(sv, dsv, ad)
         y = y + ad * dy
         if nf:
             u = u + ap * du

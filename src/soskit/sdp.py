@@ -5,7 +5,9 @@ rows  sum_b <A_kb, X_b> + d_k.u  (<= or ==)  b_k, and matrix inequalities
 G0 + sum_j u_j G_j >= 0 over the free scalars.  This mixed form is closed
 under Lagrangian duality: blocks dualize to matrix inequalities and rows to
 free scalars, so ``dual_of`` is an involution: dualizing twice returns
-the problem itself.
+the problem itself, except that a diagonal matrix inequality, whose dual
+multiplier is one 1x1 block per diagonal entry, returns as that many 1x1
+inequalities.
 """
 
 from __future__ import annotations
@@ -278,15 +280,19 @@ def dual_of(p: SdpProblem, simplify: bool = True) -> SdpProblem:
         sum <-G_lj, Z_l> + sum_k v_k d_kj = c_j,  -v_k <= 0 for <= rows,
 
     so the dual bounds the primal on the correct side and its multipliers of
-    inequality rows are nonnegative.  With simplify, sign-constrained slack
-    scalars left over from dualizing inequality rows are folded back into
-    inequality rows, which makes dualizing twice return the original
-    problem.
+    inequality rows are nonnegative.  The multiplier Z_l of a diagonal
+    inequality is diagonal, so it is l.dim 1x1 blocks in Z_l's place, one
+    per diagonal entry, which the IPM solves on its LP cone.  With simplify,
+    sign-constrained slack scalars left over from dualizing inequality rows
+    are folded back into inequality rows, which makes dualizing twice return
+    the original problem.
     """
     sign = 1.0 if p.sense == "min" else -1.0
+    first = np.cumsum([0] + [len(_split(l, l.const)) for l in p.lmis])  # Z_l's first block
     d_rows: List[LinearRow] = []
     for j in range(p.n_free):  # one equality per primal free scalar
-        blocks = {li: sign * l.coeffs[j] for li, l in enumerate(p.lmis) if j in l.coeffs}
+        blocks = {int(first[li]) + t: sign * g for li, l in enumerate(p.lmis) if j in l.coeffs
+                  for t, g in enumerate(_split(l, l.coeffs[j]))}
         free = {k: r.free[j] for k, r in enumerate(p.rows) if j in r.free}
         d_rows.append(LinearRow(blocks=blocks, free=free, rhs=float(p.free_obj[j]),
                                 rel="==", label=f"free[{j}]"))
@@ -301,9 +307,10 @@ def dual_of(p: SdpProblem, simplify: bool = True) -> SdpProblem:
         d_lmis.append(MatrixIneq(dim=dim, const=sign * p.C[b], coeffs=coeffs,
                                  label=f"block[{b}]"))
 
+    C = [-sign * g for l in p.lmis for g in _split(l, l.const)]
     dual = SdpProblem(
-        block_dims=[l.dim for l in p.lmis],
-        C=[-sign * l.const for l in p.lmis],
+        block_dims=[len(c) for c in C],
+        C=C,
         n_free=len(p.rows),
         free_obj=np.array([r.rhs for r in p.rows], dtype=float),
         rows=d_rows,
@@ -311,6 +318,26 @@ def dual_of(p: SdpProblem, simplify: bool = True) -> SdpProblem:
         sense="max" if p.sense == "min" else "min",
     )
     return _eliminate_slack_scalars(dual) if simplify else dual
+
+
+def _split(l: MatrixIneq, g: np.ndarray) -> List[np.ndarray]:
+    """Data g of l cut into the blocks of l's slack and multiplier: g
+    itself, or for a diagonal inequality its 1x1 diagonal entries."""
+    return [g[i:i + 1, i:i + 1] for i in range(l.dim)] if l.diag else [g]
+
+
+def _multipliers(lmis: Sequence[MatrixIneq], blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Each inequality's multiplier from its blocks, laid out as ``_split``
+    cuts them, starting at blocks[0]."""
+    Z, b = [], 0
+    for l in lmis:
+        if l.diag:
+            Z.append(np.diag([x[0, 0] for x in blocks[b: b + l.dim]]))
+            b += l.dim
+        else:
+            Z.append(blocks[b])
+            b += 1
+    return Z
 
 
 def _eliminate_slack_scalars(p: SdpProblem) -> SdpProblem:
@@ -536,14 +563,7 @@ def _weak_duality_postcheck(sol: SdpSolution, sense: str, tol: float) -> SdpSolu
 def _from_direct(q: SdpProblem, res: ipm.StdResult) -> SdpSolution:
     """The solution of a min-sense problem from its own standard form."""
     nb = len(q.block_dims)
-    Z, blk = [], nb  # a diagonal inequality's multiplier is its 1x1 slacks' S
-    for l in q.lmis:
-        if l.diag:
-            Z.append(np.diag([s[0, 0] for s in res.S[blk: blk + l.dim]]))
-            blk += l.dim
-        else:
-            Z.append(res.S[blk])
-            blk += 1
+    Z = _multipliers(q.lmis, res.S[nb:])  # the slack blocks' S
     return SdpSolution(
         status=res.status,
         primal_obj=res.pobj,
@@ -567,11 +587,11 @@ def _from_dual(q: SdpProblem, res: ipm.StdResult, tol: float) -> SdpSolution:
     matrix-inequality multipliers are the primal blocks, and vice versa.
     The mapped status stays optimal only if the solution also certifies the
     primal pair at the tolerance."""
-    nl = len(q.lmis)  # the dual's blocks, so its slack blocks start here
+    nz = sum(len(_split(l, l.const)) for l in q.lmis)  # the dual's blocks; slacks follow
     u = -res.y[: q.n_free].copy()
-    X = res.S[nl: nl + len(q.block_dims)]
+    X = res.S[nz: nz + len(q.block_dims)]
     y = res.u[: len(q.rows)].copy()
-    Z = res.X[:nl]
+    Z = _multipliers(q.lmis, res.X)
 
     pobj = q.objective_value(X, u)
     dobj = -res.pobj
@@ -613,7 +633,7 @@ def _standardize(q: SdpProblem) -> ipm.StdForm:
     entry (i, i) alone for a diagonal one."""
     ineq = [k for k, r in enumerate(q.rows) if r.rel == "<="]
     nb = len(q.block_dims)
-    slack_dims = [d for l in q.lmis for d in ([1] * l.dim if l.diag else [l.dim])]
+    slack_dims = [len(g) for l in q.lmis for g in _split(l, l.const)]
     dims = list(q.block_dims) + slack_dims + [1] * len(ineq)
     m = len(q.rows) + sum(_pin_rows(l) for l in q.lmis)
     form = ipm.StdForm.zeros(dims, m, q.n_free)

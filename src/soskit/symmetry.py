@@ -584,9 +584,16 @@ def _monomial_map(g: Sequence[int]) -> Callable[[Monomial], Monomial]:
 
 def _permutation_of(items: Sequence[dict], image: Callable, what: str, gi: int) -> List[int]:
     """Indices of the images of items, each a term dict; a ValueError names
-    generator gi when the images are not a rearrangement of items."""
-    index = {frozenset(x.items()): k for k, x in enumerate(items)}
-    perm = [index.get(frozenset(image(x).items())) for x in items]
+    generator gi when the images are not a rearrangement of items.  Items
+    are keyed by their support, so coefficients are compared only between
+    dicts with the same monomials."""
+    index: Dict[frozenset, List[int]] = {}
+    for k, x in enumerate(items):
+        index.setdefault(frozenset(x), []).append(k)
+    perm = []
+    for x in items:
+        y = image(x)
+        perm.append(next((k for k in index.get(frozenset(y), ()) if items[k] == y), None))
     if None in perm or len(set(perm)) != len(items):
         raise ValueError(f"program not invariant: generator {gi} does not permute the {what}")
     return perm

@@ -4,6 +4,7 @@ a small graph corpus for the sandwich tests."""
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -11,7 +12,7 @@ from typing import List, Tuple
 import pytest
 
 from soskit.graphs import Graph, hamming_graph
-from soskit.poly import Polynomial
+from soskit.poly import Polynomial, monomials_up_to_degree
 from soskit.relax import PolyProgram
 
 
@@ -60,6 +61,13 @@ def _ball(n):
     for i in range(n):
         b = b - Polynomial.monomial(n, tuple(2 if j == i else 0 for j in range(n)))
     return b
+
+
+def ball_quartic(n: int, rng: random.Random) -> PolyProgram:
+    """A dense quartic with coefficients in {-1, -0.9, ..., 1} on the unit
+    ball, drawn from rng as the pop-ball benchmark draws it."""
+    f = {m: Fraction(rng.randint(-10, 10), 10) for m in monomials_up_to_degree(n, 4)}
+    return PolyProgram(n, P(n, f), ineqs=(_ball(n),))
 
 
 def hierarchy_corpus() -> List[CorpusEntry]:

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from soskit import cli, relax, sdp
 from soskit.poly import Polynomial, motzkin
 from soskit.relax import PolyProgram
+
+from conftest import ball_quartic
 
 
 @pytest.fixture
@@ -100,6 +104,50 @@ class TestPopSolve:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not cert.exists()
+
+
+def _spot_check_loop(prog, lam, seed, tol):
+    """The point-by-point reference for cli._spot_check."""
+    rng = random.Random(seed)
+    f = prog.objective.to_float()
+    gs = [g.to_float() for g in prog.ineqs]
+    hs = [h.to_float() for h in prog.eqs]
+    checked = violations = 0
+    for _ in range(2000):
+        x = [rng.uniform(-1.5, 1.5) for _ in range(prog.n)]
+        if any(g.evaluate(x) < -1e-9 for g in gs):
+            continue
+        if any(abs(h.evaluate(x)) > 1e-7 for h in hs):
+            continue
+        checked += 1
+        if f.evaluate(x) < lam - 1e-6 - tol:
+            violations += 1
+    return {"feasible_samples": checked, "objective_below_bound": violations}
+
+
+class TestSpotCheck:
+    def test_counts_match_the_point_by_point_loop(self):
+        # the seed-1 pop-ball quartics, in the benchmark's order; lam at the
+        # objective's median over [-1, 1]^n leaves some feasible points below
+        # it and some above
+        quartics = random.Random(1)
+        progs = [ball_quartic(n, quartics) for n in (2, 4, 4, 4, 5, 5, 5, 6, 7)]
+        rng = np.random.default_rng(0)
+        # 1e-7 x0^2 = 0 holds to 1e-7 exactly where |x0| <= 1
+        progs.append(PolyProgram(2, Polynomial(2, {(4, 0): 1, (1, 1): -2, (0, 2): 1}),
+                                 ineqs=(Polynomial(2, {(0, 0): 2, (0, 2): -1}),),
+                                 eqs=(Polynomial(2, {(2, 0): Fraction(1, 10**7)}),)))
+        below = above = 0
+        for prog in progs:
+            f = prog.objective.to_float()
+            lam = float(np.median([f.evaluate(list(x))
+                                   for x in rng.uniform(-1, 1, size=(50, prog.n))]))
+            got = cli._spot_check(prog, lam, 1, 1e-8)
+            assert got == _spot_check_loop(prog, lam, 1, 1e-8)
+            assert 0 < got["feasible_samples"] < 2000
+            below += got["objective_below_bound"]
+            above += got["feasible_samples"] - got["objective_below_bound"]
+        assert below > 0 and above > 0
 
 
 class TestSosCheck:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from soskit import apcount, graphs, ipm, sdp
+from soskit.relax import build_sos_dual
 from soskit.sdp import (
     LinearRow,
     MatrixIneq,
@@ -19,6 +20,8 @@ from soskit.sdp import (
     structurally_equal,
     to_sdpa_form,
 )
+
+from conftest import ball_quartic
 
 
 def gap_example():
@@ -624,7 +627,7 @@ class TestKktAndStopTest:
             K = np.block([[M, free], [free.T, np.zeros((nf, nf))]])
             before = K.copy()
             rhs = K @ rng.normal(size=m + nf)
-            Kinv = ipm._kkt_inverse(K, m)
+            Kinv = ipm._kkt_factor(K, m)
             assert Kinv is not None
             assert np.array_equal(K, before)
             sol = ipm._kkt_solve(K, Kinv, rhs)
@@ -642,6 +645,101 @@ class TestKktAndStopTest:
         assert s.status == sdp.OPTIMAL
         assert abs(s.primal_obj - exact) <= 1e-8 * exact
         assert ipm.relative_gap(s.primal_obj, s.dual_obj) <= 1e-8
+
+
+def _ball_quartic_form(n, seed):
+    """The standard form of the order-4 SOS dual of a seeded dense quartic
+    on the unit ball: two PSD blocks and the free lower bound."""
+    prob, _ = build_sos_dual(ball_quartic(n, random.Random(seed)), 4)
+    return sdp._standardize(prob if prob.sense == "min" else prob.negated())
+
+
+class TestFactoredLinearAlgebra:
+    """Each matrix of an IPM iteration is factored once and used through its
+    factor: M = G G', the bordered KKT matrix by Cholesky factors, and the
+    triangular inverses by block recursion."""
+
+    @pytest.mark.parametrize("n", [1, 47, 48, 49, 97, 330])
+    def test_triangular_inverse(self, n):
+        rng = np.random.default_rng(n)
+        L = np.tril(rng.uniform(-1.0, 1.0, size=(n, n)) / np.sqrt(n))
+        L[np.diag_indices(n)] = rng.uniform(1.0, 2.0, size=n)
+        ref = np.linalg.inv(L)
+        assert np.max(np.abs(ipm._tril_inv(L) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("form", [
+        sdp._standardize(graphs.theta_problem(graphs.Graph.cycle(5), prime=True).negated()),
+        _ball_quartic_form(4, 1)], ids=["theta-prime-C5", "ball-quartic-n4"])
+    def test_schur_gram_product_equals_the_schur_product(self, form):
+        # M = A T', T's block b holding X_b A_kb S_b^-1 and its orthant
+        # columns A's scaled by x / s, at a random interior point
+        rng = np.random.default_rng(7)
+        psd, lp = ipm._cones(form)
+        assert (len(psd), len(lp)) in [(1, 5), (2, 0)]
+        A = form.rows
+        X, S = [], []
+        for _, d in psd:
+            for blocks in (X, S):
+                B = rng.normal(size=(d, d))
+                blocks.append(B @ B.T + np.eye(d))
+        x, s = rng.uniform(0.5, 2.0, size=(2, len(lp)))
+        T = np.empty_like(A)
+        for a, t, xb, sb in zip(ipm._views(A, psd), ipm._views(T, psd), X, S):
+            t[...] = xb @ a @ np.linalg.inv(sb)
+        T[:, lp] = A[:, lp] * (x / s)
+        M = A @ T.T
+
+        G = np.empty_like(A)
+        ipm._schur_rows(A, psd, lp, [ipm._tril_inv(np.linalg.cholesky(sb)) for sb in S],
+                        [np.linalg.cholesky(xb) for xb in X], np.sqrt(x / s), G)
+        assert np.max(np.abs(G @ G.T - M)) <= 1e-12 * np.max(np.abs(M))
+
+    @pytest.mark.parametrize("free", ["0", "1", "4", "repeated"])
+    def test_factored_kkt_equals_the_shifted_solve(self, free):
+        rng = np.random.default_rng(3)
+        m = 60
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        M = (q * np.logspace(0, 3, m)) @ q.T
+        M = (M + M.T) / 2.0
+        D = rng.normal(size=(m, 4))
+        D = {"0": D[:, :0], "1": D[:, :1], "4": D,
+             "repeated": np.column_stack([D[:, :3], D[:, 0]])}[free]
+        nf = D.shape[1]
+        K = np.block([[M, D], [D.T, np.zeros((nf, nf))]])
+        shifted = K.copy()
+        shifted[np.diag_indices(m)] += ipm._KKT_SHIFT * np.max(np.diag(M))
+        if nf:
+            shifted[m:, m:] -= ipm._KKT_SHIFT * np.max(np.abs(D)) ** 2 * np.eye(nf)
+        Kinv = ipm._kkt_factor(K, m)
+        rhs = K @ rng.normal(size=m + nf)
+        got, ref = Kinv(rhs), np.linalg.solve(shifted, rhs)
+        if free == "repeated":
+            # only D u is determined to rounding: the split of u between the
+            # two equal columns rests on the shift -delta' alone, and any
+            # solver gets it to eps times the condition number (~1e13)
+            got, ref = np.concatenate([got[:m], D @ got[m:]]), np.concatenate([ref[:m], D @ ref[m:]])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_no_inverse_or_solve_of_the_schur_complement(self, monkeypatch):
+        # forms with more rows than the recursion's leaves: np.linalg.solve is
+        # never called, and np.linalg.inv only on the leaves
+        shapes = {"inv": [], "solve": []}
+        for name in shapes:
+            real = getattr(np.linalg, name)
+
+            def recorded(a, *args, _real=real, _name=name, **kwargs):
+                shapes[_name].append(np.shape(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        for form in (sdp._standardize(graphs.theta_problem(
+                         graphs.hamming_graph(2, 4, 2), prime=True).negated()),
+                     _ball_quartic_form(4, 1)):
+            shapes["inv"].clear()
+            res = ipm.solve_std(form)
+            assert res.status == "optimal" and len(form.rows) > ipm._LEAF
+            assert shapes["solve"] == []
+            assert shapes["inv"] and max(s[0] for s in shapes["inv"]) <= ipm._LEAF
 
 
 class TestCheckFeasible:
@@ -732,6 +830,34 @@ class TestSdpa:
         Z = s.Z[0]
         assert Z.shape == (6, 6) and np.count_nonzero(Z - np.diag(np.diag(Z))) == 0
         np.testing.assert_allclose(np.diag(Z), [1.0, 2.0, 0.5] * 2, atol=1e-7)
+
+    def test_diagonal_inequality_dualizes_to_the_lp_cone(self, monkeypatch):
+        # min <C, X> over a 2x2 block with four <= rows, exported: the SDPA
+        # problem has three free scalars, the 2x2 block's inequality and one
+        # diagonal inequality of the four rows; its dual is the smaller form,
+        # and there the diagonal inequality's multiplier is four 1x1 blocks
+        p = SdpProblem(
+            block_dims=[2], C=[np.array([[1.0, 2.0], [2.0, 3.0]])],
+            rows=[LinearRow(blocks={0: np.eye(2)}, rhs=1.0, rel="<="),
+                  LinearRow(blocks={0: np.diag([1.0, 0.0])}, rhs=0.8, rel="<="),
+                  LinearRow(blocks={0: np.diag([0.0, 1.0])}, rhs=0.9, rel="<="),
+                  LinearRow(blocks={0: -np.array([[0.0, 0.5], [0.5, 0.0]])}, rhs=0.3,
+                            rel="<=")])
+        q = import_sdpa(export_sdpa(to_sdpa_form(p)))
+        assert [(l.dim, l.diag) for l in q.lmis] == [(2, False), (4, True)]
+        assert dual_of(q).block_dims == [2, 1, 1, 1, 1]
+        forms = []
+        real = ipm.solve_std
+        monkeypatch.setattr(ipm, "solve_std", lambda f, **kw: forms.append(f) or real(f, **kw))
+        s = solve(q)
+        assert s.orientation == "dual" and s.status == sdp.OPTIMAL
+        assert len(forms) == 1 and forms[0].dims == [2, 1, 1, 1, 1]
+        d = sdp._from_direct(q, real(sdp._standardize(q)))
+        assert d.status == sdp.OPTIMAL
+        assert abs(s.primal_obj - d.primal_obj) <= 1e-7
+        Z = s.Z[1]
+        assert Z.shape == (4, 4) and np.count_nonzero(Z - np.diag(np.diag(Z))) == 0
+        np.testing.assert_allclose(Z, d.Z[1], atol=1e-6)
 
     def test_diagonal_inequality_rejects_off_diagonal_data(self):
         with pytest.raises(ValueError):

@@ -485,6 +485,16 @@ class TestSymmetricSosDual:
         with pytest.raises(ValueError, match="generator 0 does not permute the inequalities"):
             symmetric_sos_dual(broken, 4, dihedral_action(4))
 
+    def test_rejects_constraints_permuted_only_in_support(self):
+        # 1 - 2 x_3^2 has the support of the orbit's other members, not their
+        # coefficients, so no generator permutes the inequalities
+        prog = dihedral_quartic_program()
+        g3 = Polynomial(4, {(0,) * 4: 1, _mono(4, (3, 2)): -2})
+        broken = PolyProgram(prog.n, prog.objective, ineqs=prog.ineqs[:3] + (g3,),
+                             eqs=prog.eqs)
+        with pytest.raises(ValueError, match="generator 0 does not permute the inequalities"):
+            symmetric_sos_dual(broken, 4, dihedral_action(4))
+
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             symmetric_sos_dual(dihedral_quartic_program(), 4, dihedral_action(5))
