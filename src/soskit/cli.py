@@ -100,6 +100,14 @@ def _load_sdpa(path: str) -> sdp.SdpProblem:
         raise CliError(f"bad SDPA file {path}: {e}")
 
 
+def _checked_order(prog: relax.PolyProgram, s: int) -> int:
+    try:
+        relax.check_order(prog, s)
+    except ValueError as e:
+        raise CliError(str(e))
+    return s
+
+
 def _status_exit(status: str) -> int:
     return EXIT_OK if status == sdp.OPTIMAL else EXIT_INCONCLUSIVE
 
@@ -150,7 +158,7 @@ def cmd_pop_solve(args) -> int:
                        "use 'sym reduce' for invariant SDPs")
     if args.moment and args.cert_out:
         raise CliError("--cert-out needs the SOS side; the moment side has no certificate")
-    s = args.order
+    s = _checked_order(prog, args.order)
     if args.moment:
         prob, _ = relax.build_moment_primal(prog, s)
         sol = sdp.solve(prob, tol=args.tol)
@@ -192,7 +200,10 @@ def cmd_pop_sos_check(args) -> int:
     if prog.ineqs or prog.eqs:
         raise CliError("sos-check takes an unconstrained program (objective only)")
     d = args.order // 2
-    res = relax.check_sos(prog.objective, d, tol=args.tol)
+    try:
+        res = relax.check_sos(prog.objective, d, tol=args.tol)
+    except ValueError as e:
+        raise CliError(str(e))
     payload = {
         "problem": "sos-check",
         "params": {"order": args.order, "basis_degree": d, "seed": args.seed},
@@ -243,10 +254,11 @@ def cmd_sdp_solve(args) -> int:
 
 def cmd_sdp_export(args) -> int:
     prog = _load_program(args.program)
+    s = _checked_order(prog, args.order)
     if args.moment:
-        prob, _ = relax.build_moment_primal(prog, args.order)
+        prob, _ = relax.build_moment_primal(prog, s)
     else:
-        prob, _ = relax.build_sos_dual(prog, args.order)
+        prob, _ = relax.build_sos_dual(prog, s)
     form = sdp.to_sdpa_form(prob)
     text = sdp.export_sdpa(form)
     Path(args.file).write_text(text)
@@ -374,7 +386,7 @@ def cmd_apcount_tables(args) -> int:
         raise CliError("table range limited to 3 <= min <= max <= 24")
     ns = list(range(args.min, args.max + 1))
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(ns))) as pool:
             rows = list(pool.map(_table_row, ns))
     else:
         rows = [_table_row(n) for n in ns]

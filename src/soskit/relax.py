@@ -126,6 +126,27 @@ def _pair_index(n: int, order: int) -> Mapping[Monomial, Tuple[Tuple[int, int], 
     return MappingProxyType({m: tuple(pairs) for m, pairs in out.items()})
 
 
+def gram_rows(n: int, order: int, g_terms: Mapping[Monomial, object],
+              row_of: Mapping[Monomial, int], m: int) -> np.ndarray:
+    """The (m, d²) matrix whose row row_of[α] holds, in column i*d + j, the
+    coefficient of Q[i, j] in [σ·g]_α, for σ = bᵀQb over the order-``order``
+    basis b of d monomials and g with terms g_terms.  Monomials that share a
+    row add up; when every monomial has its own row, each entry is one
+    coefficient of g, since a pair (i, j) and α fix the term of g."""
+    d = comb(n + order, order)
+    pairs = _pair_index(n, order)
+    # column i*d + j -> the index of its product b_i b_j in pairs
+    prod_of = np.empty(d * d, dtype=np.intp)
+    prod_of[[i * d + j for ij in pairs.values() for i, j in ij]] = np.repeat(
+        np.arange(len(pairs)), [len(ij) for ij in pairs.values()])
+    cols = np.arange(d * d)
+    out = np.zeros((m, d * d))
+    for gm, gc in g_terms.items():
+        row = np.array([row_of[mono_mul(prod, gm)] for prod in pairs])
+        out[row[prod_of], cols] += float(gc)
+    return out
+
+
 def build_sos_dual(p: PolyProgram, s: int,
                    eq_mult_degrees: Optional[Sequence[int]] = None,
                    ) -> Tuple[sdp.SdpProblem, SosDualInfo]:
@@ -140,7 +161,6 @@ def build_sos_dual(p: PolyProgram, s: int,
     sos_mults = (Polynomial.constant(n, 1),) + p.ineqs  # g0 = 1 carries σ0
     orders = [(s - g.degree()) // 2 for g in sos_mults]
     bases = [monomial_vector(n, d) for d in orders]
-    pair_maps = [_pair_index(n, d) for d in orders]
 
     monos = monomials_up_to_degree(n, s)
     row_of = {m: k for k, m in enumerate(monos)}
@@ -167,18 +187,11 @@ def build_sos_dual(p: PolyProgram, s: int,
 
     # σi·gi blocks, σ0 first: coefficient of Qi[j,l] in row α is [gi]_γ
     # for γ = α - βj - βl
-    for bi, g in enumerate(sos_mults):
-        acc: Dict[Monomial, np.ndarray] = {}
+    for bi, (g, d) in enumerate(zip(sos_mults, orders)):
         dim = len(bases[bi])
-        for prod, pairs in pair_maps[bi].items():
-            for gm, gc in g.terms.items():
-                alpha = mono_mul(prod, gm)
-                a = acc.setdefault(alpha, np.zeros((dim, dim)))
-                c = float(gc)
-                for i, j in pairs:
-                    a[i, j] += c
-        for alpha, a in acc.items():
-            rows[row_of[alpha]].blocks[bi] = a
+        block = gram_rows(n, d, g.terms, row_of, len(monos)).reshape(-1, dim, dim)
+        for k in np.flatnonzero(block.any(axis=(1, 2))):
+            rows[k].blocks[bi] = block[k]
     # equality multipliers: coefficient of c_{k,γ} in row α is [hk]_{α-γ}
     for k, h in enumerate(p.eqs):
         for gamma, idx in eq_mult_indices[k].items():
@@ -472,22 +485,19 @@ def check_sos(f: Polynomial, d: int, tol: float = 1e-8, max_iter: int = 200) -> 
         return SosCheck(status="infeasible", certificate=None, margin=np.inf,
                         solver_status="odd_degree")
     n = f.n
-    basis = monomial_vector(n, d)
-    pairs = _pair_index(n, d)
+    monos = monomials_up_to_degree(n, 2 * d)
+    dim = comb(n + d, d)
+    blocks = gram_rows(n, d, {(0,) * n: 1}, {m: k for k, m in enumerate(monos)},
+                       len(monos)).reshape(-1, dim, dim)
     rows = []
-    for alpha in monomials_up_to_degree(n, 2 * d):
-        a = np.zeros((len(basis),) * 2)
-        for i, j in pairs.get(alpha, ()):
-            a[i, j] += 1.0
-        free = {}
-        half = tuple(e // 2 for e in alpha)
-        if all(e % 2 == 0 for e in alpha) and sum(half) <= d:
-            free[0] = -1.0
-        rows.append(sdp.LinearRow(blocks={0: a}, free=free,
+    for alpha, a in zip(monos, blocks):
+        # Q' = Q + t*I enters row α as the coefficients a, so t's column is -tr a
+        tr = float(np.trace(a))
+        rows.append(sdp.LinearRow(blocks={0: a}, free={0: -tr} if tr else {},
                                   rhs=float(f.coefficient_of(alpha)), rel="=="))
     prob = sdp.SdpProblem(
-        block_dims=[len(basis)],
-        C=[np.zeros((len(basis),) * 2)],
+        block_dims=[dim],
+        C=[np.zeros((dim, dim))],
         n_free=1,
         free_obj=np.array([1.0]),
         rows=rows,
@@ -503,7 +513,7 @@ def check_sos(f: Polynomial, d: int, tol: float = 1e-8, max_iter: int = 200) -> 
         return SosCheck(status="infeasible", certificate=None, margin=t,
                         solver_status=sol.status)
     q = np.array(sol.X[0])
-    q = _clip_psd((q + q.T) / 2.0 - t * np.eye(len(basis)))
+    q = _clip_psd((q + q.T) / 2.0 - t * np.eye(dim))
     cert = _exact_if_verified(PolyProgram(n, f), Certificate(
         lam=0.0, gram=[q], eq_multipliers=[], orders=[d], mode=FLOAT))
     return SosCheck(status="feasible", certificate=cert, margin=t,

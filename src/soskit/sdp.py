@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -782,6 +782,13 @@ def export_sdpa(p: SdpProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_floats(tokens: Sequence[str], line: str) -> List[float]:
+    vals = [float(t) for t in tokens]
+    if not all(isfinite(v) for v in vals):
+        raise ValueError(f"non-finite number in line {line!r}")
+    return vals
+
+
 def import_sdpa(text: str) -> SdpProblem:
     """Parse a .dat-s string into a problem in SDPA variable/LMI shape."""
     rows = []
@@ -798,7 +805,7 @@ def import_sdpa(text: str) -> SdpProblem:
     sizes = [int(t) for t in rows[2].split()]
     if len(sizes) != nblocks:
         raise ValueError(f"expected {nblocks} block sizes, found {len(sizes)}")
-    cvec = [float(t) for t in rows[3].split()]
+    cvec = _finite_floats(rows[3].split(), rows[3])
     if len(cvec) != m:
         raise ValueError(f"expected {m} objective entries, found {len(cvec)}")
 
@@ -810,7 +817,7 @@ def import_sdpa(text: str) -> SdpProblem:
         if len(toks) != 5:
             raise ValueError(f"bad entry line: {line!r}")
         matno, blk, i, j = (int(t) for t in toks[:4])
-        val = float(toks[4])
+        (val,) = _finite_floats(toks[4:], line)
         if not (0 <= matno <= m and 1 <= blk <= nblocks):
             raise ValueError(f"entry indices out of range: {line!r}")
         dim = abs(sizes[blk - 1])

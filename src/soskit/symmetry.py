@@ -13,6 +13,13 @@ c_{ij}^k counts walks of E_iE_j and t_i is the size of orbit i.  The counts
 are integers, and the float L_k are computed from them directly.  The exact
 lam, sums of rational multiples of square roots of squarefree integers, are
 computed from the counts only when read (phi_check reads them).
+
+Both reducers, reduce_sdp for an invariant SDP and symmetric_sos_dual for an
+invariant polynomial program, restrict a Gram block to the commutant the
+same way: _orbit_coordinates projects the block's coefficient rows onto the
+orbit indicators E_i and pairs each orbit with its transpose.  The SOS side
+first sums its coefficient rows over monomial orbits, from the same σ·g
+expansion (relax.gram_rows) that the unreduced SOS dual uses.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from soskit import sdp
 from soskit.moment import monomial_vector
 from soskit.poly import Monomial, mono_mul, monomials_up_to_degree
-from soskit.relax import PolyProgram, check_order
+from soskit.relax import PolyProgram, check_order, gram_rows
 
 GROUP_ENUMERATION_CAP = 10 ** 6
 
@@ -486,6 +493,24 @@ class ReducedSdp:
         return self.basis.lift(full)
 
 
+def _orbit_coordinates(rows: np.ndarray, basis: OrbitBasis,
+                       ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Each row of ``rows``, a matrix over the basis's set flattened, in the
+    coordinates of the symmetric commutant: column G holds
+    sum over j in G of <row, E_j> / sqrt(t_j), for the groups G of
+    sym_groups().  Also returns sum over j in G of L_j per group, the
+    group's matrix in the reduced PSD constraint."""
+    n, groups = basis.size, basis.sym_groups()
+    E = np.zeros((n * n, basis.d))
+    E[np.arange(n * n), basis.label.ravel()] = 1.0
+    sqrt_t = np.array([float(t) ** 0.5 for t in basis.sizes])
+    W = rows @ E / sqrt_t
+    coef = W[:, [g[0] for g in groups]]
+    pairs = [gi for gi, g in enumerate(groups) if len(g) == 2]
+    coef[:, pairs] += W[:, [groups[gi][1] for gi in pairs]]
+    return coef, [sum(basis.L_float[j] for j in g) for g in groups]
+
+
 def reduce_sdp(p: sdp.SdpProblem, action: GroupAction) -> ReducedSdp:
     """Reduce a single-block invariant SDP to orbit coordinates.
 
@@ -532,15 +557,8 @@ def reduce_sdp(p: sdp.SdpProblem, action: GroupAction) -> ReducedSdp:
                     f"constraints not invariant: generator {gi} maps row {k} "
                     f"({p.rows[k].label or 'unlabeled'}) outside the family")
 
-    # coefficient of row a on group G: sum over j in G of <a, E_j> / sqrt(t_j)
     groups = basis.sym_groups()
-    E = np.zeros((n * n, basis.d))
-    E[np.arange(n * n), basis.label.ravel()] = 1.0
-    sqrt_t = np.array([float(t) ** 0.5 for t in basis.sizes])
-    W = np.vstack([C.reshape(1, n * n), A]) @ E / sqrt_t
-    coef = W[:, [g[0] for g in groups]]
-    pairs = [gi for gi, g in enumerate(groups) if len(g) == 2]
-    coef[:, pairs] += W[:, [groups[gi][1] for gi in pairs]]
+    coef, L = _orbit_coordinates(np.vstack([C.reshape(1, n * n), A]), basis)
     obj = coef[0]
 
     rows: List[sdp.LinearRow] = []
@@ -555,17 +573,12 @@ def reduce_sdp(p: sdp.SdpProblem, action: GroupAction) -> ReducedSdp:
         rows.append(sdp.LinearRow(free=coeffs, rhs=r.rhs, rel=r.rel, label=r.label))
         row_map.append(k)
 
-    lmi = sdp.MatrixIneq(
-        dim=basis.d,
-        const=np.zeros((basis.d, basis.d)),
-        coeffs={gi: sum(basis.L_float[j] for j in g) for gi, g in enumerate(groups)},
-        label="orbit_psd",
-    )
     reduced = sdp.SdpProblem(
         n_free=len(groups),
         free_obj=obj,
         rows=rows,
-        lmis=[lmi],
+        lmis=[sdp.MatrixIneq(basis.d, np.zeros((basis.d, basis.d)), dict(enumerate(L)),
+                             label="orbit_psd")],
         sense=p.sense,
         free_names=[f"x{g}" for g in groups],
     )
@@ -638,8 +651,12 @@ def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
         first member g in the commutant of the stabilizer of g, carried to
         the rest of the orbit by coset representatives.
     An invariant sum over an orbit of m images of a polynomial P has
-    coefficient m/|O| * Σ_{β in O} P_β at each monomial of an orbit O, which
-    is how every row coefficient is computed, in exact arithmetic.
+    coefficient m/|O| * Σ_{β in O} P_β at each monomial of an orbit O.  Each
+    family's rows come from relax.gram_rows with every monomial mapped to its
+    orbit's row, so the sums over O (and, for a Gram block, over the pair
+    orbits of _orbit_coordinates, the projection reduce_sdp uses) add the
+    coefficients in floating point, exactly for integer data; only the final
+    scaling by m/|O| and 1/sqrt(t) rounds.
     """
     check_order(prog, s)
     n = prog.n
@@ -661,19 +678,13 @@ def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
 
     monos = sorted(monomials_up_to_degree(n, s), key=lambda m: (sum(m), [-e for e in m]))
     mono_orbits = orbits(monos, moves)
-    orbit_of = {m: k for k, o in enumerate(mono_orbits) for m in o}
+    row_of = {m: k for k, o in enumerate(mono_orbits) for m in o}
+    nrows = len(mono_orbits)
+    orbit_size = np.array([[len(o)] for o in mono_orbits])
 
-    def balance(terms: Dict[Monomial, object], mult: int) -> Dict[int, object]:
-        acc: Dict[int, object] = {}
-        for m, c in terms.items():
-            k = orbit_of[m]
-            acc[k] = acc.get(k, 0) + c
-        return {k: v * Fraction(mult, len(mono_orbits[k])) for k, v in acc.items() if v}
-
-    rows = [sdp.LinearRow(rhs=float(prog.objective.coefficient_of(o[0])), rel="==",
-                          label=str(o[0])) for o in mono_orbits]
+    # the free scalars' columns: row O of a family holds m/|O| times its sum over O
+    columns = [np.eye(nrows, 1)]    # λ, in the constant monomial's row
     names = ["lambda"]
-    rows[0].free[0] = 1.0
 
     if eq_mult_degrees is None:
         eq_mult_degrees = [s - h.degree() for h in prog.eqs]
@@ -687,9 +698,9 @@ def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
     for orbit in orbits(mults, [lambda kg, pi=pi, mv=mv: (pi[kg[0]], mv(kg[1]))
                                 for pi, mv in zip(eq_perms, moves)]):
         k, gamma = orbit[0]
+        # c·γ·h_k is σ·γ·h_k for σ = c over the order-0 basis, a 1x1 Gram block
         terms = {mono_mul(gamma, m): c for m, c in prog.eqs[k].terms.items()}
-        for row, v in balance(terms, len(orbit)).items():
-            rows[row].free[len(names)] = float(v)
+        columns.append(gram_rows(n, 0, terms, row_of, nrows) * len(orbit) / orbit_size)
         names.append(f"c[{k}]{gamma}")
 
     # (multiplied polynomial, orbit size, stabilizer, basis order, label)
@@ -708,28 +719,16 @@ def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
         if induced not in bases:
             bases[induced] = commutant_basis(GroupAction(len(vec), list(induced)))
         basis = bases[induced]
-        groups = basis.sym_groups()
-        off = len(names)
-        names += [f"{label}{g}" for g in groups]
-        for gi, group in enumerate(groups):
-            for j in group:
-                terms: Dict[Monomial, object] = {}
-                for u, v in basis.orbits[j]:
-                    uv = mono_mul(vec[u], vec[v])
-                    for gm, gc in g_terms.items():
-                        m = mono_mul(uv, gm)
-                        terms[m] = terms.get(m, 0) + gc
-                scale = 1.0 / float(basis.sizes[j]) ** 0.5
-                for row, c in balance(terms, mult).items():
-                    free = rows[row].free
-                    free[off + gi] = free.get(off + gi, 0.0) + scale * float(c)
-        lmis.append(sdp.MatrixIneq(
-            dim=basis.d,
-            const=np.zeros((basis.d, basis.d)),
-            coeffs={off + gi: sum(basis.L_float[j] for j in g) for gi, g in enumerate(groups)},
-            label=label,
-        ))
+        coef, L = _orbit_coordinates(gram_rows(n, order, g_terms, row_of, nrows), basis)
+        columns.append(coef * mult / orbit_size)
+        lmis.append(sdp.MatrixIneq(basis.d, np.zeros((basis.d, basis.d)),
+                                   dict(enumerate(L, len(names))), label=label))
+        names += [f"{label}{g}" for g in basis.sym_groups()]
 
+    rows = [sdp.LinearRow(free={j: v for j, v in enumerate(r) if v},
+                          rhs=float(prog.objective.coefficient_of(o[0])), rel="==",
+                          label=str(o[0]))
+            for r, o in zip(np.hstack(columns).tolist(), mono_orbits)]
     free_obj = np.zeros(len(names))
     free_obj[0] = 1.0
     return sdp.SdpProblem(n_free=len(names), free_obj=free_obj, rows=rows, lmis=lmis,

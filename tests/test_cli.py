@@ -125,6 +125,26 @@ def _spot_check_loop(prog, lam, seed, tol):
     return {"feasible_samples": checked, "objective_below_bound": violations}
 
 
+class TestOrderBelowDegree:
+    @pytest.mark.parametrize("argv, message", [
+        (["pop", "solve", "{}", "--order", "2"], "order 2 below objective degree 4"),
+        (["pop", "solve", "{}", "--order", "2", "--moment"], "order 2 below objective degree 4"),
+        (["pop", "solve", "{}", "--order", "0"], "relaxation order must be >= 1"),
+        (["pop", "sos-check", "{}", "--order", "2"], "basis degree 1 too small for deg f = 4"),
+        (["sdp", "export-sdpa", "{}", "out.dat", "--order", "2"],
+         "order 2 below objective degree 4"),
+    ], ids=["pop-solve", "pop-solve-moment", "pop-solve-order-0", "sos-check", "export-sdpa"])
+    def test_error_exit(self, capsys, tmp_path, monkeypatch, argv, message):
+        path = tmp_path / "quartic.json"
+        path.write_text('{"n":1,"objective":[{"exps":[4],"coef":"1"}]}')
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([a.format(path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert not captured.out
+        assert not (tmp_path / "out.dat").exists()
+
+
 class TestSpotCheck:
     def test_counts_match_the_point_by_point_loop(self):
         # the seed-1 pop-ball quartics, in the benchmark's order; lam at the
@@ -356,6 +376,28 @@ class TestApcount:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert not captured.out
+
+    def test_tables_jobs_capped_at_row_count(self, capsys, monkeypatch):
+        made = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+        code, data = run(capsys, "apcount", "tables", "--min", "3", "--max", "5", "--jobs", "64")
+        assert code == 0
+        assert made == [3]
+        assert [r["n"] for r in data["rows"]] == [3, 4, 5]
 
     def test_tables_deterministic(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

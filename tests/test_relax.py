@@ -7,7 +7,8 @@ import pytest
 from conftest import grid_minimum
 from soskit import sdp
 from soskit.apcount import density_certificate, density_program
-from soskit.poly import EXACT, FLOAT, Polynomial, monomials_up_to_degree, motzkin
+from soskit.moment import monomial_vector
+from soskit.poly import EXACT, FLOAT, Polynomial, mono_mul, monomials_up_to_degree, motzkin
 from soskit.relax import (
     Certificate,
     PolyProgram,
@@ -70,6 +71,79 @@ class TestBuildSosDual:
             build_sos_dual(PolyProgram(1, Polynomial(1, {(4,): 1})), 2)
         with pytest.raises(ValueError):
             check_order(disk_program(), 1)
+
+
+def standard_forms(prob):
+    """The bytes of both standard forms sdp.solve may hand to the IPM."""
+    q = prob if prob.sense == "min" else prob.negated()
+    return [[np.asarray(a).tobytes() for a in (f.dims, f.rows, f.free, f.c, f.free_obj, f.b)]
+            for f in (sdp._standardize(q),
+                      sdp._standardize(sdp.dual_of(q, simplify=False).negated()))]
+
+
+def loop_sos_dual(p, s):
+    """build_sos_dual of a program without equalities, each block entry
+    added pair by pair and term by term."""
+    monos = monomials_up_to_degree(p.n, s)
+    row_of = {m: k for k, m in enumerate(monos)}
+    rows = [sdp.LinearRow(rhs=float(p.objective.coefficient_of(m)), rel="==", label=str(m))
+            for m in monos]
+    rows[0].free[0] = 1.0
+    dims = []
+    for bi, g in enumerate((Polynomial.constant(p.n, 1),) + p.ineqs):
+        basis = monomial_vector(p.n, (s - g.degree()) // 2)
+        dims.append(len(basis))
+        acc = {}
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                for gm, gc in g.terms.items():
+                    alpha = mono_mul(mono_mul(a, b), gm)
+                    acc.setdefault(alpha, np.zeros((len(basis),) * 2))[i, j] += float(gc)
+        for alpha, blk in acc.items():
+            rows[row_of[alpha]].blocks[bi] = blk
+    return sdp.SdpProblem(block_dims=dims, C=[np.zeros((d, d)) for d in dims], n_free=1,
+                          free_obj=np.array([1.0]), rows=rows, sense="max",
+                          free_names=["lambda"])
+
+
+def loop_check_sos_problem(f, d):
+    """check_sos's phase-I problem, each entry added pair by pair, with t in
+    every row α = 2β of a basis monomial β."""
+    basis = monomial_vector(f.n, d)
+    rows = []
+    for alpha in monomials_up_to_degree(f.n, 2 * d):
+        a = np.zeros((len(basis),) * 2)
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                if mono_mul(u, v) == alpha:
+                    a[i, j] += 1.0
+        square = all(e % 2 == 0 for e in alpha) and sum(alpha) // 2 <= d
+        rows.append(sdp.LinearRow(blocks={0: a}, free={0: -1.0} if square else {},
+                                  rhs=float(f.coefficient_of(alpha)), rel="=="))
+    return sdp.SdpProblem(block_dims=[len(basis)], C=[np.zeros((len(basis),) * 2)], n_free=1,
+                          free_obj=np.array([1.0]), rows=rows, sense="min", free_names=["t"])
+
+
+class TestGramRows:
+    @pytest.mark.parametrize("p, s", [(ball_quartic(4, 3), 4), (PolyProgram(2, motzkin()), 6)],
+                             ids=["ball quartic", "motzkin"])
+    def test_sos_dual_matches_pair_loop(self, p, s):
+        prob, _ = build_sos_dual(p, s)
+        assert standard_forms(prob) == standard_forms(loop_sos_dual(p, s))
+
+    @pytest.mark.parametrize("f, d", [(ball_quartic(4, 3).objective, 2), (motzkin(), 3)],
+                             ids=["ball quartic", "motzkin"])
+    def test_check_sos_matches_pair_loop(self, monkeypatch, f, d):
+        class Built(Exception):
+            pass
+
+        def stop(prob, **kw):
+            raise Built(prob)
+
+        monkeypatch.setattr(sdp, "solve", stop)
+        with pytest.raises(Built) as built:
+            check_sos(f, d)
+        assert standard_forms(built.value.args[0]) == standard_forms(loop_check_sos_problem(f, d))
 
 
 class TestBuildMomentPrimal:

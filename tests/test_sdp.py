@@ -870,3 +870,7 @@ class TestSdpa:
             import_sdpa("1\n1\n")
         with pytest.raises(ValueError):
             import_sdpa("1\n1\n2\n1.0\n1 1 2 1 5.0\n")  # lower-triangle index
+        with pytest.raises(ValueError, match="non-finite number in line 'nan'"):
+            import_sdpa("1\n1\n1\nnan\n1 1 1 1 1.0\n")
+        with pytest.raises(ValueError, match="non-finite number in line '0 1 1 1 -inf'"):
+            import_sdpa("1\n1\n1\n1.0\n0 1 1 1 -inf\n1 1 1 1 1.0\n")

@@ -7,7 +7,8 @@ import pytest
 from soskit import sdp
 from soskit.graphs import Graph, theta_problem
 from soskit.moment import monomial_vector
-from soskit.poly import Polynomial
+from soskit.apcount import density_relaxation_program, mono_program
+from soskit.poly import Polynomial, mono_mul, monomials_up_to_degree
 from soskit.relax import PolyProgram, build_sos_dual
 from soskit.sdp import LinearRow, SdpProblem, solve
 from soskit.symmetry import (
@@ -28,7 +29,13 @@ from soskit.symmetry import (
     reduce_sdp,
     symmetric_sos_dual,
 )
-from soskit.symmetry import _monomial_map, _orbit_lists, _pair_orbits, _stabilizer
+from soskit.symmetry import (
+    _monomial_map,
+    _orbit_lists,
+    _pair_orbits,
+    _permutation_of,
+    _stabilizer,
+)
 
 
 def theta_problem_cycle(n):
@@ -458,7 +465,88 @@ def dihedral_quartic_program(perturb=None):
         eqs=(Polynomial(n, {**{_mono(n, (i, 2)): 1 for i in range(n)}, one: -2}),))
 
 
+def reference_symmetric_rows(prog, s, action, eq_mult_degrees=None):
+    """symmetric_sos_dual's free coefficients per row by the per-orbit
+    formula: every multiplier walked term by term (a Gram orbit pair by
+    pair), summed per monomial orbit O in Fractions, times m/|O|, and for
+    Gram orbit j times 1/sqrt(t_j), summed over each transpose group."""
+    n, gens = prog.n, action.generators
+    moves = [_monomial_map(g) for g in gens]
+
+    def image(terms, mv):
+        return {mv(m): c for m, c in terms.items()}
+
+    ineq_perms = [_permutation_of([q.terms for q in prog.ineqs], lambda t, mv=mv: image(t, mv),
+                                  "inequalities", gi) for gi, mv in enumerate(moves)]
+    eq_perms = [_permutation_of([q.terms for q in prog.eqs], lambda t, mv=mv: image(t, mv),
+                                "equalities", gi) for gi, mv in enumerate(moves)]
+    monos = sorted(monomials_up_to_degree(n, s), key=lambda m: (sum(m), [-e for e in m]))
+    mono_orbits = orbits(monos, moves)
+    orbit_of = {m: k for k, o in enumerate(mono_orbits) for m in o}
+
+    def balance(terms, mult):
+        acc = {}
+        for m, c in terms.items():
+            acc[orbit_of[m]] = acc.get(orbit_of[m], 0) + c
+        return {k: v * Fraction(mult, len(mono_orbits[k])) for k, v in acc.items() if v}
+
+    rows = [{} for _ in mono_orbits]
+    rows[0][0] = 1.0
+    col = 1
+    caps = [min(c, s - h.degree()) for c, h in
+            zip(eq_mult_degrees or [s - h.degree() for h in prog.eqs], prog.eqs)]
+    mults = [(k, g) for k in range(len(prog.eqs)) for g in monomials_up_to_degree(n, caps[k])]
+    for orbit in orbits(mults, [lambda kg, pi=pi, mv=mv: (pi[kg[0]], mv(kg[1]))
+                                for pi, mv in zip(eq_perms, moves)]):
+        k, gamma = orbit[0]
+        terms = {mono_mul(gamma, m): c for m, c in prog.eqs[k].terms.items()}
+        for row, v in balance(terms, len(orbit)).items():
+            rows[row][col] = float(v)
+        col += 1
+    families = [({(0,) * n: 1}, 1, gens, s // 2)]
+    for orbit in orbits(range(len(prog.ineqs)), [lambda k, pi=pi: pi[k] for pi in ineq_perms]):
+        g = prog.ineqs[orbit[0]]
+        families.append((g.terms, len(orbit), _stabilizer(action, ineq_perms, orbit[0]),
+                         (s - g.degree()) // 2))
+    for g_terms, mult, stab, order in families:
+        vec = monomial_vector(n, order)
+        pos = {b: i for i, b in enumerate(vec)}
+        basis = commutant_basis(GroupAction(len(vec), [
+            tuple(pos[mv(b)] for b in vec) for mv in map(_monomial_map, stab)]))
+        for group in basis.sym_groups():
+            for j in group:
+                terms = {}
+                for u, v in basis.orbits[j]:
+                    for gm, gc in g_terms.items():
+                        m = mono_mul(mono_mul(vec[u], vec[v]), gm)
+                        terms[m] = terms.get(m, 0) + gc
+                scale = 1.0 / float(basis.sizes[j]) ** 0.5
+                for row, c in balance(terms, mult).items():
+                    rows[row][col] = rows[row].get(col, 0.0) + scale * float(c)
+            col += 1
+    return rows
+
+
+def symmetric_inputs():
+    out = [("dihedral quartic", dihedral_quartic_program(), 4, dihedral_action(4), None)]
+    out += [(f"density p={p} D={D}", density_relaxation_program(p, D), 3, affine_action(p),
+             [0] * 5) for p in (5, 7) for D in range(p + 1)]
+    out += [(f"mono n={n}", mono_program(n), 2, cyclic_action(n), None) for n in range(3, 13)]
+    return out
+
+
 class TestSymmetricSosDual:
+    @pytest.mark.parametrize("name, prog, s, action, eq_degrees", symmetric_inputs(),
+                             ids=[x[0] for x in symmetric_inputs()])
+    def test_rows_match_per_orbit_formula(self, name, prog, s, action, eq_degrees):
+        red = symmetric_sos_dual(prog, s, action, eq_mult_degrees=eq_degrees)
+        ref = reference_symmetric_rows(prog, s, action, eq_degrees)
+        assert len(red.rows) == len(ref)
+        for r, want in zip(red.rows, ref):
+            assert list(r.free) == sorted(want)
+            for j, v in want.items():
+                assert abs(r.free[j] - v) <= 1e-15 * abs(v)
+
     def test_matches_full_dual(self):
         from conftest import conclusive
         prog = dihedral_quartic_program()
