@@ -26,16 +26,20 @@ S_b^-1 = Ls_b^-T Ls_b^-1, and the step length to a block's boundary is
 read off the least eigenvalue of Lx_b^-1 dX_b Lx_b^-T.  The triangular
 inverses come from a 2x2 block recursion (numpy has no triangular solve).
 
-Free scalars are kept as genuinely free columns of the Schur system: each
-iteration forms the bordered KKT matrix K = [[M, D], [D', 0]] (D the free
-columns) and factors it once, after a quasi-definite diagonal shift (+delta
-on M's block, relative to M's largest diagonal entry, and -delta' on the
-free block, relative to D's largest entry): a Cholesky factor L of
-M + delta I, and one of W'W + delta' I with W = L^-1 D, the Schur complement
-of the bordered block.  The predictor and the corrector are each refined
-against the unshifted K for as long as a step at least halves the residual,
-so the shift only damps the directions of K whose eigenvalues lie near or
-below it.  A failed factorization ends the run as ``numerical_failure``.
+Free scalars are eliminated once per solve, as in Kobayashi, Nakata &
+Kojima, "A conversion of an SDP having free variables into the standard
+form SDP" (Comput. Optim. Appl. 36, 2007).  With the rank-revealing SVD
+D = U1 Sigma V1' of the free columns and U2 a basis of range(D)^perp, the
+dual's D'y = cf gives y = w + U2 y' with w = U1 Sigma^-1 V1' cf, so the IPM
+solves the pure conic form with rows U2'A, rhs U2'b, cost c - A'w and the
+objective offset b.w, and lifts u = V1 Sigma^-1 U1'(b - A x).  A part of cf
+in null(D) is a primal ray.  Each iteration then factors the Schur
+complement alone: a Cholesky factor of M + delta I (delta relative to M's
+largest diagonal entry), applied through its inverse, with the predictor and
+the corrector each refined against the unshifted M for as long as a step at
+least halves the residual, so the shift only damps the directions of M whose
+eigenvalues lie near or below it.  A failed factorization ends the run as
+``numerical_failure``.
 
 The stop test is relative to the size of the objectives: ``optimal`` means
 the relative primal and dual residuals are at most ``tol`` and the duality
@@ -55,11 +59,14 @@ deterministic: fixed operation order, no randomness.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -194,6 +201,22 @@ def _restrict(form: StdForm, face: _Face) -> StdForm:
                    free_obj=form.free_obj, b=form.b[face.kept_rows])
 
 
+def _eliminate(form: StdForm):
+    """The form min (c - A'w).x s.t. U2'A x = U2'b left by eliminating the
+    free scalars (module docstring), its offset b.w, U2, w and D^+; singular
+    values up to max(m, nf) * eps * the largest are zero (matrix_rank's)."""
+    D = form.free
+    U, sig, Vt = np.linalg.svd(D)
+    r = int(np.count_nonzero(sig > max(D.shape) * np.finfo(float).eps * np.max(sig, initial=0.0)))
+    U2, pinv = U[:, r:], (Vt[:r].T / sig[:r]) @ U[:, :r].T
+    w = pinv.T @ form.free_obj
+    log.debug("free scalars eliminated: %d rows -> %d, rank %d, %d free",
+              len(D), len(D) - r, r, D.shape[1])
+    red = StdForm(dims=form.dims, rows=U2.T @ form.rows, free=np.zeros((len(D) - r, 0)),
+                  c=form.c - w @ form.rows, free_obj=np.zeros(0), b=U2.T @ form.b)
+    return red, float(form.b @ w), U2, w, pinv
+
+
 def _max_step(Li: np.ndarray, delta: np.ndarray) -> float:
     """Largest t with M + t*delta >= 0 given M = L L' and Li = L^-1."""
     if Li.shape[0] == 0:
@@ -232,56 +255,35 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kkt_factor(K: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """The one factorization of an iteration, of the bordered matrix
-    K = [[M, D], [D', 0]] (M is the leading m x m block) after a
-    quasi-definite diagonal shift, +_KKT_SHIFT * max diag(M) on M's block and
-    -_KKT_SHIFT * max |D|^2 on the free block.  The shift keeps the factored
-    matrix nonsingular when M is singular or D has dependent columns.  With
-    M + delta I = L L' and W = L^-1 D, the free block's Schur complement is
-    -(W'W + delta' I) = -R R', so the shifted inverse applies by products
-    with L^-1, W and R^-1.  K is left unshifted.  Returns that application,
-    or None when a Cholesky factorization fails."""
-    nf = len(K) - m
-    diag = np.einsum("ii->i", K)
-    top = float(np.max(diag[:m])) if m else 0.0
-    D = K[:m, m:]
-    dmax = float(np.max(np.abs(D))) if D.size else 0.0
-    saved = diag[:m].copy()
-    diag[:m] += _KKT_SHIFT * (top if top > 0.0 else 1.0)
-    L = _chol(K[:m, :m])
-    diag[:m] = saved
+def _kkt_factor(M: np.ndarray) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """The one factorization of an iteration: M + delta I = L L', delta =
+    _KKT_SHIFT * max diag(M) keeping it nonsingular when M is singular, and M
+    left unshifted.  Returns the shifted inverse as products with L^-1 (L is
+    released once L^-1 exists), or None when the Cholesky factorization fails."""
+    diag = np.einsum("ii->i", M)
+    top = float(np.max(diag)) if len(M) else 0.0
+    saved = diag.copy()
+    diag += _KKT_SHIFT * (top if top > 0.0 else 1.0)
+    L = _chol(M)
+    diag[:] = saved
     Li = None if L is None else _tril_inv(L)
+    del L
     if Li is None or not np.all(np.isfinite(Li)):
         return None
-    if not nf:
-        return lambda r: Li.T @ (Li @ r)
-    W = Li @ D
-    RR = W.T @ W
-    np.einsum("ii->i", RR)[:] += _KKT_SHIFT * (dmax * dmax if dmax > 0.0 else 1.0)
-    R = _chol(RR)
-    Ri = None if R is None else _tril_inv(R)
-    if Ri is None or not np.all(np.isfinite(Ri)):
-        return None
-
-    def apply(r):
-        z = Li @ r[:m]
-        u = Ri.T @ (Ri @ (W.T @ z - r[m:]))
-        return np.concatenate([Li.T @ (z - W @ u), u])
-    return apply
+    return lambda r: Li.T @ (Li @ r)
 
 
-def _kkt_solve(K: np.ndarray, Kinv: Callable[[np.ndarray], np.ndarray],
+def _kkt_solve(M: np.ndarray, Minv: Callable[[np.ndarray], np.ndarray],
                rhs: np.ndarray) -> np.ndarray:
-    """Solve K sol = rhs with the shifted inverse ``Kinv`` applies, refined
-    against the unshifted K for as long as each step at least halves the
+    """Solve M sol = rhs with the shifted inverse ``Minv`` applies, refined
+    against the unshifted M for as long as each step at least halves the
     residual."""
-    sol = Kinv(rhs)
-    res = rhs - K @ sol
+    sol = Minv(rhs)
+    res = rhs - M @ sol
     rn = math.sqrt(res @ res)  # np.linalg.norm's own formula, without its overhead
     while rn > 0.0:
-        cand = sol + Kinv(res)
-        cres = rhs - K @ cand
+        cand = sol + Minv(res)
+        cres = rhs - M @ cand
         cn = math.sqrt(cres @ cres)
         if not cn < rn:
             break
@@ -304,16 +306,16 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
     The IPM runs on the face left by pinned diagonal entries (``_face``,
     computed here unless the caller passes the face it already found);
     ``form`` is sliced onto it only when that face cuts a row or an index,
-    and X, S and y are lifted back to its shape.  Each iteration forms the
-    Schur complement as the Gram product M = G G' of the scaled rows, factors
-    the bordered KKT matrix once by Cholesky factors of M + delta I and of
-    the free block's Schur complement (see the module docstring), and
-    refines both directions against the unshifted matrix.  The 1x1 blocks
-    are solved together as one nonnegative orthant.
+    and X, S and y are lifted back to its shape.  Free scalars, if any, are
+    then eliminated (``_eliminate``) and y and u lifted back.  Each iteration
+    factors the Schur complement M = G G' alone (see the module docstring).
     ``optimal`` means pres <= tol, dres <= tol and relative_gap(pobj, dobj)
     <= tol, so the absolute gap is at most tol * max(1, (|pobj| + |dobj|)
-    / 2), on iterates no larger than ITERATE_CAP times the data scale.  A
-    run that stops otherwise returns the best iterate it saw.
+    / 2), on iterates no larger than ITERATE_CAP times the data scale, all
+    of the form with its free scalars.  A part of the free cost in null(D)
+    that leaves the free residual above tol makes a primal-feasible run
+    ``dual_infeasible_cert``.  A run that stops otherwise returns the best
+    iterate it saw.
     """
     face = _face(form) if face is None else face
     if face is None:
@@ -325,7 +327,19 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
             y=np.zeros(len(form.rows)), u=np.zeros(form.free.shape[1]),
             marginal=True)
 
-    res = _solve_core(_restrict(form, face), tol, max_iter)
+    sub = _restrict(form, face)
+    if not sub.free.shape[1]:
+        res = _solve_core(sub, tol, max_iter, sub, 0.0)
+    else:
+        red, offset, U2, w, pinv = _eliminate(sub)
+        res = _solve_core(red, tol, max_iter, sub, offset)
+        cf = sub.free_obj
+        res.y = w + U2 @ res.y
+        res.u = pinv @ (sub.b - sub.rows @ _vec(res.X))
+        fres = float(np.linalg.norm(cf - sub.free.T @ res.y)) / (1.0 + float(np.linalg.norm(cf)))
+        res.dres = max(res.dres, fres)
+        if fres > tol and res.pres <= tol:  # an exact primal ray on a feasible form
+            res.status = "dual_infeasible_cert"
 
     if face.reduced:
         def lift(blocks):
@@ -364,7 +378,8 @@ def _schur_rows(A: np.ndarray, psd, lp: np.ndarray, Lsi: List[np.ndarray],
     X_b = Lx_b Lx_b'), and the orthant's columns are A's scaled by
     w = sqrt(x / s)."""
     for a, g, li, lx in zip(_views(A, psd), _views(out, psd), Lsi, Lx):
-        np.matmul(li, a @ lx, out=g)
+        for k in range(0, len(a), 64):  # row chunks keep a @ lx's temporary small
+            np.matmul(li, a[k:k + 64] @ lx, out=g[k:k + 64])
     out[:, lp] = A[:, lp] * w
 
 
@@ -376,11 +391,13 @@ def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
 
 
-def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
-    dims = form.dims
-    A, D = form.rows, form.free
-    m, nf = D.shape
-    nu = max(sum(dims), 1)
+def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
+                offset: float) -> StdResult:
+    """The IPM on a form without free scalars: residual norms and scale are
+    those of ``orig``, the form before elimination; objectives add ``offset``."""
+    A, b = form.rows, form.b
+    m = len(A)
+    nu = max(sum(form.dims), 1)
 
     # X and S live in full column vectors: the d != 1 blocks are matrix views
     # into them, the 1x1 blocks one orthant vector on their columns ``lp``
@@ -391,11 +408,12 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
 
     C, cl = views(form.c), form.c[lp]
     G = np.empty_like(A)  # the rows of the Schur product M = G G'
+    M = np.empty((m, m))
 
-    b = form.b
-    cf = form.free_obj
-    cnorm = float(np.sqrt(sum(np.sum(c * c) for c in C) + cl @ cl))
-    scale = 1.0 + max(float(np.max(np.abs(b))) if m else 0.0, cnorm)
+    oc = orig.c[lp]
+    cnorm = float(np.sqrt(sum(np.sum(c * c) for c in views(orig.c)) + oc @ oc))
+    bnorm = float(np.linalg.norm(orig.b))
+    scale = 1.0 + max(float(np.max(np.abs(orig.b))) if len(orig.b) else 0.0, cnorm)
 
     xv, sv = np.zeros(form.off[-1]), np.zeros(form.off[-1])
     for w in (xv, sv):
@@ -403,7 +421,6 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             blk[...] = scale * np.eye(len(blk))
         w[lp] = scale
     y = np.zeros(m)
-    u = np.zeros(nf)
 
     status = "max_iter"
     marginal = False
@@ -411,7 +428,7 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
     it = 0
     pres = dres = relgap = np.inf
     pobj = dobj = np.nan
-    best = None          # (error, xv, sv, y, u, pobj, dobj, pres, dres, relgap)
+    best = None          # (error, xv, sv, y, pobj, dobj, pres, dres, relgap)
     best_age = 0
     # Cholesky factors of the X and S blocks, when known: sqrt(scale) I at
     # the start, then those the cone guard found
@@ -432,35 +449,25 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
 
     for it in range(max_iter + 1):
         X, S, x, s = views(xv), views(sv), xv[lp], sv[lp]
-        rp = b - A @ xv - D @ u
-        rf = cf - D.T @ y
+        rp = b - A @ xv
         rdv = form.c - sv - y @ A
         Rd, rd = views(rdv), rdv[lp]
 
-        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(C, X)) + float(cl @ x)
-        pobj += float(cf @ u) if nf else 0.0
-        dobj = float(b @ y) if m else 0.0
+        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(C, X)) + float(cl @ x) + offset
+        dobj = (float(b @ y) if m else 0.0) + offset
         mu = (sum(float(np.sum(xb * sb)) for xb, sb in zip(X, S)) + float(x @ s)) / nu
 
-        pres = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
-        fres = (float(np.linalg.norm(rf)) / (1.0 + float(np.linalg.norm(cf)))
-                if nf else 0.0)
-        dres = max(
-            float(np.sqrt(sum(np.sum(r * r) for r in Rd) + rd @ rd)) / (1.0 + cnorm),
-            fres,
-        )
+        pres = float(np.linalg.norm(rp)) / (1.0 + bnorm)
+        dres = float(np.sqrt(sum(np.sum(r * r) for r in Rd) + rd @ rd)) / (1.0 + cnorm)
         relgap = relative_gap(pobj, dobj)
 
         itnorm = max(
             [float(np.linalg.norm(w)) for w in X + S if w.size]
             + [float(np.max(np.abs(w))) for w in (x, s) if lp.size]
-            + [float(np.max(np.abs(y))) if m else 0.0,
-               float(np.max(np.abs(u))) if nf else 0.0]
-        )
+            + [float(np.max(np.abs(y))) if m else 0.0])
         err = max(pres, dres, relgap)
         if itnorm <= ITERATE_CAP * scale and (best is None or err < best[0]):
-            best = (err, xv.copy(), sv.copy(), y.copy(), u.copy(),
-                    pobj, dobj, pres, dres, relgap)
+            best = (err, xv.copy(), sv.copy(), y.copy(), pobj, dobj, pres, dres, relgap)
             best_age = 0
         else:
             best_age += 1
@@ -498,15 +505,12 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         Lxi = [_tril_inv(l) for l in Lx]
         Sinv = [li.T @ li for li in Lsi]
 
-        # M = G G' is one symmetric rank-k product, formed in place as the
-        # leading block of K = [[M, D], [D', 0]]
+        # M = G G' is one symmetric rank-k product, formed in M's buffer
         _schur_rows(A, psd, lp, Lsi, Lx, np.sqrt(x / s), G)
-        K = np.zeros((m + nf, m + nf))
-        np.matmul(G, G.T, out=K[:m, :m])
-        K[:m, m:] = D
-        K[m:, :m] = D.T
-        Kinv = _kkt_factor(K, m)
-        if Kinv is None:
+        np.matmul(G, G.T, out=M)
+        Minv = None  # release the last factor before making the next
+        Minv = _kkt_factor(M)
+        if Minv is None:
             status = "numerical_failure"
             break
 
@@ -517,15 +521,14 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             for vb, xr, rcb, si in zip(views(v), XRdSinv, Rc, Sinv):
                 vb[...] = xr - rcb @ si
             v[lp] = (x * rd - rc) / s
-            sol = _kkt_solve(K, Kinv, np.concatenate([rp + A @ v, rf]))
-            dy, du = sol[:m], sol[m:]
+            dy = _kkt_solve(M, Minv, rp + A @ v)
             dsv = rdv - dy @ A
             dxv = np.empty_like(xv)
             for dxb, rcb, xb, dsb, si in zip(views(dxv), Rc, X, views(dsv), Sinv):
                 w = (rcb - xb @ dsb) @ si
                 dxb[...] = (w + w.T) / 2.0
             dxv[lp] = (rc - x * dsv[lp]) / s
-            return dxv, dsv, dy, du
+            return dxv, dsv, dy
 
         def steps(dxv, dsv, frac=1.0):
             ap = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Lxi, views(dxv))]
@@ -535,7 +538,7 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
             return ap, ad
 
         # predictor
-        dxa, dsa, _, _ = directions([-(xb @ sb) for xb, sb in zip(X, S)], -(x * s))
+        dxa, dsa, _ = directions([-(xb @ sb) for xb, sb in zip(X, S)], -(x * s))
         ap, ad = steps(dxa, dsa)
         xa, sa = xv + ap * dxa, sv + ad * dsa
         mu_aff = (sum(float(np.sum(xb * sb)) for xb, sb in zip(views(xa), views(sa)))
@@ -545,7 +548,7 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         # corrector
         Rc = [sigma * mu * np.eye(len(xb)) - xb @ sb - dxb @ dsb
               for xb, sb, dxb, dsb in zip(X, S, views(dxa), views(dsa))]
-        dxv, dsv, dy, du = directions(Rc, sigma * mu - x * s - dxa[lp] * dsa[lp])
+        dxv, dsv, dy = directions(Rc, sigma * mu - x * s - dxa[lp] * dsa[lp])
         ap, ad = steps(dxv, dsv, STEP_FRACTION)
 
         # guard against rounding past the cone boundary; the factors it
@@ -553,12 +556,10 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         ap, xv, Lx = guarded(xv, dxv, ap)
         ad, sv, Ls = guarded(sv, dsv, ad)
         y = y + ad * dy
-        if nf:
-            u = u + ap * du
 
     # a stalled run ends at its best iterate, not wherever it drifted
     if status != "optimal" and best is not None and best[0] < max(pres, dres, relgap):
-        _, xv, sv, y, u, pobj, dobj, pres, dres, relgap = best
+        _, xv, sv, y, pobj, dobj, pres, dres, relgap = best
 
     # Slater-failure signatures: feasibility converged but the gap did not,
     # or the iterates ran away while staying feasible
@@ -577,6 +578,6 @@ def _solve_core(form: StdForm, tol: float, max_iter: int) -> StdResult:
         X=form.blocks(xv),
         S=form.blocks(sv),
         y=y,
-        u=u,
+        u=np.zeros(0),
         marginal=marginal,
     )

@@ -10,6 +10,7 @@ is an error; conversion is explicit via ``to_float``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
@@ -60,18 +61,14 @@ def monomials_up_to_degree(n: int, r: int) -> list[Monomial]:
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
     out: list[Monomial] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, slots - 1)
-            prefix.pop()
-
-    rec([], r, n)
-    out.sort(key=monomial_sort_key)
+    for k in range(r + 1):  # the order is graded, so each degree sorts alone
+        level = []
+        for combo in combinations_with_replacement(range(n), k):
+            e = [0] * n
+            for i in combo:
+                e[i] += 1
+            level.append(tuple(e))
+        out += sorted(level, key=monomial_sort_key)
     return out
 
 

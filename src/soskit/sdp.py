@@ -509,10 +509,12 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     ``ipm.solve_std`` runs exactly once and its result is reported whatever
     its status; ``orientation`` on the solution says which form was solved,
     and the choice and its reason are logged at INFO on ``soskit.sdp``.
-    Each IPM iteration factors its KKT system once and refines both
-    directions against the unshifted system.  The dual's facial-reduction
-    face, found to choose the orientation, is handed to the solve rather
-    than found again.
+    The IPM eliminates the free scalars of the solved form once, before
+    iterating, and each iteration factors the Schur complement alone, once,
+    refining both directions against the unshifted matrix; the cost model
+    above still counts free scalars as the form has them.  The dual's
+    facial-reduction face, found to choose the orientation, is handed to the
+    solve rather than found again.
 
     ``optimal`` promises relative residuals at most ``tol`` and a duality
     gap |primal_obj - dual_obj| at most tol * max(1, (|primal_obj| +
@@ -805,6 +807,8 @@ def import_sdpa(text: str) -> SdpProblem:
     sizes = [int(t) for t in rows[2].split()]
     if len(sizes) != nblocks:
         raise ValueError(f"expected {nblocks} block sizes, found {len(sizes)}")
+    if 0 in sizes:
+        raise ValueError(f"block size 0 in line {rows[2]!r}")
     cvec = _finite_floats(rows[3].split(), rows[3])
     if len(cvec) != m:
         raise ValueError(f"expected {m} objective entries, found {len(cvec)}")

@@ -281,6 +281,13 @@ class TestSdpa:
         assert cli.main(["sdp", "import-sdpa", str(bad)]) == 1
         assert capsys.readouterr().err.count("error: bad SDPA file") == 2
 
+    def test_zero_block_size(self, capsys, tmp_path):
+        # one variable, one 0x0 block: no SDPA block, so no IPM run
+        bad = tmp_path / "zero.dat-s"
+        bad.write_text("1\n1\n0\n1.0\n")
+        assert cli.main(["sdp", "solve", str(bad)]) == 1
+        assert "error: bad SDPA file" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert cli.main(["sdp", "import-sdpa", "/nonexistent.dat-s"]) == 1
         assert "error: input file not found" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from soskit.poly import (
     FLOAT,
     Polynomial,
     monomial_cmp,
+    monomial_sort_key,
     monomials_up_to_degree,
     motzkin,
 )
@@ -50,6 +51,30 @@ class TestOrdering:
         for i, a in enumerate(monos):
             for b in monos[i + 1:]:
                 assert monomial_cmp(a, b) == -1
+
+
+def recursive_monomials(n, r):
+    """The recursive walk over exponent vectors, sorted: the reference for
+    ``monomials_up_to_degree``."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            out.append(tuple(prefix))
+            return
+        for e in range(remaining + 1):
+            prefix.append(e)
+            rec(prefix, remaining - e, slots - 1)
+            prefix.pop()
+
+    rec([], r, n)
+    out.sort(key=monomial_sort_key)
+    return out
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(5)] + [(13, 3)])
+def test_monomials_match_the_recursive_walk(n, r):
+    assert monomials_up_to_degree(n, r) == recursive_monomials(n, r)
 
 
 class TestArithmetic:

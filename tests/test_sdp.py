@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -614,9 +615,10 @@ class TestOrthant:
 class TestKktAndStopTest:
     def test_refined_kkt_solve_reaches_rounding_level(self):
         # M = Q diag(1 .. 1e16) Q' bordered by four free columns, once
-        # independent and once with a repeated column: the solve with the
-        # shifted factorization, refined against the unshifted K, leaves a
-        # residual at rounding level, and K itself is left unshifted
+        # independent and once with a repeated column: the eliminated solve,
+        # with the shifted factorization of U2' M U2 refined against the
+        # unshifted matrix, leaves a residual of the bordered system at
+        # rounding level, and U2' M U2 itself is left unshifted
         rng = np.random.default_rng(0)
         m, nf = 30, 4
         q, _ = np.linalg.qr(rng.normal(size=(m, m)))
@@ -625,12 +627,13 @@ class TestKktAndStopTest:
         D = rng.normal(size=(m, nf))
         for free in (D, np.column_stack([D[:, :3], D[:, 0]])):
             K = np.block([[M, free], [free.T, np.zeros((nf, nf))]])
-            before = K.copy()
             rhs = K @ rng.normal(size=m + nf)
-            Kinv = ipm._kkt_factor(K, m)
+            Mr, rr, lift = eliminated_kkt(M, free, rhs)
+            before = Mr.copy()
+            Kinv = ipm._kkt_factor(Mr)
             assert Kinv is not None
-            assert np.array_equal(K, before)
-            sol = ipm._kkt_solve(K, Kinv, rhs)
+            assert np.array_equal(Mr, before)
+            sol = lift(ipm._kkt_solve(Mr, Kinv, rr))
             assert np.linalg.norm(rhs - K @ sol) <= 1e-13 * np.linalg.norm(rhs)
 
     def test_optimal_gap_is_relative_to_objective(self):
@@ -654,10 +657,24 @@ def _ball_quartic_form(n, seed):
     return sdp._standardize(prob if prob.sense == "min" else prob.negated())
 
 
+def eliminated_kkt(M, D, rhs):
+    """The bordered system [[M, D], [D', 0]] sol = rhs after ``ipm._eliminate``
+    of the free columns D: U2' M U2, its rhs, and the lift of its solution
+    dy' to sol = (w + U2 dy', D^+ (rhs_M - M dy))."""
+    m = len(M)
+    _, _, U2, w, pinv = ipm._eliminate(ipm.StdForm(
+        dims=[1] * m, rows=np.eye(m), free=D, c=np.zeros(m), free_obj=rhs[m:], b=rhs[:m]))
+
+    def lift(dy2):
+        dy = w + U2 @ dy2
+        return np.concatenate([dy, pinv @ (rhs[:m] - M @ dy)])
+    return U2.T @ M @ U2, U2.T @ (rhs[:m] - M @ w), lift
+
+
 class TestFactoredLinearAlgebra:
     """Each matrix of an IPM iteration is factored once and used through its
-    factor: M = G G', the bordered KKT matrix by Cholesky factors, and the
-    triangular inverses by block recursion."""
+    factor: M = G G', M + delta I by a Cholesky factor once free columns are
+    eliminated, and the triangular inverses by block recursion."""
 
     @pytest.mark.parametrize("n", [1, 47, 48, 49, 97, 330])
     def test_triangular_inverse(self, n):
@@ -706,18 +723,20 @@ class TestFactoredLinearAlgebra:
              "repeated": np.column_stack([D[:, :3], D[:, 0]])}[free]
         nf = D.shape[1]
         K = np.block([[M, D], [D.T, np.zeros((nf, nf))]])
-        shifted = K.copy()
-        shifted[np.diag_indices(m)] += ipm._KKT_SHIFT * np.max(np.diag(M))
-        if nf:
-            shifted[m:, m:] -= ipm._KKT_SHIFT * np.max(np.abs(D)) ** 2 * np.eye(nf)
-        Kinv = ipm._kkt_factor(K, m)
         rhs = K @ rng.normal(size=m + nf)
-        got, ref = Kinv(rhs), np.linalg.solve(shifted, rhs)
-        if free == "repeated":
-            # only D u is determined to rounding: the split of u between the
-            # two equal columns rests on the shift -delta' alone, and any
-            # solver gets it to eps times the condition number (~1e13)
-            got, ref = np.concatenate([got[:m], D @ got[m:]]), np.concatenate([ref[:m], D @ ref[m:]])
+        if not nf:
+            shifted = K.copy()
+            shifted[np.diag_indices(m)] += ipm._KKT_SHIFT * np.max(np.diag(M))
+            Kinv = ipm._kkt_factor(K)
+            got, ref = Kinv(rhs), np.linalg.solve(shifted, rhs)
+        else:
+            # free columns are eliminated: the factored shifted U2' M U2
+            # against np.linalg.solve, both lifted to the bordered system's
+            # (y, u), u the least-norm split between repeated columns
+            Mr, rr, lift = eliminated_kkt(M, D, rhs)
+            shifted = Mr + ipm._KKT_SHIFT * np.max(np.diag(Mr)) * np.eye(len(Mr))
+            got, ref = lift(ipm._kkt_factor(Mr)(rr)), lift(np.linalg.solve(shifted, rr))
+            assert np.linalg.norm(D.T @ got[:m] - rhs[m:]) <= 1e-12 * np.linalg.norm(rhs[m:])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_no_inverse_or_solve_of_the_schur_complement(self, monkeypatch):
@@ -740,6 +759,67 @@ class TestFactoredLinearAlgebra:
             assert res.status == "optimal" and len(form.rows) > ipm._LEAF
             assert shapes["solve"] == []
             assert shapes["inv"] and max(s[0] for s in shapes["inv"]) <= ipm._LEAF
+
+
+def random_free_form(nf, seed, m=8, dims=(3, 2, 1, 1, 1), repeated=False):
+    """A seeded standard form with nf free columns (the last one a copy of
+    the first when ``repeated``), strictly feasible on both sides: b and c
+    are made from an interior X0, S0 and any u0, y0, and cf = D'y0."""
+    rng = np.random.default_rng(seed)
+    form = ipm.StdForm.zeros(list(dims), m, nf)
+    for a in form.blocks():
+        a[...] = rng.normal(size=a.shape)
+        a += np.swapaxes(a, -1, -2)
+    form.free[...] = rng.normal(size=(m, nf))
+    if repeated:
+        form.free[:, -1] = form.free[:, 0]
+    X0, S0 = ([B @ B.T + np.eye(d) for d, B in
+               zip(dims, (rng.normal(size=(d, d)) for d in dims))] for _ in range(2))
+    y0 = rng.normal(size=m)
+    form.b[...] = form.rows @ ipm._vec(X0) + form.free @ rng.normal(size=nf)
+    form.c[...] = y0 @ form.rows + ipm._vec(S0)
+    form.free_obj[...] = form.free.T @ y0
+    return form
+
+
+class TestFreeElimination:
+    """Free scalars are eliminated once per solve: the IPM runs on the pure
+    conic form, and X, y, u are lifted back to the form with its free
+    scalars."""
+
+    @pytest.mark.parametrize("nf,repeated", [(1, False), (4, False), (6, False), (4, True)],
+                             ids=["1", "4", "m-2", "repeated"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lifted_solution_meets_the_reported_residuals(self, nf, repeated, seed):
+        form = random_free_form(nf, seed, repeated=repeated)
+        res = ipm.solve_std(form)
+        assert res.status == "optimal"
+        x, s = ipm._vec(res.X), ipm._vec(res.S)
+        D, cf = form.free, form.free_obj
+        pres = np.linalg.norm(form.b - form.rows @ x - D @ res.u) / (1.0 + np.linalg.norm(form.b))
+        dres = max(np.linalg.norm(form.c - s - res.y @ form.rows) / (1.0 + np.linalg.norm(form.c)),
+                   np.linalg.norm(cf - D.T @ res.y) / (1.0 + np.linalg.norm(cf)))
+        pobj, dobj = form.c @ x + cf @ res.u, form.b @ res.y
+        assert abs(pres - res.pres) <= 1e-13 and abs(dres - res.dres) <= 1e-13
+        assert abs(pobj - res.pobj) <= 1e-12 * max(1.0, abs(pobj))
+        assert abs(dobj - res.dobj) <= 1e-12 * max(1.0, abs(dobj))
+        assert ipm.relative_gap(pobj, dobj) <= 1e-8
+        assert np.linalg.norm(D.T @ res.y - cf) <= 1e-13 * (1.0 + np.linalg.norm(cf))
+
+    def test_free_cost_on_a_zero_column_is_a_primal_ray(self):
+        # u_j appears in no row, and its cost is nonzero: the feasible form
+        # is unbounded below along u_j
+        form = random_free_form(3, 0)
+        form.free[:, 1] = 0.0
+        form.free_obj[1] = 1.0
+        res = ipm.solve_std(form)
+        assert res.status == "dual_infeasible_cert"
+        assert res.pres <= 1e-8 and res.dres >= 1.0 / (1.0 + np.linalg.norm(form.free_obj))
+
+    def test_elimination_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="soskit.ipm"):
+            ipm.solve_std(random_free_form(4, 0, repeated=True))
+        assert "free scalars eliminated: 8 rows -> 5, rank 3, 4 free" in caplog.text
 
 
 class TestCheckFeasible:
