@@ -410,12 +410,12 @@ def cmd_apcount_tables(args) -> int:
 
 def cmd_theta(args, prime: bool) -> int:
     g = _load_graph(args.graph)
-    prob = graphs.theta_problem(g, prime=prime)
-    sol = sdp.solve(prob, tol=args.tol)
+    sol, classes = graphs.theta(g, prime=prime, tol=args.tol)
     payload = {
         "problem": "theta-prime" if prime else "theta",
         "params": {"vertices": g.n, "edges": len(g.edges)},
         "bound": sol.primal_obj,
+        "classes": classes,
         "result": sol.to_json(),
     }
     _emit(payload, args.out)

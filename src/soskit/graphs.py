@@ -4,13 +4,16 @@ inequalities alpha <= theta' <= theta <= chi(complement)."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from soskit import sdp
+from soskit import sdp, symmetry
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,8 @@ class Graph:
             edges.append((u, v))
             top = max(top, u, v)
         size = n if n is not None else top + 1
+        if size < 1:
+            raise ValueError("no vertices")
         return Graph.from_edges(size, edges)
 
     def complement(self) -> "Graph":
@@ -109,9 +114,78 @@ def theta_problem(g: Graph, prime: bool = False) -> sdp.SdpProblem:
     return sdp.SdpProblem(block_dims=[n], C=[np.ones((n, n))], rows=rows, sense="max")
 
 
+def pair_colours(g: Graph) -> np.ndarray:
+    """The (n, n) colouring of vertex pairs: 0 on the diagonal, 1 on edges
+    and 2 on non-edges."""
+    colour = np.full((g.n, g.n), 2)
+    if g.edges:
+        u, v = np.array(sorted(g.edges)).T
+        colour[u, v] = colour[v, u] = 1
+    np.fill_diagonal(colour, 0)
+    return colour
+
+
+def theta(g: Graph, prime: bool = False,
+          tol: float = 1e-9) -> Tuple[sdp.SdpSolution, Optional[int]]:
+    """Solve theta(G), or theta'(G) with prime, in the coherent closure of
+    G; returns the solution and the number of classes d, or None when the
+    closure has n or more classes and theta_problem is solved as it is.
+
+    The closure (symmetry.coherent_closure of the colouring diagonal /
+    edge / non-edge) is a coherent configuration whose classes refine the
+    edge pattern, and its span is a unital *-algebra of n x n matrices
+    containing J.  Averaging a matrix over each class is the
+    trace-preserving conditional expectation onto that algebra: it keeps
+    X PSD, keeps the sign of every entry, tr X and <J, X>, and keeps the
+    zeros on edge classes, since every class lies inside the edges or
+    outside them.  So the average of an optimal X is an optimal X in the
+    algebra, and the problem may be solved there exactly (de Klerk,
+    Pasechnik & Schrijver 2007, Math. Prog. 109, for a group's orbits;
+    Schrijver 1979, IEEE TIT 25, for theta' on Hamming graphs, which is
+    Delsarte's LP bound).  With X = sum_g x_g B_g over the transpose-paired
+    groups g of sym_groups() (B_g the sum of E_j/sqrt(t_j) over j in g), the
+    reduced problem is
+        max  sum_g x_g * sum_{j in g} sqrt(t_j)
+        s.t. sum of x_g sqrt(t_g) over diagonal classes = 1   (trace)
+             x_g >= 0 on off-diagonal non-edge classes          (theta' only)
+             sum_g x_g L_g >= 0                                 (PSD)
+    with no variable for an edge class, and L_g the regular
+    *-representation of B_g (symmetry.orbit_basis), d x d.
+    """
+    n = g.n
+    if n < 1:
+        raise ValueError("no vertices")
+    colour = pair_colours(g)
+    label = symmetry.coherent_closure(colour)
+    if label is None:
+        log.debug("theta%s: coherent closure has >= %d classes; solving the full "
+                  "problem", "'" if prime else "", n)
+        return sdp.solve(theta_problem(g, prime=prime), tol=tol), None
+
+    basis = symmetry.orbit_basis(label)
+    kind = [colour[o[0]] for o in basis.orbits]     # 0 diagonal, 1 edge, 2 non-edge
+    groups = [grp for grp in basis.sym_groups() if kind[grp[0]] != 1]
+    root = np.sqrt(np.array(basis.sizes, dtype=float))
+    rows = [sdp.LinearRow(free={v: root[grp[0]] for v, grp in enumerate(groups)
+                                if kind[grp[0]] == 0}, rhs=1.0, label="trace")]
+    if prime:
+        rows += [sdp.LinearRow(free={v: -1.0}, rhs=0.0, rel="<=", label=f"nn{grp}")
+                 for v, grp in enumerate(groups) if kind[grp[0]] == 2]
+    psd = sdp.MatrixIneq(basis.d, np.zeros((basis.d, basis.d)),
+                         {v: sum(basis.L_float[j] for j in grp)
+                          for v, grp in enumerate(groups)}, label="class_psd")
+    reduced = sdp.SdpProblem(n_free=len(groups),
+                             free_obj=[root[list(grp)].sum() for grp in groups],
+                             rows=rows, lmis=[psd], sense="max",
+                             free_names=[f"x{grp}" for grp in groups])
+    log.debug("theta%s: %d vertices reduced to %d classes, %d variables",
+              "'" if prime else "", n, basis.d, len(groups))
+    return sdp.solve(reduced, tol=tol), basis.d
+
+
 def lovasz_theta(g: Graph, tol: float = 1e-9) -> float:
     """theta(G) = max tr(JX) : tr(X) = 1, X_uv = 0 on edges, X >= 0 (PSD)."""
-    sol = sdp.solve(theta_problem(g), tol=tol)
+    sol, _ = theta(g, tol=tol)
     if sol.status != sdp.OPTIMAL:
         raise RuntimeError(f"theta solve did not converge: {sol.status}")
     return sol.primal_obj
@@ -119,7 +193,7 @@ def lovasz_theta(g: Graph, tol: float = 1e-9) -> float:
 
 def lovasz_theta_prime(g: Graph, tol: float = 1e-9) -> float:
     """theta'(G): theta with X additionally entrywise nonnegative."""
-    sol = sdp.solve(theta_problem(g, prime=True), tol=tol)
+    sol, _ = theta(g, prime=True, tol=tol)
     if sol.status != sdp.OPTIMAL:
         raise RuntimeError(f"theta' solve did not converge: {sol.status}")
     return sol.primal_obj

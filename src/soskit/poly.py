@@ -56,20 +56,39 @@ def monomial_cmp(a: Monomial, b: Monomial) -> int:
     return 0
 
 
-def monomials_up_to_degree(n: int, r: int) -> list[Monomial]:
-    """All exponent vectors over n variables with total degree <= r, sorted."""
+def _degree_levels(n: int, r: int) -> list[list[Monomial]]:
+    """The exponent vectors over n variables of each degree 0..r, each
+    degree in descending lexicographic order: combinations_with_replacement
+    yields the sorted index tuples in ascending lexicographic order, and at
+    the first index where two tuples differ the smaller one puts one more
+    unit on that variable, with equal exponents on every variable before
+    it."""
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
-    out: list[Monomial] = []
-    for k in range(r + 1):  # the order is graded, so each degree sorts alone
+    levels = []
+    for k in range(r + 1):
         level = []
         for combo in combinations_with_replacement(range(n), k):
             e = [0] * n
             for i in combo:
                 e[i] += 1
             level.append(tuple(e))
+        levels.append(level)
+    return levels
+
+
+def monomials_up_to_degree(n: int, r: int) -> list[Monomial]:
+    """All exponent vectors over n variables with total degree <= r, sorted."""
+    out: list[Monomial] = []
+    for level in _degree_levels(n, r):  # the order is graded, so each degree sorts alone
         out += sorted(level, key=monomial_sort_key)
     return out
+
+
+def monomials_graded_lex(n: int, r: int) -> list[Monomial]:
+    """All exponent vectors over n variables with total degree <= r, by
+    degree and then in descending lexicographic order, with no sort."""
+    return [m for level in _degree_levels(n, r) for m in level]
 
 
 def _as_exact(value) -> Fraction:

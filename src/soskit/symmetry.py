@@ -14,6 +14,10 @@ are integers, and the float L_k are computed from them directly.  The exact
 lam, sums of rational multiples of square roots of squarefree integers, are
 computed from the counts only when read (phi_check reads them).
 
+Nothing above needs a group: the same basis and L_k exist for the classes
+of any coherent configuration (orbit_basis), and coherent_closure finds the
+coarsest one refining a colouring of the pairs, such as a graph's edges.
+
 Both reducers, reduce_sdp for an invariant SDP and symmetric_sos_dual for an
 invariant polynomial program, restrict a Gram block to the commutant the
 same way: _orbit_coordinates projects the block's coefficient rows onto the
@@ -24,6 +28,7 @@ expansion (relax.gram_rows) that the unreduced SOS dual uses.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,10 +39,11 @@ import numpy as np
 
 from soskit import sdp
 from soskit.moment import monomial_vector
-from soskit.poly import Monomial, mono_mul, monomials_up_to_degree
+from soskit.poly import Monomial, mono_mul, monomials_graded_lex, monomials_up_to_degree
 from soskit.relax import PolyProgram, check_order, gram_rows
 
 GROUP_ENUMERATION_CAP = 10 ** 6
+CLOSURE_CHUNK = 2 ** 22     # signature entries per chunk of coherent_closure
 
 T = TypeVar("T")
 
@@ -368,33 +374,122 @@ def _orbit_lists(label: np.ndarray) -> List[List[Tuple[int, int]]]:
     return [pairs[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def _first_seen(label: np.ndarray) -> Tuple[np.ndarray, int]:
+    """label renumbered 0..d-1 by first pair in row-major order, and d."""
+    values, first, inv = np.unique(label, return_index=True, return_inverse=True)
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(values))
+    return rank[inv].reshape(label.shape), len(values)
+
+
+def _unique_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a and each row's index among them, as
+    np.unique(a, axis=0) but grouped by a 64-bit hash of each row first (a
+    product with random odd weights, wrapping mod 2**64).  Every row is
+    compared with its group's first row, so a hash collision cannot merge
+    two rows: it sends the call to np.unique's sort of the rows."""
+    rng = random.Random(a.shape[1])
+    weights = np.array([rng.getrandbits(62) * 2 + 1 for _ in range(a.shape[1])])
+    _, first, inv = np.unique(a @ weights, return_index=True, return_inverse=True)
+    if not np.array_equal(a, a[first[inv]]):
+        return np.unique(a, axis=0, return_inverse=True)
+    return a[first], inv
+
+
+def _refine(c: np.ndarray, d: int) -> Optional[Tuple[np.ndarray, int]]:
+    """One round of two-dimensional Weisfeiler-Leman refinement of the pair
+    colouring c with d colours: the new colour of (x, y) is its signature,
+    (c(x, y), c(y, x), the multiset of (c(x, z), c(z, y)) over all z).  The
+    multiset is the row of keys c(x, z)*d + c(z, y) sorted over z, built
+    for a chunk of rows x at a time; a dict from signature bytes to colour
+    holds fewer than n signatures, since None is returned as soon as there
+    are n of them."""
+    n = c.shape[0]
+    dtype = np.int32 if d * d < 2 ** 31 else np.int64
+    c = c.astype(dtype)
+    ct = np.ascontiguousarray(c.T)
+    colour: Dict[bytes, int] = {}
+    out = np.empty((n, n), dtype=np.int64)
+    step = max(1, CLOSURE_CHUNK // (n * n))
+    for x0 in range(0, n, step):
+        xs = slice(x0, min(n, x0 + step))
+        sig = np.empty((xs.stop - x0, n, n + 2), dtype=dtype)   # [x, y, :]
+        sig[:, :, 0] = c[xs]
+        sig[:, :, 1] = ct[xs]
+        keys = sig[:, :, 2:]
+        np.add(c[xs, None, :] * dtype(d), ct[None, :, :], out=keys)
+        keys.sort(axis=2)
+        rows, inv = _unique_rows(sig.reshape(-1, n + 2))
+        if len(rows) >= n:
+            return None
+        ids = np.array([colour.setdefault(r.tobytes(), len(colour)) for r in rows])
+        if len(colour) >= n:
+            return None
+        out[xs] = ids[inv.ravel()].reshape(-1, n)
+    return out, len(colour)
+
+
+def coherent_closure(label: np.ndarray) -> Optional[np.ndarray]:
+    """The coarsest coherent configuration whose classes refine the pair
+    colouring label (n, n), by two-dimensional Weisfeiler-Leman refinement
+    (Weisfeiler & Leman 1968; Higman's coherent configurations): colours
+    are refined by _refine until their number stops growing.  The stable
+    colouring is coherent: every class has the same walk counts c_{ij}^k
+    at each of its pairs, the diagonal is a union of classes when label
+    gives the diagonal colours of its own, and the transpose of a class is
+    a class.  Returns the classes numbered by their first pair in row-major
+    order, ready for orbit_basis, or None as soon as there are n or more
+    classes, where an algebra no smaller than the n x n matrices is no
+    reduction.  Each round takes O(n^2) memory per row of a chunk of
+    CLOSURE_CHUNK / n^2 rows, and nothing sized by pairs of classes."""
+    c, d = _first_seen(np.asarray(label))
+    n = c.shape[0]
+    while d < n:
+        step = _refine(c, d)
+        if step is None:
+            return None
+        c, grown = step
+        if grown == d:
+            return _first_seen(c)[0]
+        d = grown
+    return None
+
+
 def commutant_basis(action: GroupAction) -> OrbitBasis:
-    """Orbit basis of the commutant.  Its multiplication parameters are
+    """Orbit basis of the commutant: the basis of its pair orbits."""
+    return orbit_basis(_pair_orbits(action))
+
+
+def orbit_basis(label: np.ndarray) -> OrbitBasis:
+    """Basis of the coherent algebra spanned by the classes of a pair
+    labelling: label[x, y] in 0..d-1 is the class of (x, y), classes
+    numbered by their first pair in row-major order, as _pair_orbits and
+    coherent_closure number them.  Its multiplication parameters are
     lam_{ij}^k = c_{ij}^k * sqrt(t_k/(t_i t_j)), where c counts walks
-    E_i E_j = sum_k c_{ij}^k E_k: for any (x, y) in orbit k,
-    c_{ij}^k = #{z : (x, z) in orbit i, (z, y) in orbit j}.  The float
-    matrices L_k come from the integer counts; the exact lam is built only
-    when read."""
-    orbit_of = _pair_orbits(action)
-    pair_orbits = _orbit_lists(orbit_of)
-    n = action.size
+    E_i E_j = sum_k c_{ij}^k E_k: for any (x, y) in class k,
+    c_{ij}^k = #{z : (x, z) in class i, (z, y) in class j}.  An
+    AssertionError says the count is not constant on some class, i.e. the
+    classes are not a coherent configuration.  The float matrices L_k come
+    from the integer counts; the exact lam is built only when read."""
+    pair_orbits = _orbit_lists(label)
+    n = label.shape[0]
     d = len(pair_orbits)
     sizes = [len(o) for o in pair_orbits]
     first_x = np.array([o[0][0] for o in pair_orbits], dtype=np.int64)
     first_y = np.array([o[0][1] for o in pair_orbits], dtype=np.int64)
-    transpose_of = orbit_of[first_y, first_x].tolist()
+    transpose_of = label[first_y, first_x].tolist()
 
     # counts[k, i*d + j] = c_{ij}^k, read off the first pair of orbit k; one
     # row x at a time, every pair (x, y) must count the same as its orbit's
     counts = np.empty((d, d * d), dtype=np.int64)
     key_y = np.arange(n) * (d * d)
     for x in range(n):
-        key = key_y[None, :] + orbit_of[x][:, None] * d + orbit_of   # [z, y]
+        key = key_y[None, :] + label[x][:, None] * d + label   # [z, y]
         walks = np.bincount(key.ravel(), minlength=n * d * d).reshape(n, d * d)
         here = first_x == x
         counts[here] = walks[first_y[here]]
-        if not np.array_equal(walks, counts[orbit_of[x]]):
-            raise AssertionError("commutant product not orbit-constant")
+        if not np.array_equal(walks, counts[label[x]]):
+            raise AssertionError("walk counts not constant on a class: not coherent")
     counts = counts.reshape(d, d, d)
 
     # (L_k)_{ij} = lam_{kj}^i = c_{kj}^i * s / (t_k t_j) * sqrt(r), where
@@ -412,7 +507,7 @@ def commutant_basis(action: GroupAction) -> OrbitBasis:
     L_float[k, i, j] = counts[i, k, j] * s / (t[k] * t[j]) * root
 
     return OrbitBasis(size=n, orbits=pair_orbits, sizes=sizes, transpose_of=transpose_of,
-                      label=orbit_of, counts=counts, L_float=L_float)
+                      label=label, counts=counts, L_float=L_float)
 
 
 def phi_check(basis: OrbitBasis, x: Sequence, y: Sequence) -> bool:
@@ -676,7 +771,7 @@ def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
         ineq_perms.append(_permutation_of(ineq_terms, image, "inequalities", gi))
         eq_perms.append(_permutation_of(eq_terms, image, "equalities", gi))
 
-    monos = sorted(monomials_up_to_degree(n, s), key=lambda m: (sum(m), [-e for e in m]))
+    monos = monomials_graded_lex(n, s)
     mono_orbits = orbits(monos, moves)
     row_of = {m: k for k, o in enumerate(mono_orbits) for m in o}
     nrows = len(mono_orbits)

@@ -139,6 +139,13 @@ def graph_corpus() -> List[Tuple[str, Graph]]:
     return out
 
 
+def petersen() -> Graph:
+    """The Kneser graph K(5, 2): 2-subsets of {0..4}, adjacent when disjoint."""
+    pairs = list(itertools.combinations(range(5), 2))
+    return Graph.from_edges(10, [(i, j) for i, j in itertools.combinations(range(10), 2)
+                                 if not set(pairs[i]) & set(pairs[j])])
+
+
 @pytest.fixture(scope="session")
 def graphs_small():
     return graph_corpus()

@@ -427,6 +427,26 @@ class TestTheta:
         assert 2 - 1e-6 <= data["bound"] <= 5 ** 0.5 + 1e-6
 
     @pytest.mark.parametrize("kind", ["compute", "prime"])
+    def test_classes(self, capsys, c5_file, kind):
+        code, data = run(capsys, "theta", kind, "--graph", c5_file)
+        assert code == 0 and data["classes"] == 3
+
+    def test_classes_null_on_fallback(self, capsys, tmp_path):
+        path = tmp_path / "p4.txt"
+        path.write_text("0 1\n1 2\n2 3\n")
+        code, data = run(capsys, "theta", "compute", "--graph", str(path))
+        assert code == 0 and data["classes"] is None
+        assert abs(data["bound"] - 2) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["compute", "prime"])
+    def test_no_edges_no_vertices(self, capsys, tmp_path, kind):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no edges\n")
+        assert cli.main(["theta", kind, "--graph", str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert "error: bad edge list" in err and "no vertices" in err
+
+    @pytest.mark.parametrize("kind", ["compute", "prime"])
     def test_missing_graph(self, capsys, kind):
         assert cli.main(["theta", kind, "--graph", "/nonexistent.txt"]) == 1
         assert "error: input file not found" in capsys.readouterr().err

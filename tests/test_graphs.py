@@ -1,7 +1,10 @@
+import logging
 import random
+from fractions import Fraction
 
 import pytest
 
+from soskit import sdp
 from soskit.graphs import (
     Graph,
     brute_force_alpha,
@@ -10,7 +13,11 @@ from soskit.graphs import (
     hamming_graph,
     lovasz_theta,
     lovasz_theta_prime,
+    theta,
+    theta_problem,
 )
+
+from conftest import petersen
 
 
 class TestGraph:
@@ -22,6 +29,10 @@ class TestGraph:
         g = Graph.cycle(5)
         assert len(g.complement().edges) == 5
         assert g.complement().complement() == g
+
+    def test_no_vertices(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            Graph.parse_edge_list("# nothing\n\n")
 
     def test_rejects_loops(self):
         with pytest.raises(ValueError):
@@ -113,3 +124,60 @@ class TestSandwich:
             t = lovasz_theta(g)
             tp = lovasz_theta_prime(g)
             assert alpha - 1e-6 <= tp <= t + 1e-6 <= chi_bar + 2e-6, name
+
+
+REDUCED = {
+    "C5": Graph.cycle(5), "C7": Graph.cycle(7), "petersen": petersen(),
+    "K33": Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)]),
+    "K15": Graph.from_edges(6, [(0, i) for i in range(1, 6)]),
+    "empty4": Graph.empty(4), "K4": Graph.complete(4),
+    "H242": hamming_graph(2, 4, 2), "H243": hamming_graph(2, 4, 3),
+    "H253": hamming_graph(2, 5, 3), "H332": hamming_graph(3, 3, 2),
+}
+
+# (theta, theta') of the Hamming graphs; theta' is Delsarte's LP bound
+HAMMING_BOUNDS = {"H242": (8, 8), "H243": (Fraction(8, 3), Fraction(8, 3)),
+                  "H253": (Fraction(16, 3), 4), "H332": (9, 9)}
+
+
+class TestReducedTheta:
+    @pytest.mark.parametrize("prime", [False, True], ids=["theta", "prime"])
+    @pytest.mark.parametrize("name", REDUCED)
+    def test_equals_full_solve(self, name, prime):
+        g = REDUCED[name]
+        sol, classes = theta(g, prime=prime)
+        full = sdp.solve(theta_problem(g, prime=prime), tol=1e-9)
+        assert classes is not None and classes < g.n
+        assert sol.status == full.status == sdp.OPTIMAL
+        assert abs(sol.primal_obj - full.primal_obj) < 1e-6
+        if name in HAMMING_BOUNDS:
+            assert abs(sol.primal_obj - float(HAMMING_BOUNDS[name][prime])) < 1e-6
+
+    @pytest.mark.parametrize("n, size", [(6, 8), (7, 16)])
+    def test_binary_codes_of_distance_3(self, n, size):
+        # theta'(H(2, n, 3)) = A_2(n, 3): 8 at n = 6 and 16 at n = 7
+        sol, classes = theta(hamming_graph(2, n, 3), prime=True)
+        assert sol.status == sdp.OPTIMAL and classes < 2 ** n
+        assert abs(sol.primal_obj - size) < 1e-6
+
+    @pytest.mark.parametrize("prime", [False, True], ids=["theta", "prime"])
+    @pytest.mark.parametrize("g", [Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+                                   Graph.from_edges(5, [(0, i) for i in range(1, 5)])],
+                             ids=["P4", "star5"])
+    def test_falls_back_to_the_full_problem(self, g, prime, caplog):
+        with caplog.at_level(logging.DEBUG, logger="soskit.graphs"):
+            sol, classes = theta(g, prime=prime)
+        full = sdp.solve(theta_problem(g, prime=prime), tol=1e-9)
+        assert classes is None
+        assert (sol.status, sol.primal_obj, sol.dual_obj) == \
+            (full.status, full.primal_obj, full.dual_obj)
+        assert "solving the full problem" in caplog.text
+
+    def test_logs_the_reduction(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="soskit.graphs"):
+            theta(Graph.cycle(5))
+        assert "5 vertices reduced to 3 classes" in caplog.text
+
+    def test_no_vertices(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            theta(Graph.empty(0))

@@ -10,6 +10,7 @@ from soskit.poly import (
     Polynomial,
     monomial_cmp,
     monomial_sort_key,
+    monomials_graded_lex,
     monomials_up_to_degree,
     motzkin,
 )
@@ -75,6 +76,13 @@ def recursive_monomials(n, r):
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(5)] + [(13, 3)])
 def test_monomials_match_the_recursive_walk(n, r):
     assert monomials_up_to_degree(n, r) == recursive_monomials(n, r)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(5)] + [(13, 3)])
+def test_graded_lex_order_without_a_sort(n, r):
+    # degree first, then descending lexicographic order of the exponents
+    expect = sorted(recursive_monomials(n, r), key=lambda m: (sum(m), [-e for e in m]))
+    assert monomials_graded_lex(n, r) == expect
 
 
 class TestArithmetic:

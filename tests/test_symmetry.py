@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from soskit import sdp
-from soskit.graphs import Graph, theta_problem
+from soskit import apcount, symmetry
+from soskit.graphs import Graph, hamming_graph, pair_colours, theta_problem
 from soskit.moment import monomial_vector
 from soskit.apcount import density_relaxation_program, mono_program
 from soskit.poly import Polynomial, mono_mul, monomials_up_to_degree
@@ -15,6 +16,7 @@ from soskit.symmetry import (
     GroupAction,
     RadicalSum,
     affine_action,
+    coherent_closure,
     commutant_basis,
     compose,
     cyclic_action,
@@ -22,6 +24,7 @@ from soskit.symmetry import (
     group_average,
     inverse,
     named_action,
+    orbit_basis,
     orbits,
     perm_matrix,
     phi_check,
@@ -35,7 +38,10 @@ from soskit.symmetry import (
     _pair_orbits,
     _permutation_of,
     _stabilizer,
+    _unique_rows,
 )
+
+from conftest import petersen
 
 
 def theta_problem_cycle(n):
@@ -241,6 +247,109 @@ class TestPairOrbits:
         x = np.arange(1.0, b.d + 1)
         expect = sum(xi / b.sizes[i] ** 0.5 * b.E(i) for i, xi in enumerate(x))
         assert np.array_equal(b.lift(x), expect)
+
+
+def star(leaves):
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def random_graph(n, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < 0.5])
+
+
+CLOSED_GRAPHS = {
+    "C5": Graph.cycle(5), "C8": Graph.cycle(8), "petersen": petersen(),
+    "K15": star(5), "K4": Graph.complete(4), "empty4": Graph.empty(4),
+    "H242": hamming_graph(2, 4, 2), "H253": hamming_graph(2, 5, 3),
+    "H332": hamming_graph(3, 3, 2),
+}
+
+
+class TestCoherentClosure:
+    @pytest.mark.parametrize("name", CLOSED_GRAPHS)
+    def test_coherent_and_closed_under_transpose(self, name):
+        colour = pair_colours(CLOSED_GRAPHS[name])
+        b = orbit_basis(coherent_closure(colour))   # asserts constant walk counts
+        assert b.d < b.size
+        for i in range(b.d):
+            assert np.array_equal(b.E(i).T, b.E(b.transpose_of[i]))
+            # every class lies inside one colour, and classes are numbered
+            # by their first pair in row-major order
+            assert len({int(colour[x, y]) for x, y in b.orbits[i]}) == 1
+        assert [o[0] for o in b.orbits] == sorted(o[0] for o in b.orbits)
+
+    def test_rejects_a_labelling_that_is_not_coherent(self):
+        # the colouring of the path P4 itself: the two ends and the two
+        # inner vertices share a diagonal colour
+        colour = pair_colours(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        with pytest.raises(AssertionError, match="not coherent"):
+            orbit_basis(colour)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_hamming_classes_are_distances(self, n):
+        assert orbit_basis(coherent_closure(pair_colours(hamming_graph(2, n, 2)))).d == n + 1
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_cycle(self, n):
+        assert orbit_basis(coherent_closure(pair_colours(Graph.cycle(n)))).d == n // 2 + 1
+
+    def test_petersen_and_star(self):
+        assert orbit_basis(coherent_closure(pair_colours(petersen()))).d == 3
+        b = orbit_basis(coherent_closure(pair_colours(star(5))))
+        assert b.d == 5
+        assert sum(t != i for i, t in enumerate(b.transpose_of)) == 2   # one pair
+
+    @pytest.mark.parametrize("g", [Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+                                   random_graph(12, 1), random_graph(32, 2),
+                                   random_graph(48, 3)],
+                             ids=["P4", "rand12", "rand32", "rand48"])
+    def test_gives_up_at_n_classes(self, g):
+        assert coherent_closure(pair_colours(g)) is None
+
+    def test_chunked_rounds_agree(self, monkeypatch):
+        colour = pair_colours(hamming_graph(2, 5, 3))
+        whole = coherent_closure(colour)
+        monkeypatch.setattr(symmetry, "CLOSURE_CHUNK", 1)   # one row per chunk
+        assert np.array_equal(coherent_closure(colour), whole)
+
+    def test_unique_rows_survive_hash_collisions(self, monkeypatch):
+        a = np.array([[0, 2], [1, 1], [2, 0], [1, 1]])
+
+        class Flat:                 # all weights 1: every row hashes to its sum
+            def __init__(self, seed):
+                pass
+
+            def getrandbits(self, k):
+                return 0
+
+        monkeypatch.setattr(symmetry.random, "Random", Flat)
+        rows, inv = _unique_rows(a)
+        assert rows.tolist() == [[0, 2], [1, 1], [2, 0]]
+        assert inv.ravel().tolist() == [0, 1, 2, 1]
+
+    def test_commutant_basis_is_orbit_basis_of_pair_orbits(self, monkeypatch):
+        # every action that the symmetric density and mono builds reduce by
+        seen = []
+        real = symmetry.commutant_basis
+
+        def recording(action):
+            seen.append(action)
+            return real(action)
+
+        monkeypatch.setattr(symmetry, "commutant_basis", recording)
+        for p in (5, 7, 11, 13):
+            apcount.build_density_relaxation(p, (p + 1) // 2, use_symmetry=True)
+        for n in range(3, 25):
+            apcount.build_mono_relaxation(n, use_symmetry=True)
+        assert len(seen) > 26
+        for action in seen:
+            a, b = real(action), orbit_basis(_pair_orbits(action))
+            assert (a.orbits, a.sizes, a.transpose_of) == (b.orbits, b.sizes, b.transpose_of)
+            for field in ("label", "counts", "L_float"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestPhiCheck:
