@@ -4,7 +4,8 @@ Commands mirror the pipeline: build a relaxation, optionally reduce it by
 symmetry, solve, extract a certificate and re-verify.  All results are JSON,
 with NaN and infinities written as null (human tables are rendered from the
 JSON, never computed separately); output is deterministic for a fixed config
-and seed.  Exit codes: 0 conclusive, 2 inconclusive solve, 1 error.
+and seed.  Exit codes: 0 conclusive, 2 inconclusive solve, 1 error,
+a usage error included (argparse's own 2 would read as inconclusive).
 SOSKIT_LOG=debug|info|quiet controls stderr verbosity.
 """
 
@@ -525,7 +526,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_ERROR if e.code else EXIT_OK
     try:
         return args.func(args)
     except CliError as e:

@@ -4,10 +4,12 @@ A problem holds PSD variable blocks X_b, free scalar variables u, scalar
 rows  sum_b <A_kb, X_b> + d_k.u  (<= or ==)  b_k, and matrix inequalities
 G0 + sum_j u_j G_j >= 0 over the free scalars.  This mixed form is closed
 under Lagrangian duality: blocks dualize to matrix inequalities and rows to
-free scalars, so ``dual_of`` is an involution: dualizing twice returns
-the problem itself, except that a diagonal matrix inequality, whose dual
-multiplier is one 1x1 block per diagonal entry, returns as that many 1x1
-inequalities.
+free scalars, except a sign row u_j >= 0 of a min problem (u_j <= 0 of a
+max one), whose multiplier only makes u_j's dual row an inequality.  So
+``dual_of`` is an involution: dualizing twice returns the problem itself,
+except that a diagonal matrix inequality, whose dual multiplier is one 1x1
+block per diagonal entry, returns as that many 1x1 inequalities.  ``solve``
+may hand the IPM that dual, and reads the solution off it, roles swapped.
 """
 
 from __future__ import annotations
@@ -155,6 +157,7 @@ class SdpSolution:
             "gap": self.gap,
             "iterations": self.iterations,
             "orientation": self.orientation,
+            "marginal": self.marginal,
         }
 
 
@@ -264,7 +267,7 @@ def _lift_witness(A, pivots, w) -> List[Fraction]:
 
 # -- duality -----------------------------------------------------------------
 
-def dual_of(p: SdpProblem, simplify: bool = True) -> SdpProblem:
+def dual_of(p: SdpProblem) -> SdpProblem:
     """Lagrangian dual in the same mixed form, with textbook signs.
 
     Blocks become matrix inequalities over the row multipliers v, matrix
@@ -282,42 +285,65 @@ def dual_of(p: SdpProblem, simplify: bool = True) -> SdpProblem:
     so the dual bounds the primal on the correct side and its multipliers of
     inequality rows are nonnegative.  The multiplier Z_l of a diagonal
     inequality is diagonal, so it is l.dim 1x1 blocks in Z_l's place, one
-    per diagonal entry, which the IPM solves on its LP cone.  With simplify,
-    sign-constrained slack scalars left over from dualizing inequality rows
-    are folded back into inequality rows, which makes dualizing twice return
-    the original problem.
+    per diagonal entry, which the IPM solves on its LP cone.
+
+    A sign row a*u_j <= 0 (no blocks, rhs 0) that is u_j's only one and has
+    the sign of the dual's own sign rows, a < 0 for min and a > 0 for max
+    (``_sign_rows``), gets no multiplier: the multiplier's sign only makes
+    u_j's row an inequality, written ``<=`` without it.  So dualizing twice
+    returns the problem: the dual's sign rows fold back into the inequality
+    rows, and its ``<=`` rows return as the sign rows -u_j <= 0 (u_j <= 0
+    for max), after the other rows, in order of j.
     """
     sign = 1.0 if p.sense == "min" else -1.0
+    folded, kept = _sign_rows(p)
+    v = {k: i for i, k in enumerate(kept)}  # row k's multiplier, a dual free scalar
     first = np.cumsum([0] + [len(_split(l, l.const)) for l in p.lmis])  # Z_l's first block
     d_rows: List[LinearRow] = []
-    for j in range(p.n_free):  # one equality per primal free scalar
+    for j in range(p.n_free):  # one row per primal free scalar
         blocks = {int(first[li]) + t: sign * g for li, l in enumerate(p.lmis) if j in l.coeffs
                   for t, g in enumerate(_split(l, l.coeffs[j]))}
-        free = {k: r.free[j] for k, r in enumerate(p.rows) if j in r.free}
+        free = {v[k]: p.rows[k].free[j] for k in kept if j in p.rows[k].free}
         d_rows.append(LinearRow(blocks=blocks, free=free, rhs=float(p.free_obj[j]),
-                                rel="==", label=f"free[{j}]"))
-    for k, r in enumerate(p.rows):  # sign constraint for inequality rows
-        if r.rel == "<=":
-            d_rows.append(LinearRow(free={k: sign}, rhs=0.0, rel="<=",
+                                rel="<=" if j in folded else "==", label=f"free[{j}]"))
+    for k in kept:  # sign constraint for the other inequality rows
+        if p.rows[k].rel == "<=":
+            d_rows.append(LinearRow(free={v[k]: sign}, rhs=0.0, rel="<=",
                                     label=f"sign[{k}]"))
 
     d_lmis: List[MatrixIneq] = []
     for b, dim in enumerate(p.block_dims):  # sign * (C_b - sum_k v_k A_kb) >= 0
-        coeffs = {k: -sign * r.blocks[b] for k, r in enumerate(p.rows) if b in r.blocks}
+        coeffs = {v[k]: -sign * p.rows[k].blocks[b] for k in kept if b in p.rows[k].blocks}
         d_lmis.append(MatrixIneq(dim=dim, const=sign * p.C[b], coeffs=coeffs,
                                  label=f"block[{b}]"))
 
     C = [-sign * g for l in p.lmis for g in _split(l, l.const)]
-    dual = SdpProblem(
+    return SdpProblem(
         block_dims=[len(c) for c in C],
         C=C,
-        n_free=len(p.rows),
-        free_obj=np.array([r.rhs for r in p.rows], dtype=float),
+        n_free=len(kept),
+        free_obj=np.array([p.rows[k].rhs for k in kept], dtype=float),
         rows=d_rows,
         lmis=d_lmis,
         sense="max" if p.sense == "min" else "min",
     )
-    return _eliminate_slack_scalars(dual) if simplify else dual
+
+
+def _sign_rows(p: SdpProblem) -> Tuple[Dict[int, int], List[int]]:
+    """The sign rows that ``dual_of`` folds, as {j: k}, and the other rows,
+    which keep their multipliers.  Row k is a*u_j <= 0 with no blocks and
+    rhs 0, u_j's only such row, and sign*a < 0.  With sign*a > 0 u_j's row
+    would be negated, and its bidual hold -u_j, so that row keeps its
+    multiplier, as do two sign rows of one scalar."""
+    sign = 1.0 if p.sense == "min" else -1.0
+    found: Dict[int, List[int]] = {}
+    for k, r in enumerate(p.rows):
+        if r.rel == "<=" and not r.blocks and len(r.free) == 1 and r.rhs == 0.0:
+            found.setdefault(next(iter(r.free)), []).append(k)
+    folded = {j: ks[0] for j, ks in found.items()
+              if len(ks) == 1 and sign * p.rows[ks[0]].free[j] < 0}
+    dropped = set(folded.values())
+    return folded, [k for k in range(len(p.rows)) if k not in dropped]
 
 
 def _split(l: MatrixIneq, g: np.ndarray) -> List[np.ndarray]:
@@ -338,69 +364,6 @@ def _multipliers(lmis: Sequence[MatrixIneq], blocks: Sequence[np.ndarray]) -> Li
             Z.append(blocks[b])
             b += 1
     return Z
-
-
-def _eliminate_slack_scalars(p: SdpProblem) -> SdpProblem:
-    """Fold out free scalars that act as pure inequality slacks: zero
-    objective, no matrix-inequality coefficients, one equality row and one
-    sign row.  The equality becomes an inequality in the surviving data."""
-    eq_hits: Dict[int, List[int]] = {}
-    sign_hits: Dict[int, List[int]] = {}
-    for k, r in enumerate(p.rows):
-        for j in r.free:
-            if r.rel == "<=" and not r.blocks and len(r.free) == 1 and r.rhs == 0.0:
-                sign_hits.setdefault(j, []).append(k)
-            else:
-                eq_hits.setdefault(j, []).append(k)
-    lmi_vars = {j for l in p.lmis for j in l.coeffs}
-
-    slacks = {}
-    for j in range(p.n_free):
-        if p.free_obj[j] != 0.0 or j in lmi_vars:
-            continue
-        eqs, signs = eq_hits.get(j, []), sign_hits.get(j, [])
-        if len(eqs) == 1 and len(signs) == 1 and p.rows[eqs[0]].rel == "==":
-            slacks[j] = (eqs[0], signs[0])
-    if not slacks:
-        return p
-
-    drop_rows = {s for _, s in slacks.values()}
-    rewrite = {k: j for j, (k, _) in slacks.items()}
-    keep_vars = [j for j in range(p.n_free) if j not in slacks]
-    remap = {j: i for i, j in enumerate(keep_vars)}
-
-    rows = []
-    for k, r in enumerate(p.rows):
-        if k in drop_rows:
-            continue
-        blocks = {b: a.copy() for b, a in r.blocks.items()}
-        free = dict(r.free)
-        rhs, rel = r.rhs, r.rel
-        if k in rewrite:
-            j = rewrite[k]
-            gamma = free.pop(j)
-            sign_row = p.rows[slacks[j][1]]
-            flip = (sign_row.free[j] / gamma) > 0  # slack bounded above by zero
-            rel = "<="
-            if flip:
-                blocks = {b: -a for b, a in blocks.items()}
-                free = {jj: -c for jj, c in free.items()}
-                rhs = -rhs
-        rows.append(LinearRow(blocks=blocks,
-                              free={remap[jj]: c for jj, c in free.items()},
-                              rhs=rhs, rel=rel, label=r.label))
-    lmis = [MatrixIneq(dim=l.dim, const=l.const.copy(),
-                       coeffs={remap[j]: g.copy() for j, g in l.coeffs.items()},
-                       diag=l.diag, label=l.label) for l in p.lmis]
-    return SdpProblem(
-        block_dims=list(p.block_dims),
-        C=[c.copy() for c in p.C],
-        n_free=len(keep_vars),
-        free_obj=p.free_obj[keep_vars],
-        rows=rows,
-        lmis=lmis,
-        sense=p.sense,
-    )
 
 
 def structurally_equal(p: SdpProblem, q: SdpProblem, tol: float = 0.0) -> bool:
@@ -435,7 +398,7 @@ def structurally_equal(p: SdpProblem, q: SdpProblem, tol: float = 0.0) -> bool:
         if not close(fa, fb):
             return False
     for la, lb in zip(p.lmis, q.lmis):
-        if la.dim != lb.dim or set(la.coeffs) != set(lb.coeffs):
+        if la.dim != lb.dim or la.diag != lb.diag or set(la.coeffs) != set(lb.coeffs):
             return False
         if not close(la.const, lb.const):
             return False
@@ -476,11 +439,8 @@ def check_feasible(p: SdpProblem, X: Sequence[np.ndarray] = (),
     if u.shape != (p.n_free,):
         raise ValueError(f"expected {p.n_free} free scalars, got {u.shape}")
 
-    row_res = []
-    for r in p.rows:
-        lhs = sum(float(np.sum(a * X[b])) for b, a in r.blocks.items())
-        lhs += sum(c * u[j] for j, c in r.free.items())
-        row_res.append(lhs - r.rhs if r.rel == "<=" else abs(lhs - r.rhs))
+    row_res = [_row_residual(r, X, u) if r.rel == "<=" else abs(_row_residual(r, X, u))
+               for r in p.rows]
     block_eigs = [float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0 for x in X]
     lmi_eigs = [float(np.linalg.eigvalsh(l.value(u))[0]) for l in p.lmis]
     return FeasibilityReport(
@@ -489,6 +449,12 @@ def check_feasible(p: SdpProblem, X: Sequence[np.ndarray] = (),
         block_min_eigs=block_eigs,
         lmi_min_eigs=lmi_eigs,
     )
+
+
+def _row_residual(r: LinearRow, X: Sequence[np.ndarray], u: Sequence[float]) -> float:
+    """lhs - rhs of row r at blocks X and free scalars u."""
+    lhs = sum(float(np.sum(a * X[b])) for b, a in r.blocks.items())
+    return lhs + sum(c * u[j] for j, c in r.free.items()) - r.rhs
 
 
 # -- solving -------------------------------------------------------------------
@@ -512,9 +478,11 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     The IPM eliminates the free scalars of the solved form once, before
     iterating, and each iteration factors the Schur complement alone, once,
     refining both directions against the unshifted matrix; the cost model
-    above still counts free scalars as the form has them.  The dual's
+    above still counts free scalars as the form has them, and a sign row
+    as an inequality row although ``dual_of`` folds it.  The dual's
     facial-reduction face, found to choose the orientation, is handed to the
-    solve rather than found again.
+    solve rather than found again.  The dual's solution is read as its own,
+    roles swapped (``_from_dual``).
 
     ``optimal`` promises relative residuals at most ``tol`` and a duality
     gap |primal_obj - dual_obj| at most tol * max(1, (|primal_obj| +
@@ -533,8 +501,8 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     orientation = "direct"
     reason = f"cost_direct {cost_direct} <= cost_dual {cost_dual}"
     if cost_dual < cost_direct:
-        # simplify=False keeps the row/multiplier indexing _from_dual relies on
-        std = _standardize(dual_of(q, simplify=False).negated())
+        dual = dual_of(q)
+        std = _standardize(dual.negated())
         face = ipm._face(std)  # None: structurally infeasible
         if face is not None and not face.reduced:
             orientation = "dual"
@@ -544,7 +512,8 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     log.info("%s orientation: %s", orientation, reason)
 
     if orientation == "dual":
-        sol = _from_dual(q, ipm.solve_std(std, tol=tol, max_iter=max_iter, face=face), tol)
+        sol = _from_dual(q, dual, ipm.solve_std(std, tol=tol, max_iter=max_iter, face=face),
+                         tol)
     else:
         std = _standardize(q)
         sol = _from_direct(q, ipm.solve_std(std, tol=tol, max_iter=max_iter))
@@ -583,43 +552,33 @@ def _from_direct(q: SdpProblem, res: ipm.StdResult) -> SdpSolution:
     )
 
 
-def _from_dual(q: SdpProblem, res: ipm.StdResult, tol: float) -> SdpSolution:
-    """The solution of a min-sense problem from the standard form of its
-    negated Lagrangian dual: the dual's row multipliers are -u, its
-    matrix-inequality multipliers are the primal blocks, and vice versa.
-    The mapped status stays optimal only if the solution also certifies the
-    primal pair at the tolerance."""
-    nz = sum(len(_split(l, l.const)) for l in q.lmis)  # the dual's blocks; slacks follow
-    u = -res.y[: q.n_free].copy()
-    X = res.S[nz: nz + len(q.block_dims)]
-    y = res.u[: len(q.rows)].copy()
-    Z = _multipliers(q.lmis, res.X)
+def _from_dual(q: SdpProblem, dual: SdpProblem, res: ipm.StdResult, tol: float) -> SdpSolution:
+    """The solution of min-sense q from the standard form of its negated
+    dual ``dual_of(q)``: the dual's own solution (``_from_direct``), roles
+    swapped.  Its matrix-inequality multipliers are q's blocks, its blocks
+    q's Z, its free scalars the multipliers of q's kept rows, and minus the
+    multipliers of its first n_free rows are u.  A folded sign row's
+    multiplier is the slack of its scalar's dual row over the row's
+    coefficient.  The status stays optimal only if the solution also
+    certifies the primal pair at the tolerance."""
+    d = _from_direct(dual, res)
+    u = -d.y[: q.n_free]
+    folded, kept = _sign_rows(q)
+    y = np.zeros(len(q.rows))
+    y[kept] = d.free
+    for j, k in folded.items():
+        y[k] = -_row_residual(dual.rows[j], d.X, d.free) / q.rows[k].free[j]
 
-    pobj = q.objective_value(X, u)
-    dobj = -res.pobj
+    pobj, dobj = q.objective_value(d.Z, u), -res.pobj
     relgap = ipm.relative_gap(pobj, dobj)
-    status = res.status
-    if status == PRIMAL_INFEASIBLE:
-        status = DUAL_INFEASIBLE
-    elif status == DUAL_INFEASIBLE:
-        status = PRIMAL_INFEASIBLE
+    swap = {PRIMAL_INFEASIBLE: DUAL_INFEASIBLE, DUAL_INFEASIBLE: PRIMAL_INFEASIBLE}
+    status = swap.get(res.status, res.status)
     if status == OPTIMAL and relgap > 10.0 * tol:
         status = MAX_ITER
-    return SdpSolution(
-        status=status,
-        primal_obj=pobj,
-        dual_obj=dobj,
-        gap=relgap,
-        iterations=res.iterations,
-        X=X,
-        free=u,
-        y=y,
-        Z=Z,
-        marginal=res.marginal,
-        primal_residual=res.dres,
-        dual_residual=res.pres,
-        orientation="dual",
-    )
+    return SdpSolution(status=status, primal_obj=pobj, dual_obj=dobj, gap=relgap,
+                       iterations=res.iterations, X=d.Z, free=u, y=y,
+                       Z=_multipliers(q.lmis, d.X), marginal=res.marginal,
+                       primal_residual=res.dres, dual_residual=res.pres, orientation="dual")
 
 
 def _standardize(q: SdpProblem) -> ipm.StdForm:

@@ -239,6 +239,26 @@ class TestCertVerify:
         assert err.startswith("error:") and named in err
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["apcount", "density", "--p", "x", "--D", "2"],
+        ["pop", "solve", "f.json", "--bogus"],
+        ["sdp", "solve"],
+        ["theta"],
+        ["cert", "verify", "c.json"],
+        [],
+    ])
+    def test_usage_error_is_an_error_not_inconclusive(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert "usage: soskit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sdp", "solve", "--help"],
+                                      ["apcount", "density", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "usage: soskit" in capsys.readouterr().out
+
+
 class TestSdpa:
     def test_export_import_solve(self, capsys, disk_file, tmp_path):
         dat = str(tmp_path / "disk.dat-s")
@@ -287,6 +307,19 @@ class TestSdpa:
         bad.write_text("1\n1\n0\n1.0\n")
         assert cli.main(["sdp", "solve", str(bad)]) == 1
         assert "error: bad SDPA file" in capsys.readouterr().err
+
+    def test_gap_example_reports_marginal(self, capsys, tmp_path):
+        # inf x1 over the 3x3 pencil of the duality-gap pair: the solve ends
+        # optimal at 0, but with no interior, which the JSON must say
+        F0, F1, F2 = np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3))
+        F0[2, 2] = F1[2, 2] = F1[0, 1] = F1[1, 0] = F2[1, 1] = 1.0
+        gap = sdp.SdpProblem(n_free=2, free_obj=np.array([1.0, 0.0]),
+                             lmis=[sdp.MatrixIneq(dim=3, const=F0, coeffs={0: F1, 1: F2})])
+        dat = tmp_path / "gap.dat-s"
+        dat.write_text(sdp.export_sdpa(sdp.to_sdpa_form(gap)))
+        code, sol = run(capsys, "sdp", "solve", str(dat))
+        assert code == 0 and sol["status"] == "optimal" and abs(sol["primal_obj"]) < 1e-6
+        assert sol["marginal"] is True
 
     def test_missing_file(self, capsys):
         assert cli.main(["sdp", "import-sdpa", "/nonexistent.dat-s"]) == 1

@@ -78,7 +78,7 @@ def standard_forms(prob):
     q = prob if prob.sense == "min" else prob.negated()
     return [[np.asarray(a).tobytes() for a in (f.dims, f.rows, f.free, f.c, f.free_obj, f.b)]
             for f in (sdp._standardize(q),
-                      sdp._standardize(sdp.dual_of(q, simplify=False).negated()))]
+                      sdp._standardize(sdp.dual_of(q).negated()))]
 
 
 def loop_sos_dual(p, s):

@@ -191,6 +191,25 @@ class TestIsPsdExact:
             sdp.is_psd_exact([[Fraction(1), Fraction(1, 3)], [Fraction(1, 2), Fraction(1)]])
 
 
+def sign_row_problem(signs, sense="min"):
+    """Optimize 2u over 2x2 u*[[1, .5], [.5, 0]] + I >= 0 with sign rows
+    a*u <= 0, given as (j, a) pairs."""
+    return SdpProblem(n_free=1, free_obj=np.array([2.0]),
+                      rows=[LinearRow(free={j: a}, rel="<=") for j, a in signs],
+                      lmis=[MatrixIneq(2, np.eye(2), {0: np.array([[1.0, 0.5], [0.5, 0.0]])})],
+                      sense=sense)
+
+
+def reduced_theta_prime(g):
+    """The problem that graphs.theta solves for theta'(g) in its coherent
+    closure: max-sense, with a sign row -x_g <= 0 per non-edge class."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve", lambda p, **kw: seen.append(p) or solve(p, **kw))
+        graphs.theta(g, prime=True)
+    return seen[0]
+
+
 class TestDualOf:
     def test_gap_example_printed_dual(self):
         d = dual_of(gap_example())
@@ -220,8 +239,39 @@ class TestDualOf:
                               rows=[LinearRow(blocks={0: np.eye(2)}, rhs=1.0, rel="<=")],
                               sense="max")
         theta_prime_c5 = graphs.theta_problem(graphs.Graph.cycle(5), prime=True)
-        for p in (gap_example(), theta_c5(), ineq, theta_prime_c5, max_ineq):
+        both_signs = sign_row_problem([(0, 1.0), (0, -1.0)])  # u = 0: two sign rows
+        max_sign = sign_row_problem([(0, 1.0)], sense="max")  # folded: u <= 0 in a max
+        reduced = reduced_theta_prime(graphs.Graph.cycle(5))  # -x_g <= 0 in a max: kept
+        for p in (gap_example(), theta_c5(), ineq, theta_prime_c5, max_ineq,
+                  both_signs, max_sign, reduced):
             assert structurally_equal(p, dual_of(dual_of(p)), tol=1e-12)
+
+    @pytest.mark.parametrize("sense, a, folds", [("min", -1.0, True), ("min", 1.0, False),
+                                                 ("max", 1.0, True), ("max", -1.0, False)])
+    def test_sign_row_folds_into_its_scalar_row(self, sense, a, folds):
+        # a u <= 0 in the sign of the dual's own sign rows gets no multiplier:
+        # u's dual row becomes <=; the other sign keeps a multiplier and a row
+        d = dual_of(sign_row_problem([(0, a)], sense=sense))
+        if folds:
+            assert d.n_free == 0 and [r.rel for r in d.rows] == ["<="]
+            assert d.rows[0].rhs == 2.0 and not d.rows[0].free
+        else:
+            assert d.n_free == 1 and [r.rel for r in d.rows] == ["==", "<="]
+            assert d.rows[0].free == {0: a}
+
+    def test_folded_row_multiplier_matches_the_direct_solve(self):
+        # theta'(H(2,5,3)) is solved in the dual orientation, where its
+        # x_g >= 0 rows are folded; their multipliers come from the slack
+        p = reduced_theta_prime(graphs.hamming_graph(2, 5, 3))
+        q = p.negated()
+        folded, kept = sdp._sign_rows(q)
+        assert sorted(folded.values()) == [1, 2] and kept == [0]
+        assert len(dual_of(q).rows) == q.n_free
+        s = solve(p)
+        d = sdp._from_direct(q, ipm.solve_std(sdp._standardize(q)))
+        assert s.orientation == "dual" and s.status == d.status == sdp.OPTIMAL
+        assert abs(d.y[2]) > 1.0  # an active sign row
+        np.testing.assert_allclose(s.y, d.y, rtol=0.0, atol=1e-6)
 
     def test_max_problem_textbook_signs(self):
         # max <diag(1, -2), X> s.t. tr X = 1 dualizes to min v s.t.
@@ -938,6 +988,14 @@ class TestSdpa:
         Z = s.Z[1]
         assert Z.shape == (4, 4) and np.count_nonzero(Z - np.diag(np.diag(Z))) == 0
         np.testing.assert_allclose(Z, d.Z[1], atol=1e-6)
+
+    def test_diagonal_flag_is_part_of_the_structure(self):
+        # a lost diag flag keeps the data but not the cone, so roundtrip_ok
+        # must see it
+        diag, dense = self._bounds_lp(diag=True), self._bounds_lp(diag=False)
+        assert structurally_equal(diag, import_sdpa(export_sdpa(diag)))
+        assert not structurally_equal(diag, dense)
+        assert not structurally_equal(dense, diag)
 
     def test_diagonal_inequality_rejects_off_diagonal_data(self):
         with pytest.raises(ValueError):
