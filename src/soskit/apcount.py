@@ -106,26 +106,37 @@ def mono_ap_count(coloring: Sequence[int]) -> int:
 
 def brute_force_R(n: int) -> int:
     """Exact min of monochromatic 3-AP counts over all 2-colorings of Z_n.
-    Enumerates half the colorings (global sign flip is a symmetry)."""
+
+    A 3-AP {a, b, c} is monochromatic exactly when (s_a s_b + s_a s_c + s_b
+    s_c + 1) / 4 is one, so the count of a coloring s in {-1, +1}^n is the
+    quadratic form (|AP| + s'Ws / 2) / 4, W_ij the number of 3-APs that
+    contain both i and j (W_ii = 0).  The colorings with s_0 = +1 (a global
+    sign flip is a symmetry) are enumerated in blocks of 2^14 that share
+    their high signs s_H and run through every low sign vector S (the rows
+    of S, signs 1..14): a block's forms are s'Ws = rowsum((S W_LL) * S) +
+    2 S (W_LH s_H) + s_H' W_HH s_H, whose first term is the same for every
+    block.  Every term is an integer far below 2^53, exact in float64."""
     if n > 24:
         raise ValueError("brute force capped at n = 24")
-    aps = enumerate_aps(n).triples
-    trip = np.array(aps, dtype=np.int64)
-    best = None
-    chunk = 1 << 16
-    total = 1 << (n - 1)  # x_0 fixed to +1
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((idx[:, None] >> np.arange(n - 1)) & 1)
-        signs = np.concatenate(
-            [np.ones((len(idx), 1), dtype=np.int64), 1 - 2 * bits], axis=1)
-        sa = signs[:, trip[:, 0]]
-        sb = signs[:, trip[:, 1]]
-        sc = signs[:, trip[:, 2]]
-        counts = ((sa * sb + sa * sc + sb * sc + 1) // 4).sum(axis=1)
-        m = int(counts.min())
-        best = m if best is None else min(best, m)
-    return best
+    aps = np.array(enumerate_aps(n).triples)
+    W = np.zeros((n, n))
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        np.add.at(W, (aps[:, a], aps[:, b]), 1.0)
+    W += W.T
+    k = min(n - 1, 14)
+    L, H = np.arange(1, k + 1), np.r_[0, k + 1:n]
+
+    def signs(idx, width):
+        return 1.0 - 2.0 * ((idx[..., None] >> np.arange(width)) & 1)
+
+    S = signs(np.arange(1 << k), k)
+    low = np.einsum("ij,ij->i", S @ W[np.ix_(L, L)], S)
+    best = np.inf
+    for high in range(1 << (n - 1 - k)):
+        sH = np.concatenate(([1.0], signs(np.array(high), n - 1 - k)))
+        cross = S @ (2.0 * (W[np.ix_(L, H)] @ sH))
+        best = min(best, float(np.min(low + cross)) + float(sH @ W[np.ix_(H, H)] @ sH))
+    return (len(aps) + int(best) // 2) // 4
 
 
 CYCLIC_BOUND_TABLE = {

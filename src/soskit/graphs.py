@@ -5,7 +5,7 @@ inequalities alpha <= theta' <= theta <= chi(complement)."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -125,11 +125,10 @@ def pair_colours(g: Graph) -> np.ndarray:
     return colour
 
 
-def theta(g: Graph, prime: bool = False,
-          tol: float = 1e-9) -> Tuple[sdp.SdpSolution, Optional[int]]:
-    """Solve theta(G), or theta'(G) with prime, in the coherent closure of
-    G; returns the solution and the number of classes d, or None when the
-    closure has n or more classes and theta_problem is solved as it is.
+def theta_class_problem(g: Graph, prime: bool = False
+                        ) -> Optional[Tuple[sdp.SdpProblem, int]]:
+    """theta(G), or theta'(G) with prime, in the coherent closure of G, and
+    the number of classes d; None when the closure has n or more classes.
 
     The closure (symmetry.coherent_closure of the colouring diagonal /
     edge / non-edge) is a coherent configuration whose classes refine the
@@ -140,11 +139,9 @@ def theta(g: Graph, prime: bool = False,
     zeros on edge classes, since every class lies inside the edges or
     outside them.  So the average of an optimal X is an optimal X in the
     algebra, and the problem may be solved there exactly (de Klerk,
-    Pasechnik & Schrijver 2007, Math. Prog. 109, for a group's orbits;
-    Schrijver 1979, IEEE TIT 25, for theta' on Hamming graphs, which is
-    Delsarte's LP bound).  With X = sum_g x_g B_g over the transpose-paired
-    groups g of sym_groups() (B_g the sum of E_j/sqrt(t_j) over j in g), the
-    reduced problem is
+    Pasechnik & Schrijver 2007, Math. Prog. 109, for a group's orbits).
+    With X = sum_g x_g B_g over the transpose-paired groups g of
+    sym_groups() (B_g the sum of E_j/sqrt(t_j) over j in g), the problem is
         max  sum_g x_g * sum_{j in g} sqrt(t_j)
         s.t. sum of x_g sqrt(t_g) over diagonal classes = 1   (trace)
              x_g >= 0 on off-diagonal non-edge classes          (theta' only)
@@ -152,16 +149,12 @@ def theta(g: Graph, prime: bool = False,
     with no variable for an edge class, and L_g the regular
     *-representation of B_g (symmetry.orbit_basis), d x d.
     """
-    n = g.n
-    if n < 1:
+    if g.n < 1:
         raise ValueError("no vertices")
     colour = pair_colours(g)
     label = symmetry.coherent_closure(colour)
     if label is None:
-        log.debug("theta%s: coherent closure has >= %d classes; solving the full "
-                  "problem", "'" if prime else "", n)
-        return sdp.solve(theta_problem(g, prime=prime), tol=tol), None
-
+        return None
     basis = symmetry.orbit_basis(label)
     kind = [colour[o[0]] for o in basis.orbits]     # 0 diagonal, 1 edge, 2 non-edge
     groups = [grp for grp in basis.sym_groups() if kind[grp[0]] != 1]
@@ -174,13 +167,39 @@ def theta(g: Graph, prime: bool = False,
     psd = sdp.MatrixIneq(basis.d, np.zeros((basis.d, basis.d)),
                          {v: sum(basis.L_float[j] for j in grp)
                           for v, grp in enumerate(groups)}, label="class_psd")
-    reduced = sdp.SdpProblem(n_free=len(groups),
+    problem = sdp.SdpProblem(n_free=len(groups),
                              free_obj=[root[list(grp)].sum() for grp in groups],
                              rows=rows, lmis=[psd], sense="max",
                              free_names=[f"x{grp}" for grp in groups])
-    log.debug("theta%s: %d vertices reduced to %d classes, %d variables",
-              "'" if prime else "", n, basis.d, len(groups))
-    return sdp.solve(reduced, tol=tol), basis.d
+    return problem, basis.d
+
+
+def theta(g: Graph, prime: bool = False,
+          tol: float = 1e-9) -> Tuple[sdp.SdpSolution, Optional[int]]:
+    """Solve theta(G), or theta'(G) with prime, in the coherent closure of
+    G (theta_class_problem); returns the solution and the number of classes
+    d, or None when the closure has n or more classes and theta_problem is
+    solved as it is.
+
+    The class inequality is solved split into its simple components
+    (symmetry.split_lmi), whose size-1 components are one diagonal
+    inequality, the LP cone.  Where the closure is commutative, as the
+    Bose-Mesner algebra of a distance-regular graph is, every component has
+    size 1 and the problem is a linear program: for theta' on Hamming
+    graphs it is Delsarte's LP bound (Schrijver 1979, IEEE TIT 25).
+    """
+    built = theta_class_problem(g, prime=prime)
+    if built is None:
+        log.debug("theta%s: coherent closure has >= %d classes; solving the full "
+                  "problem", "'" if prime else "", g.n)
+        return sdp.solve(theta_problem(g, prime=prime), tol=tol), None
+    problem, d = built
+    lmis = symmetry.split_lmi(problem.lmis[0])
+    sizes = [1] * sum(l.dim for l in lmis if l.diag) + [l.dim for l in lmis if not l.diag]
+    log.debug("theta%s: %d vertices reduced to %d classes, %d variables, "
+              "simple components of sizes %s", "'" if prime else "", g.n, d,
+              problem.n_free, sizes)
+    return sdp.solve(replace(problem, lmis=lmis), tol=tol), d
 
 
 def lovasz_theta(g: Graph, tol: float = 1e-9) -> float:

@@ -7,12 +7,18 @@ Standard form:  min sum_b <C_b, X_b> + cf.u
 the vectorized blocks side by side in its columns; the IPM solves with that
 matrix as it is, so A(X) = A vec(X) and A*(y) is y'A cut into blocks.
 
-Every 1x1 block is one entry of a single nonnegative orthant, the LP cone of
+The IPM runs on the cones of the form, not on its blocks.  Every 1x1
+block is one entry of a single nonnegative orthant, the LP cone of
 mixed-cone IPMs such as SDPA and SeDuMi: its x and s are vectors on those
 blocks' columns of A, its directions are entrywise, its step length is a
-ratio test and its cone guard is x > 0, so the LAPACK calls of an iteration
-follow only the blocks larger than 1x1.  A form without 1x1 blocks runs the
-per-block matrix arithmetic alone.
+ratio test and its cone guard is x > 0.  The d x d blocks with d > 1 of
+one size are one stack, a (k, d, d) view of their columns, and every
+factorization, inversion, product and eigenvalue computation on them is
+one numpy call over the stack.  So the LAPACK calls of an iteration follow
+the distinct block sizes, not the number of blocks or of inequality rows.
+A form whose blocks are not grouped by size is permuted into that order
+once per solve, and its solution permuted back; the iterate, its trial
+points, the directions and their views are made once per solve.
 
 Search direction is HKM with a Mehrotra predictor-corrector.  Each matrix of
 an iteration is factored once and used through its factor; the cone guard,
@@ -23,8 +29,9 @@ matrix of the rows G_k = vec(Ls_b^-1 A_kb Lx_b), together with the
 orthant's columns of A scaled by sqrt(x / s): M = G G' is one symmetric
 rank-k product, symmetric and positive semidefinite by construction.
 S_b^-1 = Ls_b^-T Ls_b^-1, and the step length to a block's boundary is
-read off the least eigenvalue of Lx_b^-1 dX_b Lx_b^-T.  The triangular
-inverses come from a 2x2 block recursion (numpy has no triangular solve).
+read off the least eigenvalue of Lx_b^-1 dX_b Lx_b^-T (of Ls_b^-1 dS_b
+Ls_b^-T on the dual side, in the same call).  The triangular inverses come
+from a 2x2 block recursion (numpy has no triangular solve).
 
 Free scalars are eliminated once per solve, as in Kobayashi, Nakata &
 Kojima, "A conversion of an SDP having free variables into the standard
@@ -39,7 +46,8 @@ largest diagonal entry), applied through its inverse, with the predictor and
 the corrector each refined against the unshifted M for as long as a step at
 least halves the residual, so the shift only damps the directions of M whose
 eigenvalues lie near or below it.  A failed factorization ends the run as
-``numerical_failure``.
+``numerical_failure``; a run that stops short otherwise says why:
+``diverged``, ``stalled`` or ``iter_cap`` (see DIVERGED).
 
 The stop test is relative to the size of the objectives: ``optimal`` means
 the relative primal and dual residuals are at most ``tol`` and the duality
@@ -126,6 +134,13 @@ _KKT_SHIFT = 2e-13  # relative diagonal shift of the one KKT factorization
 DIVERGENCE = 1e8
 ITERATE_CAP = 1e6  # optimality is never claimed on iterates past this scale
 
+# the ways a run stops short of a certificate: its iterates grew past
+# ITERATE_CAP with the stop test met, or past DIVERGENCE; no progress for 20
+# iterations; or max_iter iterations
+DIVERGED = "diverged"
+STALLED = "stalled"
+ITER_CAP = "iter_cap"
+
 
 @dataclass
 class _Face:
@@ -152,11 +167,13 @@ def _face(form: StdForm) -> Optional[_Face]:
     with no live entry are dropped.  Returns None when a pinned entry must
     be negative or an empty row has a nonzero rhs (structurally infeasible).
     """
-    start = np.cumsum([0] + form.dims)
-    # each column's entry (i, j), numbered across the blocks' indices
-    ii, jj = ij = np.empty((2, form.off[-1]), dtype=np.intp)
-    for s, blk in zip(start, form.blocks(ij)):
-        blk[...] = s + np.indices(blk.shape[1:])
+    dims = np.array(form.dims, dtype=np.intp)
+    start = np.concatenate(([0], np.cumsum(dims)))
+    # each column's entry (i, j), numbered across the blocks' indices: the
+    # column o + i*d + j of a d x d block at offset o
+    blk = np.repeat(np.arange(len(dims)), dims * dims)
+    local, d = np.arange(form.off[-1]) - form.off[blk], dims[blk]
+    ii, jj = start[blk] + local // d, start[blk] + local % d
     nonzero = form.rows != 0.0
     has_free = np.any(form.free != 0.0, axis=1)  # such rows pin nothing
     alive = np.ones(start[-1], dtype=bool)
@@ -217,41 +234,48 @@ def _eliminate(form: StdForm):
     return red, float(form.b @ w), U2, w, pinv
 
 
-def _max_step(Li: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with M + t*delta >= 0 given M = L L' and Li = L^-1."""
-    if Li.shape[0] == 0:
-        return np.inf
-    w = Li @ delta @ Li.T
-    lam = float(np.linalg.eigvalsh((w + w.T) / 2.0)[0])
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+def _boundary_step(lam: float) -> float:
+    """Largest t with I + t*W >= 0 given W's least eigenvalue lam."""
+    return -1.0 / lam if lam < -1e-14 else np.inf
 
 
 def _chol(mat: np.ndarray) -> Optional[np.ndarray]:
+    """Cholesky factor of a matrix or of each matrix of a stack, or None
+    when one of them is not positive definite."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         return None
 
 
+def _chols(stacks: List[np.ndarray]) -> Optional[List[np.ndarray]]:
+    """Cholesky factors of every stack, or None as soon as one fails."""
+    out = []
+    for st in stacks:
+        out.append(_chol(st))
+        if out[-1] is None:
+            return None
+    return out
+
+
 _LEAF = 48  # largest triangle ``_tril_inv`` hands to np.linalg.inv
 
 
 def _tril_inv(L: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular L by 2x2 block recursion,
+    """Inverse of a nonsingular lower-triangular L, or of each matrix of a
+    stack of them, by 2x2 block recursion,
     [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], with
     np.linalg.inv on diagonal blocks of at most _LEAF rows (numpy has no
     triangular solve)."""
-    n = len(L)
+    n = L.shape[-1]
     if n <= _LEAF:
         return np.linalg.inv(L)
     h = n // 2
     out = np.zeros_like(L)
-    a, c = out[:h, :h], out[h:, h:]
-    a[...] = _tril_inv(L[:h, :h])
-    c[...] = _tril_inv(L[h:, h:])
-    out[h:, :h] = -(c @ (L[h:, :h] @ a))
+    a, c = out[..., :h, :h], out[..., h:, h:]
+    a[...] = _tril_inv(L[..., :h, :h])
+    c[...] = _tril_inv(L[..., h:, h:])
+    out[..., h:, :h] = -(c @ (L[..., h:, :h] @ a))
     return out
 
 
@@ -261,14 +285,14 @@ def _kkt_factor(M: np.ndarray) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     left unshifted.  Returns the shifted inverse as products with L^-1 (L is
     released once L^-1 exists), or None when the Cholesky factorization fails."""
     diag = np.einsum("ii->i", M)
-    top = float(np.max(diag)) if len(M) else 0.0
+    top = float(diag.max()) if len(M) else 0.0
     saved = diag.copy()
     diag += _KKT_SHIFT * (top if top > 0.0 else 1.0)
     L = _chol(M)
     diag[:] = saved
     Li = None if L is None else _tril_inv(L)
     del L
-    if Li is None or not np.all(np.isfinite(Li)):
+    if Li is None or not np.isfinite(Li).all():
         return None
     return lambda r: Li.T @ (Li @ r)
 
@@ -358,25 +382,66 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
 
 
 def _cones(form: StdForm):
-    """The cones of form's columns: (offset, d) of each block larger than
-    1x1, and the columns of the 1x1 blocks, which form one orthant."""
-    psd = [(o, d) for o, d in zip(form.off, form.dims) if d != 1]
-    lp = np.array([o for o, d in zip(form.off, form.dims) if d == 1], dtype=np.intp)
-    return psd, lp
+    """The cones of form's columns: the stacks (offset, d, k) of k
+    consecutive d x d blocks with d > 1, in columns offset : offset + k d^2,
+    and the columns of the 1x1 blocks, which form one orthant.  Blocks with
+    d = 0 have no columns and join no cone."""
+    psd, lp = [], []
+    for o, d in zip(form.off.tolist(), form.dims):
+        if d == 1:
+            lp.append(o)
+        elif d > 1:
+            if psd and psd[-1][1] == d and psd[-1][0] + psd[-1][2] * d * d == o:
+                psd[-1] = (psd[-1][0], d, psd[-1][2] + 1)
+            else:
+                psd.append((o, d, 1))
+    return psd, np.array(lp, dtype=np.intp)
 
 
 def _views(w: np.ndarray, psd) -> List[np.ndarray]:
-    """The blocks ``psd`` of w's last axis, each as a d x d matrix view."""
-    return [w[..., o:o + d * d].reshape(w.shape[:-1] + (d, d)) for o, d in psd]
+    """The stacks ``psd`` of w's last axis, each as a (k, d, d) view."""
+    return [w[..., o:o + k * d * d].reshape(w.shape[:-1] + (k, d, d)) for o, d, k in psd]
 
 
-def _schur_rows(A: np.ndarray, psd, lp: np.ndarray, Lsi: List[np.ndarray],
+def _grouped(form: StdForm):
+    """form with its blocks stably sorted into cone order, so that each
+    block size and the 1x1 blocks occupy one run of columns (cones in order
+    of first appearance, blocks with d = 0 dropped), and the column
+    permutation applied; (form, None) when the blocks are in that order
+    already.  The permuted rows are copied C-contiguous: ``rows[:, perm]``
+    alone comes out column-major, and every product with it slows down."""
+    rank = {}
+    for d in form.dims:
+        if d:
+            rank.setdefault(d, len(rank))
+    keys = [rank[d] for d in form.dims if d]
+    if keys == sorted(keys):
+        return form, None
+    order = sorted((b for b, d in enumerate(form.dims) if d), key=lambda b: rank[form.dims[b]])
+    perm = np.concatenate([np.arange(form.off[b], form.off[b + 1]) for b in order])
+    return StdForm(dims=[form.dims[b] for b in order],
+                   rows=np.ascontiguousarray(form.rows[:, perm]), free=form.free,
+                   c=form.c[perm], free_obj=form.free_obj, b=form.b), perm
+
+
+class _Vec:
+    """A vector on the columns of a grouped form, with its stacks as (k, d,
+    d) views ``P`` and its orthant as the view ``l``, made once per solve."""
+    __slots__ = ("v", "P", "l")
+
+    def __init__(self, n: int, psd, lp: slice):
+        self.v = np.empty(n)
+        self.P = _views(self.v, psd)
+        self.l = self.v[lp]
+
+
+def _schur_rows(A: np.ndarray, psd, lp, Lsi: List[np.ndarray],
                 Lx: List[np.ndarray], w: np.ndarray, out: np.ndarray) -> None:
     """Write into ``out`` (shaped as A) the rows G whose Gram matrix G G' is
     the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb S_b^-1): block b
-    of row k is Ls_b^-1 A_kb Lx_b, given Ls_b^-1 and Lx_b (S_b = Ls_b Ls_b',
-    X_b = Lx_b Lx_b'), and the orthant's columns are A's scaled by
-    w = sqrt(x / s)."""
+    of row k is Ls_b^-1 A_kb Lx_b, given the stacks of Ls_b^-1 and Lx_b
+    (S_b = Ls_b Ls_b', X_b = Lx_b Lx_b'), one product per stack, and the
+    orthant's columns are A's scaled by w = sqrt(x / s)."""
     for a, g, li, lx in zip(_views(A, psd), _views(out, psd), Lsi, Lx):
         for k in range(0, len(a), 64):  # row chunks keep a @ lx's temporary small
             np.matmul(li, a[k:k + 64] @ lx, out=g[k:k + 64])
@@ -384,103 +449,112 @@ def _schur_rows(A: np.ndarray, psd, lp: np.ndarray, Lsi: List[np.ndarray],
 
 
 def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest t with v + t*dv >= 0 given v > 0: ``_max_step`` on the
-    orthant, with the same threshold on dv/v."""
-    r = dv / v
-    neg = r < -1e-14
-    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
+    """Largest t with v + t*dv >= 0 given v > 0: the orthant's step, with
+    the threshold of ``_boundary_step`` on dv/v."""
+    neg = dv / v < -1e-14
+    return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
+
+
+def _largest_block(w: np.ndarray, psd, lp: slice) -> float:
+    """The largest Frobenius norm of a block of w: of a stack's matrices or
+    of an orthant entry."""
+    sq = w * w
+    top = [float(sq[o:o + k * d * d].reshape(k, d * d).sum(axis=1).max()) for o, d, k in psd]
+    if sq[lp].size:
+        top.append(float(sq[lp].max()))
+    return math.sqrt(max(top, default=0.0))
 
 
 def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
                 offset: float) -> StdResult:
     """The IPM on a form without free scalars: residual norms and scale are
-    those of ``orig``, the form before elimination; objectives add ``offset``."""
-    A, b = form.rows, form.b
-    m = len(A)
+    those of ``orig``, the form before elimination; objectives add ``offset``.
+
+    The iteration runs on the form's columns grouped by cone (``_grouped``):
+    each block size is one (k, d, d) stack, so every factorization,
+    inversion, product and eigenvalue computation of an iteration is one
+    numpy call per distinct block size, and the 1x1 blocks are one orthant
+    vector."""
+    given = form
+    form, perm = _grouped(form)
+    A, b, c = form.rows, form.b, form.c
+    m, n = A.shape
     nu = max(sum(form.dims), 1)
-
-    # X and S live in full column vectors: the d != 1 blocks are matrix views
-    # into them, the 1x1 blocks one orthant vector on their columns ``lp``
     psd, lp = _cones(form)
+    lp = slice(int(lp[0]), int(lp[-1]) + 1) if lp.size else slice(0, 0)  # one run once grouped
 
-    def views(w):
-        return _views(w, psd)
-
-    C, cl = views(form.c), form.c[lp]
-    G = np.empty_like(A)  # the rows of the Schur product M = G G'
-    M = np.empty((m, m))
-
-    oc = orig.c[lp]
-    cnorm = float(np.sqrt(sum(np.sum(c * c) for c in views(orig.c)) + oc @ oc))
+    cnorm = float(np.linalg.norm(orig.c))
     bnorm = float(np.linalg.norm(orig.b))
     scale = 1.0 + max(float(np.max(np.abs(orig.b))) if len(orig.b) else 0.0, cnorm)
 
-    xv, sv = np.zeros(form.off[-1]), np.zeros(form.off[-1])
-    for w in (xv, sv):
-        for blk in views(w):
-            blk[...] = scale * np.eye(len(blk))
-        w[lp] = scale
+    # the iterate, the cone guard's trial points, the directions and the
+    # residual, each with its views, and the Schur buffers, made once
+    X, S, Xt, St, V, DXa, DSa, DX, DS, Rd = (_Vec(n, psd, lp) for _ in range(10))
+    for w in (X, S):
+        for P in w.P:
+            P[...] = scale * np.eye(P.shape[-1])
+        w.l[...] = scale
     y = np.zeros(m)
+    G = np.empty_like(A)  # the rows of the Schur product M = G G'
+    M = np.empty((m, m))
 
-    status = "max_iter"
+    status = ITER_CAP
     marginal = False
-    diverged = False
     it = 0
     pres = dres = relgap = np.inf
     pobj = dobj = np.nan
     best = None          # (error, xv, sv, y, pobj, dobj, pres, dres, relgap)
     best_age = 0
-    # Cholesky factors of the X and S blocks, when known: sqrt(scale) I at
+    # Cholesky factors of the X and S stacks, when known: sqrt(scale) I at
     # the start, then those the cone guard found
-    Lx = Ls = [np.sqrt(scale) * np.eye(d) for _, d in psd]
+    Lx = Ls = [np.sqrt(scale) * np.broadcast_to(np.eye(d), (k, d, d)) for _, d, k in psd]
 
-    def guarded(v, dv, a):
-        """v + a*dv for the first of a, 0.8a, ... (30 tries) inside the
-        cone, with its blocks' Cholesky factors; past the last try, v +
-        0.8^30 a*dv unchecked, and None."""
+    def guarded(w, dw, a, trial):
+        """w + a*dw into ``trial`` for the first of a, 0.8a, ... (30 tries)
+        inside the cone, with its stacks' Cholesky factors; past the last
+        try, w + 0.8^30 a*dw unchecked, and None."""
         for _ in range(30):
-            va = v + a * dv
-            if np.all(va[lp] > 0.0):
-                L = [_chol(w) for w in views(va)]
-                if all(l is not None for l in L):
-                    return a, va, L
+            np.multiply(dw.v, a, out=trial.v)
+            trial.v += w.v
+            if (trial.l > 0.0).all():
+                L = _chols(trial.P)
+                if L is not None:
+                    return a, L
             a *= 0.8
-        return a, v + a * dv, None
+        np.multiply(dw.v, a, out=trial.v)
+        trial.v += w.v
+        return a, None
 
     for it in range(max_iter + 1):
-        X, S, x, s = views(xv), views(sv), xv[lp], sv[lp]
-        rp = b - A @ xv
-        rdv = form.c - sv - y @ A
-        Rd, rd = views(rdv), rdv[lp]
+        rp = b - A @ X.v
+        np.subtract(c, S.v, out=Rd.v)
+        Rd.v -= y @ A
 
-        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(C, X)) + float(cl @ x) + offset
+        pobj = float(c @ X.v) + offset
         dobj = (float(b @ y) if m else 0.0) + offset
-        mu = (sum(float(np.sum(xb * sb)) for xb, sb in zip(X, S)) + float(x @ s)) / nu
+        mu = float(X.v @ S.v) / nu
 
-        pres = float(np.linalg.norm(rp)) / (1.0 + bnorm)
-        dres = float(np.sqrt(sum(np.sum(r * r) for r in Rd) + rd @ rd)) / (1.0 + cnorm)
+        # np.linalg.norm's own formula, without its overhead
+        pres = math.sqrt(rp @ rp) / (1.0 + bnorm)
+        dres = math.sqrt(Rd.v @ Rd.v) / (1.0 + cnorm)
         relgap = relative_gap(pobj, dobj)
 
-        itnorm = max(
-            [float(np.linalg.norm(w)) for w in X + S if w.size]
-            + [float(np.max(np.abs(w))) for w in (x, s) if lp.size]
-            + [float(np.max(np.abs(y))) if m else 0.0])
+        itnorm = max(_largest_block(X.v, psd, lp), _largest_block(S.v, psd, lp),
+                     float(abs(y).max()) if m else 0.0)
         err = max(pres, dres, relgap)
         if itnorm <= ITERATE_CAP * scale and (best is None or err < best[0]):
-            best = (err, xv.copy(), sv.copy(), y.copy(), pobj, dobj, pres, dres, relgap)
+            best = (err, X.v.copy(), S.v.copy(), y.copy(), pobj, dobj, pres, dres, relgap)
             best_age = 0
         else:
             best_age += 1
         if pres <= tol and dres <= tol and relgap <= tol:
             if itnorm > ITERATE_CAP * scale:
-                diverged = True
-                status = "max_iter"
+                status = DIVERGED
             else:
                 status = "optimal"
             break
         if itnorm > DIVERGENCE * scale:
-            diverged = True
-            status = "max_iter"
+            status = DIVERGED
             break
         if dres <= 100.0 * tol and dobj > DIVERGENCE * scale:
             status = "primal_infeasible_cert"
@@ -489,24 +563,24 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
             status = "dual_infeasible_cert"
             break
         if best_age >= 20:  # endgame stall: no progress for 20 iterations
-            status = "max_iter"
+            status = STALLED
             break
         if it == max_iter:
-            status = "max_iter"
+            status = ITER_CAP
             break
 
-        Ls = [_chol(sb) for sb in S] if Ls is None else Ls
-        Lx = [_chol(xb) for xb in X] if Lx is None else Lx
-        if (any(l is None for l in Ls) or any(l is None for l in Lx)
-                or not (np.all(x > 0.0) and np.all(s > 0.0))):
+        Ls = _chols(S.P) if Ls is None else Ls
+        Lx = _chols(X.P) if Lx is None else Lx
+        if Ls is None or Lx is None or not ((X.l > 0.0).all() and (S.l > 0.0).all()):
             status = "numerical_failure"
             break
-        Lsi = [_tril_inv(l) for l in Ls]
-        Lxi = [_tril_inv(l) for l in Lx]
-        Sinv = [li.T @ li for li in Lsi]
+        # Lx^-1 over Ls^-1, one inversion per stack
+        Li = [_tril_inv(np.concatenate((lx, ls))) for lx, ls in zip(Lx, Ls)]
+        Lsi = [li[k:] for li, (_, _, k) in zip(Li, psd)]
+        Sinv = [np.swapaxes(li, -1, -2) @ li for li in Lsi]
 
         # M = G G' is one symmetric rank-k product, formed in M's buffer
-        _schur_rows(A, psd, lp, Lsi, Lx, np.sqrt(x / s), G)
+        _schur_rows(A, psd, lp, Lsi, Lx, np.sqrt(X.l / S.l), G)
         np.matmul(G, G.T, out=M)
         Minv = None  # release the last factor before making the next
         Minv = _kkt_factor(M)
@@ -514,49 +588,56 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
             status = "numerical_failure"
             break
 
-        XRdSinv = [xb @ r @ si for xb, r, si in zip(X, Rd, Sinv)]
+        XRdSinv = [xb @ r @ si for xb, r, si in zip(X.P, Rd.P, Sinv)]
 
-        def directions(Rc, rc):
-            v = np.empty_like(xv)
-            for vb, xr, rcb, si in zip(views(v), XRdSinv, Rc, Sinv):
-                vb[...] = xr - rcb @ si
-            v[lp] = (x * rd - rc) / s
-            dy = _kkt_solve(M, Minv, rp + A @ v)
-            dsv = rdv - dy @ A
-            dxv = np.empty_like(xv)
-            for dxb, rcb, xb, dsb, si in zip(views(dxv), Rc, X, views(dsv), Sinv):
+        def directions(Rc, rc, DX, DS):
+            """The HKM direction for the complementarity residual (Rc, rc),
+            written into DX and DS; returns dy."""
+            for vb, xr, rcb, si in zip(V.P, XRdSinv, Rc, Sinv):
+                np.subtract(xr, rcb @ si, out=vb)
+            V.l[...] = (X.l * Rd.l - rc) / S.l
+            dy = _kkt_solve(M, Minv, rp + A @ V.v)
+            np.subtract(Rd.v, dy @ A, out=DS.v)
+            for dxb, rcb, xb, dsb, si in zip(DX.P, Rc, X.P, DS.P, Sinv):
                 w = (rcb - xb @ dsb) @ si
-                dxb[...] = (w + w.T) / 2.0
-            dxv[lp] = (rc - x * dsv[lp]) / s
-            return dxv, dsv, dy
+                np.add(w, np.swapaxes(w, -1, -2), out=dxb)
+                dxb /= 2.0
+            DX.l[...] = (rc - X.l * DS.l) / S.l
+            return dy
 
-        def steps(dxv, dsv, frac=1.0):
-            ap = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Lxi, views(dxv))]
-                     + [frac * _ratio_step(x, dxv[lp])])
-            ad = min([1.0] + [frac * _max_step(l, d) for l, d in zip(Lsi, views(dsv))]
-                     + [frac * _ratio_step(s, dsv[lp])])
+        def steps(DX, DS, frac=1.0):
+            """The step lengths to the cones' boundaries: the least
+            eigenvalue of Lx^-1 dX Lx^-T and of Ls^-1 dS Ls^-T over each
+            stack, both sides in one call, and the orthant's ratio test."""
+            ap = min(1.0, frac * _ratio_step(X.l, DX.l))
+            ad = min(1.0, frac * _ratio_step(S.l, DS.l))
+            for li, dx, ds, (_, _, k) in zip(Li, DX.P, DS.P, psd):
+                w = li @ np.concatenate((dx, ds)) @ np.swapaxes(li, -1, -2)
+                lam = np.linalg.eigvalsh((w + np.swapaxes(w, -1, -2)) / 2.0)[:, 0]
+                ap = min(ap, frac * _boundary_step(float(lam[:k].min())))
+                ad = min(ad, frac * _boundary_step(float(lam[k:].min())))
             return ap, ad
 
         # predictor
-        dxa, dsa, _ = directions([-(xb @ sb) for xb, sb in zip(X, S)], -(x * s))
-        ap, ad = steps(dxa, dsa)
-        xa, sa = xv + ap * dxa, sv + ad * dsa
-        mu_aff = (sum(float(np.sum(xb * sb)) for xb, sb in zip(views(xa), views(sa)))
-                  + float(xa[lp] @ sa[lp])) / nu
+        directions([-(xb @ sb) for xb, sb in zip(X.P, S.P)], -(X.l * S.l), DXa, DSa)
+        ap, ad = steps(DXa, DSa)
+        mu_aff = float((X.v + ap * DXa.v) @ (S.v + ad * DSa.v)) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
         # corrector
-        Rc = [sigma * mu * np.eye(len(xb)) - xb @ sb - dxb @ dsb
-              for xb, sb, dxb, dsb in zip(X, S, views(dxa), views(dsa))]
-        dxv, dsv, dy = directions(Rc, sigma * mu - x * s - dxa[lp] * dsa[lp])
-        ap, ad = steps(dxv, dsv, STEP_FRACTION)
+        Rc = [sigma * mu * np.eye(xb.shape[-1]) - xb @ sb - dxb @ dsb
+              for xb, sb, dxb, dsb in zip(X.P, S.P, DXa.P, DSa.P)]
+        dy = directions(Rc, sigma * mu - X.l * S.l - DXa.l * DSa.l, DX, DS)
+        ap, ad = steps(DX, DS, STEP_FRACTION)
 
         # guard against rounding past the cone boundary; the factors it
         # finds are the next iteration's
-        ap, xv, Lx = guarded(xv, dxv, ap)
-        ad, sv, Ls = guarded(sv, dsv, ad)
+        ap, Lx = guarded(X, DX, ap, Xt)
+        ad, Ls = guarded(S, DS, ad, St)
+        X, Xt, S, St = Xt, X, St, S
         y = y + ad * dy
 
+    xv, sv = X.v, S.v
     # a stalled run ends at its best iterate, not wherever it drifted
     if status != "optimal" and best is not None and best[0] < max(pres, dres, relgap):
         _, xv, sv, y, pobj, dobj, pres, dres, relgap = best
@@ -564,9 +645,11 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
     # Slater-failure signatures: feasibility converged but the gap did not,
     # or the iterates ran away while staying feasible
     if status != "optimal" and pres <= 1e-4 and dres <= 1e-4:
-        if relgap > 100.0 * tol or diverged:
+        if relgap > 100.0 * tol or status == DIVERGED:
             marginal = True
 
+    if perm is not None:  # back to the form's own column order
+        xv, sv = (_unpermuted(w, perm) for w in (xv, sv))
     return StdResult(
         status=status,
         pobj=pobj,
@@ -575,9 +658,15 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
         pres=pres,
         dres=dres,
         iterations=it,
-        X=form.blocks(xv),
-        S=form.blocks(sv),
+        X=given.blocks(xv),
+        S=given.blocks(sv),
         y=y,
         u=np.zeros(0),
         marginal=marginal,
     )
+
+
+def _unpermuted(w: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    out = np.empty_like(w)
+    out[perm] = w
+    return out

@@ -6,10 +6,11 @@ G0 + sum_j u_j G_j >= 0 over the free scalars.  This mixed form is closed
 under Lagrangian duality: blocks dualize to matrix inequalities and rows to
 free scalars, except a sign row u_j >= 0 of a min problem (u_j <= 0 of a
 max one), whose multiplier only makes u_j's dual row an inequality.  So
-``dual_of`` is an involution: dualizing twice returns the problem itself,
-except that a diagonal matrix inequality, whose dual multiplier is one 1x1
-block per diagonal entry, returns as that many 1x1 inequalities.  ``solve``
-may hand the IPM that dual, and reads the solution off it, roles swapped.
+``dual_of`` is an involution: dualizing twice returns the problem itself.
+The multiplier of a diagonal matrix inequality is one 1x1 block per
+diagonal entry, and the problem records that run of blocks as one diagonal
+group, which dualizes back to the diagonal inequality.  ``solve`` may hand
+the IPM that dual, and reads the solution off it, roles swapped.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ log = logging.getLogger(__name__)
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible_cert"
 DUAL_INFEASIBLE = "dual_infeasible_cert"
-MAX_ITER = "max_iter"
+MAX_ITER = "max_iter"  # optimal on the dual, but not certifying the problem
 NUMERICAL_FAILURE = "numerical_failure"
 
 
@@ -97,10 +98,17 @@ class SdpProblem:
     lmis: List[MatrixIneq] = field(default_factory=list)
     sense: str = "min"
     free_names: Optional[List[str]] = None
+    # (first, count): the 1x1 blocks first .. first + count - 1 are the
+    # diagonal of one matrix, as dual_of makes the multiplier of a diagonal
+    # matrix inequality, and dualize back to one diagonal inequality
+    diag_groups: List[Tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"unknown sense {self.sense!r}")
+        for first, count in self.diag_groups:
+            if count < 1 or self.block_dims[first:first + count] != [1] * count:
+                raise ValueError("a diagonal group must be a run of 1x1 blocks")
         self.C = [_sym(c) for c in self.C]
         if len(self.C) != len(self.block_dims):
             raise ValueError("one objective matrix per block required")
@@ -130,6 +138,7 @@ class SdpProblem:
             lmis=self.lmis,
             sense="max" if self.sense == "min" else "min",
             free_names=self.free_names,
+            diag_groups=self.diag_groups,
         )
 
 
@@ -285,7 +294,9 @@ def dual_of(p: SdpProblem) -> SdpProblem:
     so the dual bounds the primal on the correct side and its multipliers of
     inequality rows are nonnegative.  The multiplier Z_l of a diagonal
     inequality is diagonal, so it is l.dim 1x1 blocks in Z_l's place, one
-    per diagonal entry, which the IPM solves on its LP cone.
+    per diagonal entry, which the IPM solves on its LP cone; they form one
+    of the dual's ``diag_groups``, and a diagonal group of blocks dualizes
+    to one diagonal inequality.
 
     A sign row a*u_j <= 0 (no blocks, rhs 0) that is u_j's only one and has
     the sign of the dual's own sign rows, a < 0 for min and a > 0 for max
@@ -312,10 +323,21 @@ def dual_of(p: SdpProblem) -> SdpProblem:
                                     label=f"sign[{k}]"))
 
     d_lmis: List[MatrixIneq] = []
-    for b, dim in enumerate(p.block_dims):  # sign * (C_b - sum_k v_k A_kb) >= 0
-        coeffs = {v[k]: -sign * p.rows[k].blocks[b] for k in kept if b in p.rows[k].blocks}
-        d_lmis.append(MatrixIneq(dim=dim, const=sign * p.C[b], coeffs=coeffs,
-                                 label=f"block[{b}]"))
+    groups = dict(p.diag_groups)
+    b = 0
+    while b < len(p.block_dims):  # sign * (C_b - sum_k v_k A_kb) >= 0
+        run = range(b, b + groups.get(b, 1))  # a diagonal group, or block b alone
+        if b in groups:
+            C_b = _group_diag(dict(enumerate(p.C)), run)
+            A = {k: _group_diag(p.rows[k].blocks, run) for k in kept
+                 if any(c in p.rows[k].blocks for c in run)}
+        else:
+            C_b = p.C[b]
+            A = {k: p.rows[k].blocks[b] for k in kept if b in p.rows[k].blocks}
+        d_lmis.append(MatrixIneq(dim=len(C_b), const=sign * C_b,
+                                 coeffs={v[k]: -sign * a for k, a in A.items()},
+                                 diag=b in groups, label=f"block[{b}]"))
+        b = run.stop
 
     C = [-sign * g for l in p.lmis for g in _split(l, l.const)]
     return SdpProblem(
@@ -326,6 +348,7 @@ def dual_of(p: SdpProblem) -> SdpProblem:
         rows=d_rows,
         lmis=d_lmis,
         sense="max" if p.sense == "min" else "min",
+        diag_groups=[(int(first[li]), l.dim) for li, l in enumerate(p.lmis) if l.diag],
     )
 
 
@@ -344,6 +367,12 @@ def _sign_rows(p: SdpProblem) -> Tuple[Dict[int, int], List[int]]:
               if len(ks) == 1 and sign * p.rows[ks[0]].free[j] < 0}
     dropped = set(folded.values())
     return folded, [k for k in range(len(p.rows)) if k not in dropped]
+
+
+def _group_diag(mats: Dict[int, np.ndarray], run: range) -> np.ndarray:
+    """The diagonal matrix of the 1x1 blocks ``run`` of mats, zero where
+    mats has no such block."""
+    return np.diag([float(mats[c][0, 0]) if c in mats else 0.0 for c in run])
 
 
 def _split(l: MatrixIneq, g: np.ndarray) -> List[np.ndarray]:
@@ -372,6 +401,8 @@ def structurally_equal(p: SdpProblem, q: SdpProblem, tol: float = 0.0) -> bool:
     labels and names are ignored.  Dualizing twice returns the original
     problem in this sense."""
     if p.sense != q.sense or p.block_dims != q.block_dims or p.n_free != q.n_free:
+        return False
+    if [tuple(g) for g in p.diag_groups] != [tuple(g) for g in q.diag_groups]:
         return False
     if len(p.rows) != len(q.rows) or len(p.lmis) != len(q.lmis):
         return False

@@ -17,6 +17,9 @@ computed from the counts only when read (phi_check reads them).
 Nothing above needs a group: the same basis and L_k exist for the classes
 of any coherent configuration (orbit_basis), and coherent_closure finds the
 coarsest one refining a colouring of the pairs, such as a graph's edges.
+split_lmi then splits a matrix inequality over the L_k into its simple
+components; over a commutative algebra every component is 1x1, and the
+inequality is an LP.
 
 Both reducers, reduce_sdp for an invariant SDP and symmetric_sos_dual for an
 invariant polynomial program, restrict a Gram block to the commutant the
@@ -44,6 +47,7 @@ from soskit.relax import PolyProgram, check_order, gram_rows
 
 GROUP_ENUMERATION_CAP = 10 ** 6
 CLOSURE_CHUNK = 2 ** 22     # signature entries per chunk of coherent_closure
+WALK_CHUNK = 2 ** 16        # walk keys and counts per chunk of orbit_basis
 
 T = TypeVar("T")
 
@@ -479,16 +483,19 @@ def orbit_basis(label: np.ndarray) -> OrbitBasis:
     first_y = np.array([o[0][1] for o in pair_orbits], dtype=np.int64)
     transpose_of = label[first_y, first_x].tolist()
 
-    # counts[k, i*d + j] = c_{ij}^k, read off the first pair of orbit k; one
-    # row x at a time, every pair (x, y) must count the same as its orbit's
+    # counts[k, i*d + j] = c_{ij}^k, read off the first pair of orbit k: one
+    # bincount of the keys (x, y, i, j) of every walk x -> z -> y over a chunk
+    # of rows x, and every pair (x, y) must count the same as its orbit's
     counts = np.empty((d, d * d), dtype=np.int64)
-    key_y = np.arange(n) * (d * d)
-    for x in range(n):
-        key = key_y[None, :] + label[x][:, None] * d + label   # [z, y]
-        walks = np.bincount(key.ravel(), minlength=n * d * d).reshape(n, d * d)
-        here = first_x == x
-        counts[here] = walks[first_y[here]]
-        if not np.array_equal(walks, counts[label[x]]):
+    step = max(1, WALK_CHUNK // (n * max(n, d * d)))   # keys and counts per chunk
+    key_zy = label + np.arange(n) * (d * d)                    # [z, y]
+    for x0 in range(0, n, step):
+        xs = np.arange(x0, min(n, x0 + step))
+        key = (xs[:, None, None] - x0) * (n * d * d) + label[xs][:, :, None] * d + key_zy
+        walks = np.bincount(key.ravel(), minlength=len(xs) * n * d * d).reshape(len(xs), n, d * d)
+        here = (first_x >= x0) & (first_x < x0 + len(xs))
+        counts[here] = walks[first_x[here] - x0, first_y[here]]
+        if not np.array_equal(walks, counts[label[xs]]):
             raise AssertionError("walk counts not constant on a class: not coherent")
     counts = counts.reshape(d, d, d)
 
@@ -569,6 +576,67 @@ def group_average(action: GroupAction, X: np.ndarray) -> np.ndarray:
     label = _pair_orbits(action).ravel()
     mean = np.bincount(label, weights=X.ravel()) / np.bincount(label)
     return mean[label].reshape(X.shape)
+
+
+# -- simple components of a matrix inequality -----------------------------------
+
+SPLIT_TOL = 1e-10   # coupling below this times max|L| counts as zero
+
+
+def _components(mats: np.ndarray):
+    """The simple components of the symmetric d x d matrices mats (Murota,
+    Kanno, Kojima & Kojima 2010, JJIAM 27): an orthogonal Q, the data
+    Q' mats Q with entries at most SPLIT_TOL * max|L| set to zero, and the
+    index arrays of the components, the columns of Q that no Q' L Q couples
+    to the rest.  Q holds the eigenvectors of one generic element
+    sum_g r_g L_g, r drawn from a fixed seed so that the same mats always
+    give the same Q; eigenvectors that some Q' L Q couples are joined, as
+    connected components.  For a commutative family every component has
+    size 1.  Components come in order of their first eigenvector."""
+    d = mats.shape[-1]
+    rng = random.Random(0)  # the stdlib's: numpy.random costs ~6 MB and 12 ms to load
+    r = np.array([rng.gauss(0.0, 1.0) for _ in range(len(mats))])
+    _, Q = np.linalg.eigh(np.tensordot(r, mats, axes=1))
+    P = Q.T @ mats @ Q
+    P[np.abs(P) <= SPLIT_TOL * np.max(np.abs(mats), axis=(1, 2), keepdims=True)] = 0.0
+    coupled = np.any(P != 0.0, axis=0) | np.eye(d, dtype=bool)
+    coupled |= coupled.T
+    comp = np.arange(d)
+    while True:  # each index takes the least label it is coupled to
+        low = np.min(np.where(coupled, comp, d), axis=1)
+        if np.array_equal(low, comp):
+            break
+        comp = low[low]
+    # each component is labelled by its least index
+    return Q, P, [np.flatnonzero(comp == c) for c in np.flatnonzero(comp == np.arange(d))]
+
+
+def split_lmi(l: sdp.MatrixIneq) -> List[sdp.MatrixIneq]:
+    """l as the inequalities of its simple components (_components of its
+    data): the components of size 1 together as one diagonal
+    inequality, the LP cone, and each larger one as a PSD inequality
+    Q_c' (G0 + sum_j u_j G_j) Q_c >= 0.  Q is orthogonal, so the feasible
+    set is l's; entries at most SPLIT_TOL * max|G| become zeros, and a
+    component whose data all vanish (0 >= 0) is dropped."""
+    keys = list(l.coeffs)
+    _, P, comps = _components(np.array([l.const] + [l.coeffs[j] for j in keys]))
+
+    def ineq(data, diag):
+        return sdp.MatrixIneq(len(data[0]), data[0],
+                              {j: g for j, g in zip(keys, data[1:]) if np.any(g)},
+                              diag=diag, label=l.label)
+
+    out = []
+    ones = np.array([c[0] for c in comps if len(c) == 1], dtype=np.intp)
+    entries = P[:, ones, ones]
+    ones = ones[np.any(entries != 0.0, axis=0)]
+    if ones.size:
+        out.append(ineq([np.diag(v) for v in P[:, ones, ones]], diag=True))
+    for c in comps:
+        data = P[:, c[:, None], c]
+        if len(c) > 1 and np.any(data):
+            out.append(ineq(list(data), diag=False))
+    return out
 
 
 # -- reduction of invariant SDPs ------------------------------------------------

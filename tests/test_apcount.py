@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from soskit import sdp
@@ -125,6 +126,27 @@ class TestBruteForceR:
             low, high = cyclic_bound(n)
             r = brute_force_R(n)
             assert float(low) - 1e-9 <= r <= float(high) + 1e-9
+
+    @staticmethod
+    def _by_colouring(n):
+        """The minimum over every colouring with x_0 = +1, each 3-AP counted
+        by the indicator (x_a x_b + x_a x_c + x_b x_c + 1) // 4."""
+        trip = np.array(enumerate_aps(n).triples)
+        idx = np.arange(1 << (n - 1))
+        signs = np.ones((len(idx), n), dtype=np.int64)
+        signs[:, 1:] -= 2 * ((idx[:, None] >> np.arange(n - 1)) & 1)
+        sa, sb, sc = (signs[:, trip[:, k]] for k in range(3))
+        return int(((sa * sb + sa * sc + sb * sc + 1) // 4).sum(axis=1).min())
+
+    def test_quadratic_form_equals_the_colouring_count(self):
+        assert [brute_force_R(n) for n in range(3, 17)] == \
+            [self._by_colouring(n) for n in range(3, 17)]
+
+    def test_values_beyond_16(self):
+        assert [brute_force_R(n) for n in range(17, 22)] == [28, 16, 36, 32, 33]
+        # n = 22, 23, 24: the rows of cyclic_bound that are exact
+        for n, r in ((22, 40), (23, 55), (24, 32)):
+            assert brute_force_R(n) == r and cyclic_bound(n) == (r, r)
 
 
 class TestCyclicBound:

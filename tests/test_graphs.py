@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from soskit import sdp
+from soskit import sdp, symmetry
 from soskit.graphs import (
     Graph,
     brute_force_alpha,
@@ -14,6 +14,7 @@ from soskit.graphs import (
     lovasz_theta,
     lovasz_theta_prime,
     theta,
+    theta_class_problem,
     theta_problem,
 )
 
@@ -172,6 +173,29 @@ class TestReducedTheta:
         assert (sol.status, sol.primal_obj, sol.dual_obj) == \
             (full.status, full.primal_obj, full.dual_obj)
         assert "solving the full problem" in caplog.text
+
+    @pytest.mark.parametrize("prime", [False, True], ids=["theta", "prime"])
+    @pytest.mark.parametrize("name", ["C5", "C7", "petersen", "K33", "K15",
+                                      "H242", "H243", "H253", "H332"])
+    def test_split_equals_the_class_problem(self, name, prime):
+        # the class inequality split into simple components has the optimum
+        # of the unsplit class problem
+        sol, _ = theta(REDUCED[name], prime=prime)
+        whole = sdp.solve(theta_class_problem(REDUCED[name], prime=prime)[0], tol=1e-9)
+        assert sol.status == whole.status == sdp.OPTIMAL
+        assert abs(sol.primal_obj - whole.primal_obj) < 1e-6
+
+    @pytest.mark.parametrize("g", [Graph.cycle(7), petersen(), hamming_graph(2, 7, 3),
+                                   REDUCED["K15"], REDUCED["H242"], REDUCED["H243"],
+                                   REDUCED["H253"], REDUCED["H332"]],
+                             ids=["C7", "petersen", "H273", "K15", "H242", "H243",
+                                  "H253", "H332"])
+    def test_commutative_closures_are_linear_programs(self, g):
+        # every simple component has size 1: one diagonal inequality, the
+        # LP cone, and no PSD block left
+        problem, d = theta_class_problem(g, prime=True)
+        split = symmetry.split_lmi(problem.lmis[0])
+        assert len(split) == 1 and split[0].diag and split[0].dim <= d
 
     def test_logs_the_reduction(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="soskit.graphs"):

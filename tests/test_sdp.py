@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soskit import apcount, graphs, ipm, sdp
-from soskit.relax import build_sos_dual
+from soskit import apcount, graphs, ipm, sdp, symmetry
+from soskit.relax import build_moment_primal, build_sos_dual
 from soskit.sdp import (
     LinearRow,
     MatrixIneq,
@@ -201,13 +201,10 @@ def sign_row_problem(signs, sense="min"):
 
 
 def reduced_theta_prime(g):
-    """The problem that graphs.theta solves for theta'(g) in its coherent
-    closure: max-sense, with a sign row -x_g <= 0 per non-edge class."""
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdp, "solve", lambda p, **kw: seen.append(p) or solve(p, **kw))
-        graphs.theta(g, prime=True)
-    return seen[0]
+    """The problem of theta'(g) in its coherent closure, before graphs.theta
+    splits its class inequality: max-sense, with a sign row -x_g <= 0 per
+    non-edge class."""
+    return graphs.theta_class_problem(g, prime=True)[0]
 
 
 class TestDualOf:
@@ -242,9 +239,19 @@ class TestDualOf:
         both_signs = sign_row_problem([(0, 1.0), (0, -1.0)])  # u = 0: two sign rows
         max_sign = sign_row_problem([(0, 1.0)], sense="max")  # folded: u <= 0 in a max
         reduced = reduced_theta_prime(graphs.Graph.cycle(5))  # -x_g <= 0 in a max: kept
+        # max u s.t. diag(1, 1) + u diag(-1, -2) >= 0: its dual's two 1x1
+        # blocks are one diagonal group, and dualize back to one inequality
+        diag = SdpProblem(n_free=1, free_obj=np.array([1.0]), sense="max",
+                          lmis=[MatrixIneq(2, np.eye(2), {0: np.diag([-1.0, -2.0])}, diag=True)])
+        split = reduced_theta_prime(graphs.hamming_graph(2, 5, 3))
+        split.lmis = symmetry.split_lmi(split.lmis[0])
         for p in (gap_example(), theta_c5(), ineq, theta_prime_c5, max_ineq,
-                  both_signs, max_sign, reduced):
+                  both_signs, max_sign, reduced, diag, split):
             assert structurally_equal(p, dual_of(dual_of(p)), tol=1e-12)
+        d = dual_of(diag)
+        assert d.block_dims == [1, 1] and d.diag_groups == [(0, 2)]
+        assert structurally_equal(d, dual_of(dual_of(d)), tol=1e-12)
+        assert abs(solve(diag).primal_obj - 0.5) < 1e-7
 
     @pytest.mark.parametrize("sense, a, folds", [("min", -1.0, True), ("min", 1.0, False),
                                                  ("max", 1.0, True), ("max", -1.0, False)])
@@ -745,10 +752,10 @@ class TestFactoredLinearAlgebra:
         assert (len(psd), len(lp)) in [(1, 5), (2, 0)]
         A = form.rows
         X, S = [], []
-        for _, d in psd:
+        for _, d, k in psd:  # a stack of k d x d blocks
             for blocks in (X, S):
-                B = rng.normal(size=(d, d))
-                blocks.append(B @ B.T + np.eye(d))
+                B = rng.normal(size=(k, d, d))
+                blocks.append(B @ np.swapaxes(B, -1, -2) + np.eye(d))
         x, s = rng.uniform(0.5, 2.0, size=(2, len(lp)))
         T = np.empty_like(A)
         for a, t, xb, sb in zip(ipm._views(A, psd), ipm._views(T, psd), X, S):
@@ -808,7 +815,140 @@ class TestFactoredLinearAlgebra:
             res = ipm.solve_std(form)
             assert res.status == "optimal" and len(form.rows) > ipm._LEAF
             assert shapes["solve"] == []
-            assert shapes["inv"] and max(s[0] for s in shapes["inv"]) <= ipm._LEAF
+            assert shapes["inv"] and max(s[-1] for s in shapes["inv"]) <= ipm._LEAF
+
+
+def _linalg_counter(monkeypatch, names=("cholesky", "eigvalsh", "inv")):
+    """Counts of the numpy.linalg calls ``names``, as the test runs."""
+    counts = {}
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+# Iterations of every standard form that one seed-1 pass of the benchmark's
+# four workloads solves, in job order, as the IPM with one LAPACK call per
+# block solved them (numpy 2.4, OpenBLAS 0.3.31); every one ended optimal.
+# theta's are the unsplit class problems (graphs.theta_class_problem).
+WORKLOAD_ITERATIONS = {
+    "density": [6, 7, 8, 7, 8, 8, 6, 7, 8, 8, 8, 9, 9, 10, 7, 7, 8, 8, 8, 8, 8, 10, 9, 12,
+                10, 10, 7, 8, 9, 9, 9, 9, 9, 10, 11, 10, 10, 12, 10, 11],
+    "pop": [9, 9, 10, 10, 14, 14, 11, 11, 11, 11, 9, 9, 9, 9, 11, 11],
+    "theta": [8, 9, 8, 8, 9, 9, 9, 10],
+    "mono": [7] * 21 + [8],
+    "reduce": [9, 9, 9, 10],
+}
+
+
+def _workload_problems():
+    """(workload, problem) of each solve of one seed-1 benchmark pass: the
+    density relaxations with symmetry, the SOS and moment sides of the ball
+    quartics, theta and theta' of the Hamming graphs in their coherent
+    closures, the cyclic mono relaxations, and the full and reduced theta
+    of C41 and C61."""
+    for p in (5, 7, 11, 13):
+        for D in range(p + 1):
+            yield "density", apcount.build_density_relaxation(p, D, use_symmetry=True)[0]
+    rng = random.Random(1)
+    ball_quartic(2, rng)  # the warm-up program is drawn first
+    for n, count in ((4, 3), (5, 3), (6, 1), (7, 1)):
+        for _ in range(count):
+            prog = ball_quartic(n, rng)
+            yield "pop", build_sos_dual(prog, 4)[0]
+            yield "pop", build_moment_primal(prog, 4)[0]
+    for qnd in ((2, 4, 2), (2, 4, 3), (2, 5, 3), (3, 3, 2)):
+        for prime in (False, True):
+            yield "theta", graphs.theta_class_problem(graphs.hamming_graph(*qnd), prime=prime)[0]
+    for n in range(3, 25):
+        yield "mono", apcount.build_mono_relaxation(n, use_symmetry=True)[0]
+    for n in (41, 61):
+        full = graphs.theta_problem(graphs.Graph.cycle(n))
+        yield "reduce", full
+        yield "reduce", symmetry.reduce_sdp(full, symmetry.dihedral_action(n)).problem
+
+
+class TestStackedCones:
+    """Blocks of one size are one (k, d, d) stack, so an iteration's LAPACK
+    calls follow the distinct block sizes, not the number of blocks."""
+
+    @staticmethod
+    def _copies(k):
+        # k independent copies of min <C, X> s.t. tr X = 1 over 2x2 blocks
+        C = np.array([[1.0, 0.5], [0.5, 2.0]])
+        return SdpProblem(block_dims=[2] * k, C=[C] * k,
+                          rows=[LinearRow(blocks={b: np.eye(2)}, rhs=1.0) for b in range(k)])
+
+    def test_linalg_calls_per_iteration_do_not_grow_with_blocks(self, monkeypatch):
+        counts = _linalg_counter(monkeypatch)
+        per_iteration = []
+        for k in (1, 10):
+            counts.clear()
+            s = solve(self._copies(k))
+            assert s.status == sdp.OPTIMAL
+            assert abs(s.primal_obj - k * (1.5 - np.sqrt(0.5))) < 1e-7
+            per_iteration.append({name: n / s.iterations for name, n in counts.items()})
+        assert per_iteration[0] == per_iteration[1]
+        assert set(per_iteration[0]) == {"cholesky", "eigvalsh", "inv"}
+
+    def test_blocks_out_of_size_order(self):
+        # blocks of sizes 2, 3, 1, 2, 3 are solved grouped by size and come
+        # back in their own order, equal to the same problem sorted by size
+        rng = np.random.default_rng(4)
+        dims = [2, 3, 1, 2, 3]
+        C = [(lambda a: a @ a.T + np.eye(d))(rng.normal(size=(d, d))) for d in dims]
+        rows = [LinearRow(blocks={b: np.eye(d) for b, d in enumerate(dims)}, rhs=1.0),
+                LinearRow(blocks={0: np.diag([1.0, -1.0]), 4: np.eye(3)}, rhs=0.2, rel="<=")]
+        p = SdpProblem(block_dims=dims, C=C, rows=rows)
+        order = [0, 3, 1, 4, 2]
+        q = SdpProblem(block_dims=[dims[b] for b in order], C=[C[b] for b in order],
+                       rows=[LinearRow(blocks={order.index(b): a for b, a in r.blocks.items()},
+                                       rhs=r.rhs, rel=r.rel) for r in rows])
+        form = sdp._standardize(p)
+        grouped, perm = ipm._grouped(form)
+        assert grouped.dims == [2, 2, 3, 3, 1, 1] and grouped.rows.flags.c_contiguous
+        assert ipm._grouped(grouped)[1] is None
+        sp, sq = solve(p), solve(q)
+        assert sp.status == sq.status == sdp.OPTIMAL
+        assert abs(sp.primal_obj - sq.primal_obj) < 1e-7
+        for b, x in enumerate(sp.X):
+            np.testing.assert_allclose(x, sq.X[order.index(b)], atol=1e-6)
+
+    def test_stop_reasons(self):
+        # iter_cap: out of iterations; diverged: iterates past DIVERGENCE
+        # (min <diag(1, -1), X> is unbounded); stalled: 20 iterations
+        # without a better iterate (the SOS side of a ball quartic)
+        assert solve(theta_c5(), max_iter=2).status == ipm.ITER_CAP
+        unbounded = SdpProblem(block_dims=[2], C=[np.diag([1.0, -1.0])])
+        assert solve(unbounded, max_iter=60).status == ipm.DIVERGED
+        rng = random.Random(609)
+        for n in (2, 4, 4, 4):  # pop-ball's draws before its first n = 5 quartic
+            ball_quartic(n, rng)
+        s = solve(build_sos_dual(ball_quartic(5, rng), 4)[0])
+        assert s.status == ipm.STALLED and s.iterations < 200
+
+    def test_workload_forms_keep_their_iteration_counts(self, monkeypatch):
+        seen = {name: [] for name in WORKLOAD_ITERATIONS}
+        real = ipm.solve_std
+        group = []
+
+        def recorded(form, **kwargs):
+            res = real(form, **kwargs)
+            seen[group[-1]].append((res.iterations, res.status))
+            return res
+
+        monkeypatch.setattr(ipm, "solve_std", recorded)
+        for name, p in _workload_problems():
+            group.append(name)
+            solve(p, tol=1e-8)
+        assert {name: [it for it, _ in runs] for name, runs in seen.items()} == \
+            WORKLOAD_ITERATIONS
+        assert {status for runs in seen.values() for _, status in runs} == {sdp.OPTIMAL}
 
 
 def random_free_form(nf, seed, m=8, dims=(3, 2, 1, 1, 1), repeated=False):

@@ -280,6 +280,18 @@ class TestCoherentClosure:
             assert len({int(colour[x, y]) for x, y in b.orbits[i]}) == 1
         assert [o[0] for o in b.orbits] == sorted(o[0] for o in b.orbits)
 
+    @pytest.mark.parametrize("qnd", [(2, 4, 2), (2, 4, 3), (2, 5, 3), (3, 3, 2)])
+    def test_walk_counts_match_a_count_per_pair(self, qnd):
+        # c_{ij}^k from the first pair (x, y) of class k, z by z
+        label = coherent_closure(pair_colours(hamming_graph(*qnd)))
+        b = orbit_basis(label)
+        expect = np.zeros((b.d, b.d, b.d), dtype=np.int64)
+        for k, orbit in enumerate(b.orbits):
+            x, y = orbit[0]
+            for z in range(b.size):
+                expect[k, label[x, z], label[z, y]] += 1
+        assert np.array_equal(b.counts, expect)
+
     def test_rejects_a_labelling_that_is_not_coherent(self):
         # the colouring of the path P4 itself: the two ends and the two
         # inner vertices share a diagonal colour
@@ -350,6 +362,71 @@ class TestCoherentClosure:
             for field in ("label", "counts", "L_float"):
                 x, y = getattr(a, field), getattr(b, field)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _blocks(Q, *parts):
+    """Q diag(parts) Q' for square parts."""
+    n = sum(len(p) for p in parts)
+    out, i = np.zeros((n, n)), 0
+    for p in parts:
+        out[i:i + len(p), i:i + len(p)] = p
+        i += len(p)
+    return Q @ out @ Q.T
+
+
+class TestSimpleComponents:
+    @staticmethod
+    def _family(seed=2):
+        # Q diag(B1, B2, c) Q' with B1, B2 running through 2x2 matrices that
+        # do not commute: components of sizes 2, 2 and 1
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        sym = [np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+        return [_blocks(Q, a, b, [[c]]) for a, b, c in
+                ((sym[0], sym[1], 1.0), (sym[1], sym[0], -2.0), (np.eye(2), 2 * np.eye(2), 0.5))]
+
+    def test_splits_into_the_blocks(self):
+        mats = np.array(self._family())
+        Q, P, comps = symmetry._components(mats)
+        assert sorted(len(c) for c in comps) == [1, 2, 2]
+        assert np.allclose(Q.T @ Q, np.eye(5), atol=1e-12)
+        inside = np.zeros((5, 5), dtype=bool)
+        for c in comps:
+            inside[np.ix_(c, c)] = True
+        assert np.max(np.abs((Q.T @ mats @ Q)[:, ~inside])) <= 1e-12
+        assert not np.any(P[:, ~inside])
+
+    def test_repeated_runs_are_identical(self):
+        mats = np.array(self._family())
+        first, again = symmetry._components(mats), symmetry._components(mats)
+        assert first[0].tobytes() == again[0].tobytes()
+        assert first[1].tobytes() == again[1].tobytes()
+
+    def test_commuting_family_is_diagonal(self):
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        mats = np.array([(Q * rng.normal(size=4)) @ Q.T for _ in range(3)])
+        assert [len(c) for c in symmetry._components(mats)[2]] == [1] * 4
+
+    def test_split_lmi_keeps_the_spectrum(self):
+        # the split inequalities' matrices are the blocks of Q' G(u) Q, so
+        # their eigenvalues together are those of G(u) at every u
+        mats = self._family()
+        l = sdp.MatrixIneq(5, mats[0], {0: mats[1], 3: mats[2]}, label="g")
+        split = symmetry.split_lmi(l)
+        assert [(s.dim, s.diag) for s in split] == [(1, True), (2, False), (2, False)]
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            u = rng.normal(size=4)
+            whole = np.linalg.eigvalsh(l.value(u))
+            parts = np.sort(np.concatenate([np.linalg.eigvalsh(s.value(u)) for s in split]))
+            np.testing.assert_allclose(parts, whole, atol=1e-12)
+
+    def test_split_lmi_drops_a_vanishing_component(self):
+        # the second diagonal entry is 0 >= 0 whatever u is
+        l = sdp.MatrixIneq(2, np.diag([1.0, 0.0]), {0: np.diag([2.0, 0.0])}, diag=True)
+        (s,) = symmetry.split_lmi(l)
+        assert s.diag and s.dim == 1 and s.const[0, 0] == 1.0 and s.coeffs[0][0, 0] == 2.0
 
 
 class TestPhiCheck:
