@@ -195,10 +195,9 @@ def theta(g: Graph, prime: bool = False,
         return sdp.solve(theta_problem(g, prime=prime), tol=tol), None
     problem, d = built
     lmis = symmetry.split_lmi(problem.lmis[0])
-    sizes = [1] * sum(l.dim for l in lmis if l.diag) + [l.dim for l in lmis if not l.diag]
     log.debug("theta%s: %d vertices reduced to %d classes, %d variables, "
-              "simple components of sizes %s", "'" if prime else "", g.n, d,
-              problem.n_free, sizes)
+              "(dim, diag) of the simple components %s", "'" if prime else "", g.n, d,
+              problem.n_free, [(l.dim, l.diag) for l in lmis])
     return sdp.solve(replace(problem, lmis=lmis), tol=tol), d
 
 

@@ -600,14 +600,15 @@ def _from_dual(q: SdpProblem, dual: SdpProblem, res: ipm.StdResult, tol: float) 
     for j, k in folded.items():
         y[k] = -_row_residual(dual.rows[j], d.X, d.free) / q.rows[k].free[j]
 
-    pobj, dobj = q.objective_value(d.Z, u), -res.pobj
+    X = [g for l, z in zip(dual.lmis, d.Z) for g in _split(l, z)]  # q's own blocks
+    pobj, dobj = q.objective_value(X, u), -res.pobj
     relgap = ipm.relative_gap(pobj, dobj)
     swap = {PRIMAL_INFEASIBLE: DUAL_INFEASIBLE, DUAL_INFEASIBLE: PRIMAL_INFEASIBLE}
     status = swap.get(res.status, res.status)
     if status == OPTIMAL and relgap > 10.0 * tol:
         status = MAX_ITER
     return SdpSolution(status=status, primal_obj=pobj, dual_obj=dobj, gap=relgap,
-                       iterations=res.iterations, X=d.Z, free=u, y=y,
+                       iterations=res.iterations, X=X, free=u, y=y,
                        Z=_multipliers(q.lmis, d.X), marginal=res.marginal,
                        primal_residual=res.dres, dual_residual=res.pres, orientation="dual")
 

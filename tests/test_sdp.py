@@ -253,6 +253,23 @@ class TestDualOf:
         assert structurally_equal(d, dual_of(dual_of(d)), tol=1e-12)
         assert abs(solve(diag).primal_obj - 0.5) < 1e-7
 
+    def test_grouped_problem_solved_in_the_dual_orientation(self):
+        # max u_0 + .. + u_4 s.t. diag(2, 1) - (u_0 + .. + u_4) I >= 0 has
+        # value 1; its dual, min 2 z_1 + z_2 s.t. z_1 + z_2 = 1 on one
+        # diagonal group, is solved in the dual orientation, and its X is
+        # the group's two 1x1 blocks, not one 2x2 matrix
+        r = SdpProblem(n_free=5, free_obj=np.ones(5), sense="max",
+                       lmis=[MatrixIneq(2, np.diag([2.0, 1.0]),
+                                        {j: -np.eye(2) for j in range(5)}, diag=True)])
+        q = dual_of(r)
+        sol = solve(q)
+        assert sol.orientation == "dual" and sol.status == sdp.OPTIMAL
+        assert len(sol.X) == len(q.block_dims)
+        assert [x.shape for x in sol.X] == [(1, 1), (1, 1)]
+        assert abs(sol.primal_obj - 1.0) < 1e-7 and abs(sol.dual_obj - 1.0) < 1e-7
+        assert abs(q.objective_value(sol.X, sol.free) - sol.primal_obj) < 1e-12
+        assert check_feasible(q, sol.X, sol.free).feasible(1e-7)
+
     @pytest.mark.parametrize("sense, a, folds", [("min", -1.0, True), ("min", 1.0, False),
                                                  ("max", 1.0, True), ("max", -1.0, False)])
     def test_sign_row_folds_into_its_scalar_row(self, sense, a, folds):
@@ -836,6 +853,9 @@ def _linalg_counter(monkeypatch, names=("cholesky", "eigvalsh", "inv")):
 # four workloads solves, in job order, as the IPM with one LAPACK call per
 # block solved them (numpy 2.4, OpenBLAS 0.3.31); every one ended optimal.
 # theta's are the unsplit class problems (graphs.theta_class_problem).
+# Rounding differs between BLAS builds and can move a solve by an iteration,
+# so the counts are exact only on the build they were recorded on.
+RECORDED_BUILD = ("2.4.", "0.3.31")
 WORKLOAD_ITERATIONS = {
     "density": [6, 7, 8, 7, 8, 8, 6, 7, 8, 8, 8, 9, 9, 10, 7, 7, 8, 8, 8, 8, 8, 10, 9, 12,
                 10, 10, 7, 8, 9, 9, 9, 9, 9, 10, 11, 10, 10, 12, 10, 11],
@@ -922,7 +942,9 @@ class TestStackedCones:
     def test_stop_reasons(self):
         # iter_cap: out of iterations; diverged: iterates past DIVERGENCE
         # (min <diag(1, -1), X> is unbounded); stalled: 20 iterations
-        # without a better iterate (the SOS side of a ball quartic)
+        # without a better iterate (the SOS side of a ball quartic).  The
+        # stall of rng seed 609's quartic was seen on numpy 2.4 with
+        # OpenBLAS 0.3.31; another BLAS build may round it to another exit
         assert solve(theta_c5(), max_iter=2).status == ipm.ITER_CAP
         unbounded = SdpProblem(block_dims=[2], C=[np.diag([1.0, -1.0])])
         assert solve(unbounded, max_iter=60).status == ipm.DIVERGED
@@ -933,6 +955,11 @@ class TestStackedCones:
         assert s.status == ipm.STALLED and s.iterations < 200
 
     def test_workload_forms_keep_their_iteration_counts(self, monkeypatch):
+        # every form ends optimal; iteration counts are WORKLOAD_ITERATIONS
+        # exactly on the recorded BLAS build and within one elsewhere
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        exact = (np.__version__.startswith(RECORDED_BUILD[0])
+                 and str(blas.get("version", "")).startswith(RECORDED_BUILD[1]))
         seen = {name: [] for name in WORKLOAD_ITERATIONS}
         real = ipm.solve_std
         group = []
@@ -946,8 +973,12 @@ class TestStackedCones:
         for name, p in _workload_problems():
             group.append(name)
             solve(p, tol=1e-8)
-        assert {name: [it for it, _ in runs] for name, runs in seen.items()} == \
-            WORKLOAD_ITERATIONS
+        counts = {name: [it for it, _ in runs] for name, runs in seen.items()}
+        if exact:
+            assert counts == WORKLOAD_ITERATIONS
+        for name, recorded_counts in WORKLOAD_ITERATIONS.items():
+            assert len(counts[name]) == len(recorded_counts)
+            assert all(abs(a - b) <= 1 for a, b in zip(counts[name], recorded_counts)), name
         assert {status for runs in seen.values() for _, status in runs} == {sdp.OPTIMAL}
 
 
