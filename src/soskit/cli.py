@@ -17,7 +17,6 @@ import logging
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from math import comb, isfinite
 from pathlib import Path
@@ -25,8 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from soskit import apcount, graphs, relax, sdp, symmetry
-
-log = logging.getLogger("soskit")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -154,9 +151,6 @@ def _spot_check(prog: relax.PolyProgram, lam: float, seed: int, tol: float) -> d
 
 def cmd_pop_solve(args) -> int:
     prog = _load_program(args.program)
-    if args.sym:
-        raise CliError("--sym applies to apcount subcommands; "
-                       "use 'sym reduce' for invariant SDPs")
     if args.moment and args.cert_out:
         raise CliError("--cert-out needs the SOS side; the moment side has no certificate")
     s = _checked_order(prog, args.order)
@@ -387,6 +381,8 @@ def cmd_apcount_tables(args) -> int:
         raise CliError("table range limited to 3 <= min <= max <= 24")
     ns = list(range(args.min, args.max + 1))
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded for --jobs alone
+
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(ns))) as pool:
             rows = list(pool.map(_table_row, ns))
     else:
@@ -439,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = pop_sub.add_parser("solve")
     ps.add_argument("program")
     ps.add_argument("--moment", action="store_true", help="solve the moment side")
-    ps.add_argument("--sym", action="store_true")
     ps.add_argument("--cert-out", default=None)
     common(ps, order_default=2)
     ps.set_defaults(func=cmd_pop_solve)

@@ -27,6 +27,17 @@ same way: _orbit_coordinates projects the block's coefficient rows onto the
 orbit indicators E_i and pairs each orbit with its transpose.  The SOS side
 first sums its coefficient rows over monomial orbits, from the same σ·g
 expansion (relax.gram_rows) that the unreduced SOS dual uses.
+
+Every orbit computation is one kernel, _labels: the connected components
+of a graph on 0..n-1, each index labelled by its component's least member.
+orbits (items under maps), _pair_orbits (Z x Z under the generators),
+_components (eigenvectors under coupling) and the multiplier bases of
+symmetric_sos_dual all call it.  No stabilizer is built: a multiplier of an
+inequality orbit lives in the commutant of the stabilizer of the orbit's
+first member, and as the group is transitive on the orbit, that
+stabilizer's orbits on basis pairs (b, b') are the group's orbits on the
+triples (member, b, b') at the first member.  σ0 is the multiplier of the
+orbit {1}, whose stabilizer is the whole group.
 """
 
 from __future__ import annotations
@@ -321,53 +332,50 @@ class OrbitBasis:
         return v[self.label]
 
 
+def _labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each index 0..n-1 labelled by the least member of its connected
+    component in the graph with an edge src[e] -- dst[e] for every e.
+
+    Each index starts as its own label.  A round lets the label at each end
+    of every edge fall to the label at the other end (np.minimum.at, so
+    duplicate edges and self-loops do no harm), and then jumps each label
+    to its own label.  A label always names a member of its index's
+    component no larger than the index, so when a round changes nothing,
+    labels agree along every edge and each is its component's least member."""
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, src, label[dst])
+        np.minimum.at(label, dst, label[src])
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
+
+
 def orbits(items: Sequence[T], maps: Iterable[Callable[[T], T]]) -> List[List[T]]:
-    """Orbits of the group generated by maps, each a bijection of items, by
-    union-find over the image of every item.  Orbits are ordered by their
-    first member in items and list their members in input order."""
+    """Orbits of the group generated by maps, each a bijection of items: the
+    components (_labels) of the graph joining each item to its image under
+    each map.  Orbits are ordered by their first member in items and list
+    their members in input order."""
     index = {x: k for k, x in enumerate(items)}
-    parent = list(range(len(items)))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for f in maps:
-        for k, x in enumerate(items):
-            a, b = find(k), find(index[f(x)])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    # each root is the smallest index of its set, so first-seen order is
-    # the order of smallest members
+    images = np.array([[index[f(x)] for x in items] for f in maps], dtype=np.intp)
+    label = _labels(len(items), np.tile(np.arange(len(items)), len(images)), images.ravel())
     groups: Dict[int, List[T]] = {}
-    for k, x in enumerate(items):
-        groups.setdefault(find(k), []).append(x)
+    for x, root in zip(items, label.tolist()):
+        groups.setdefault(root, []).append(x)
     return list(groups.values())
 
 
 def _pair_orbits(action: GroupAction) -> np.ndarray:
     """The (n, n) array of orbit labels of Z x Z under (i, j) -> (g(i), g(j)),
-    with orbits numbered by their smallest member i*n + j.
-
-    Each pair starts with its own index as label.  A round lets every label
-    fall to the smaller one across each generator's pair map, in both
-    directions, and then jumps each label to its own label.  A label always
-    names a member of its pair's orbit no larger than the pair, so when a
-    round changes nothing, labels agree along every map and each is the
-    smallest member of its orbit."""
+    orbits numbered by their first pair in row-major order: the components
+    (_labels) of the graph joining each pair i*n + j to its image under
+    each generator."""
     n = action.size
-    maps = [(np.asarray(g)[:, None] * n + np.asarray(g)).ravel() for g in action.generators]
-    label = np.arange(n * n)
-    while True:
-        before = label
-        for m in maps:
-            label = np.minimum(label, label[m])
-            label[m] = np.minimum(label[m], label)
-        label = label[label]
-        if np.array_equal(label, before):
-            return np.unique(label, return_inverse=True)[1].reshape(n, n)
+    g = np.array(action.generators, dtype=np.intp).reshape(len(action.generators), n)
+    images = (g[:, :, None] * n + g[:, None, :]).ravel()
+    label = _labels(n * n, np.tile(np.arange(n * n), len(g)), images)
+    return _first_seen(label.reshape(n, n))[0]
 
 
 def _orbit_lists(label: np.ndarray) -> List[List[Tuple[int, int]]]:
@@ -591,23 +599,16 @@ def _components(mats: np.ndarray):
     to the rest.  Q holds the eigenvectors of one generic element
     sum_g r_g L_g, r drawn from a fixed seed so that the same mats always
     give the same Q; eigenvectors that some Q' L Q couples are joined, as
-    connected components.  For a commutative family every component has
-    size 1.  Components come in order of their first eigenvector."""
+    connected components (_labels).  For a commutative family every
+    component has size 1.  Components come in order of their first
+    eigenvector."""
     d = mats.shape[-1]
     rng = random.Random(0)  # the stdlib's: numpy.random costs ~6 MB and 12 ms to load
     r = np.array([rng.gauss(0.0, 1.0) for _ in range(len(mats))])
     _, Q = np.linalg.eigh(np.tensordot(r, mats, axes=1))
     P = Q.T @ mats @ Q
     P[np.abs(P) <= SPLIT_TOL * np.max(np.abs(mats), axis=(1, 2), keepdims=True)] = 0.0
-    coupled = np.any(P != 0.0, axis=0) | np.eye(d, dtype=bool)
-    coupled |= coupled.T
-    comp = np.arange(d)
-    while True:  # each index takes the least label it is coupled to
-        low = np.min(np.where(coupled, comp, d), axis=1)
-        if np.array_equal(low, comp):
-            break
-        comp = low[low]
-    # each component is labelled by its least index
+    comp = _labels(d, *np.nonzero(np.any(P != 0.0, axis=0)))
     return Q, P, [np.flatnonzero(comp == c) for c in np.flatnonzero(comp == np.arange(d))]
 
 
@@ -775,27 +776,6 @@ def _permutation_of(items: Sequence[dict], image: Callable, what: str, gi: int) 
     return perm
 
 
-def _stabilizer(action: GroupAction, perms: Sequence[Sequence[int]],
-                point: int) -> List[Tuple[int, ...]]:
-    """Schreier generators of the stabilizer of point, where generator i of
-    the action moves point k to perms[i][k]."""
-    gens = action.generators
-    transversal = {point: tuple(range(action.size))}    # u_k moves point to k
-    orbit = [point]
-    for k in orbit:
-        for g, pi in zip(gens, perms):
-            if pi[k] not in transversal:
-                transversal[pi[k]] = compose(transversal[k], g)
-                orbit.append(pi[k])
-    out: List[Tuple[int, ...]] = []
-    for k in orbit:
-        for g, pi in zip(gens, perms):
-            h = compose(compose(transversal[k], g), inverse(transversal[pi[k]]))
-            if h != transversal[point] and h not in out:
-                out.append(h)
-    return out
-
-
 def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
                        eq_mult_degrees: Optional[Sequence[int]] = None) -> sdp.SdpProblem:
     """The order-s SOS dual of build_sos_dual restricted to invariant
@@ -812,7 +792,9 @@ def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
       - σ0 in the commutant of the induced action on the order-⌊s/2⌋
         monomial basis, then for each inequality orbit the multiplier of its
         first member g in the commutant of the stabilizer of g, carried to
-        the rest of the orbit by coset representatives.
+        the rest of the orbit by coset representatives; the stabilizer's
+        pair orbits come from the group's orbits on triples (member, b, b'),
+        and equal pair orbits share one orbit_basis.
     An invariant sum over an orbit of m images of a polynomial P has
     coefficient m/|O| * Σ_{β in O} P_β at each monomial of an orbit O.  Each
     family's rows come from relax.gram_rows with every monomial mapped to its
@@ -866,24 +848,37 @@ def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
         columns.append(gram_rows(n, 0, terms, row_of, nrows) * len(orbit) / orbit_size)
         names.append(f"c[{k}]{gamma}")
 
-    # (multiplied polynomial, orbit size, stabilizer, basis order, label)
-    families = [({(0,) * n: 1}, 1, gens, s // 2, "sigma0")]
+    # (multiplied polynomial, its orbit, each generator's permutation of the
+    # orbit's polynomials, basis order, label); σ0 multiplies the orbit {1}
+    families = [({(0,) * n: 1}, [0], [[0]] * len(gens), s // 2, "sigma0")]
     for orbit in orbits(range(len(prog.ineqs)),
                         [lambda k, pi=pi: pi[k] for pi in ineq_perms]):
         g = prog.ineqs[orbit[0]]
-        families.append((g.terms, len(orbit), _stabilizer(action, ineq_perms, orbit[0]),
-                         (s - g.degree()) // 2, f"sigma{orbit[0] + 1}"))
+        families.append((g.terms, orbit, ineq_perms, (s - g.degree()) // 2,
+                         f"sigma{orbit[0] + 1}"))
     lmis = []
-    bases: Dict[tuple, OrbitBasis] = {}
-    for g_terms, mult, stab, order, label in families:
+    bases: Dict[bytes, OrbitBasis] = {}
+    for g_terms, orbit, perms, order, label in families:
+        # G is transitive on the orbit, so the orbits of the stabilizer of its
+        # first member on basis pairs (b, b') are the G-orbits of the triples
+        # (member, b, b') read at the first member, numbered as _pair_orbits
         vec = monomial_vector(n, order)
         pos = {b: i for i, b in enumerate(vec)}
-        induced = tuple(tuple(pos[mv(b)] for b in vec) for mv in map(_monomial_map, stab))
-        if induced not in bases:
-            bases[induced] = commutant_basis(GroupAction(len(vec), list(induced)))
-        basis = bases[induced]
+        at = {k: r for r, k in enumerate(orbit)}
+        m, d = len(orbit), len(vec)
+        images = []     # a generator maps the triple (r, b, b') to (g(r), g(b), g(b'))
+        for pi, mv in zip(perms, moves):
+            r = np.array([at[pi[k]] for k in orbit])
+            b = np.array([pos[mv(x)] for x in vec])
+            images.append((r[:, None, None] * d + b[:, None]) * d + b)
+        triples = _labels(m * d * d, np.tile(np.arange(m * d * d), len(images)),
+                          np.array(images, dtype=np.intp).ravel())
+        pairs = _first_seen(triples[:d * d].reshape(d, d))[0]
+        if pairs.tobytes() not in bases:
+            bases[pairs.tobytes()] = orbit_basis(pairs)
+        basis = bases[pairs.tobytes()]
         coef, L = _orbit_coordinates(gram_rows(n, order, g_terms, row_of, nrows), basis)
-        columns.append(coef * mult / orbit_size)
+        columns.append(coef * len(orbit) / orbit_size)
         lmis.append(sdp.MatrixIneq(basis.d, np.zeros((basis.d, basis.d)),
                                    dict(enumerate(L, len(names))), label=label))
         names += [f"{label}{g}" for g in basis.sym_groups()]

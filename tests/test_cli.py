@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 from fractions import Fraction
@@ -433,7 +434,7 @@ class TestApcount:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         code, data = run(capsys, "apcount", "tables", "--min", "3", "--max", "5", "--jobs", "64")
         assert code == 0
         assert made == [3]

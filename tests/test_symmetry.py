@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -33,11 +34,11 @@ from soskit.symmetry import (
     symmetric_sos_dual,
 )
 from soskit.symmetry import (
+    _labels,
     _monomial_map,
     _orbit_lists,
     _pair_orbits,
     _permutation_of,
-    _stabilizer,
     _unique_rows,
 )
 
@@ -169,16 +170,20 @@ class TestCommutantBasis:
             assert np.allclose(X @ M, M @ X, atol=1e-12)
 
 
-def stabilizer_action():
-    """The stabilizer of x_0 under the affine group of Z_5, acting on the 21
-    monomials of degree <= 2 in 5 variables: its pair orbits have sizes 1, 2
-    and 4."""
-    action = affine_action(5)
-    stab = _stabilizer(action, action.generators, 0)
-    vec = monomial_vector(5, 2)
+def induced_action(elements, vec):
+    """The group generated by elements, acting on the monomial vector vec by
+    substitution."""
     pos = {b: i for i, b in enumerate(vec)}
     return GroupAction(len(vec), [tuple(pos[mv(b)] for b in vec)
-                                  for mv in map(_monomial_map, stab)])
+                                  for mv in map(_monomial_map, elements)])
+
+
+def stabilizer_action():
+    """The stabilizer of x_0 under the affine group of Z_5, by enumeration,
+    acting on the 21 monomials of degree <= 2 in 5 variables: its pair
+    orbits have sizes 1, 2 and 4."""
+    moved = affine_action(5).elements()[1:]     # sorted, so the identity is first
+    return induced_action([g for g in moved if g[0] == 0], monomial_vector(5, 2))
 
 
 class TestStructureConstants:
@@ -214,10 +219,12 @@ class TestStructureConstants:
 
 
 class TestPairOrbits:
-    def test_matches_union_find_on_random_groups(self):
+    def test_matches_group_enumeration_on_random_groups(self):
+        # the orbit of (i, j) is {(g(i), g(j))} over every element g; n <= 7
+        # keeps the enumeration of a random group, often S_n, small
         rng = random.Random(11)
         for _ in range(200):
-            n = rng.randint(1, 9)
+            n = rng.randint(1, 7)
             gens = []
             for _ in range(rng.randint(0, 3)):
                 g = list(range(n))
@@ -229,8 +236,14 @@ class TestPairOrbits:
                         g[a] = c
                 gens.append(tuple(g))
             action = GroupAction(n, gens)
-            pairs = [(i, j) for i in range(n) for j in range(n)]
-            expect = orbits(pairs, [lambda ij, g=g: (g[ij[0]], g[ij[1]]) for g in gens])
+            elems = np.array(action.elements())
+            expect, seen = [], set()
+            for i in range(n):
+                for j in range(n):
+                    if (i, j) not in seen:
+                        orbit = sorted(set(zip(elems[:, i].tolist(), elems[:, j].tolist())))
+                        seen.update(orbit)
+                        expect.append(orbit)
             assert _orbit_lists(_pair_orbits(action)) == expect
 
     def test_group_average_and_basis_read_labels(self):
@@ -341,27 +354,31 @@ class TestCoherentClosure:
         assert rows.tolist() == [[0, 2], [1, 1], [2, 0]]
         assert inv.ravel().tolist() == [0, 1, 2, 1]
 
-    def test_commutant_basis_is_orbit_basis_of_pair_orbits(self, monkeypatch):
-        # every action that the symmetric density and mono builds reduce by
-        seen = []
-        real = symmetry.commutant_basis
+    def test_family_bases_are_commutants_of_enumerated_stabilizers(self, monkeypatch):
+        # every basis that the symmetric density and mono builds make, one
+        # per distinct family label, is the commutant basis of the
+        # enumerated stabilizer's induced action, bit for bit
+        builds = [(lambda p=p: apcount.build_density_relaxation(p, (p + 1) // 2, True),
+                   density_relaxation_program(p, (p + 1) // 2), 3, affine_action(p))
+                  for p in (5, 7, 11, 13)]
+        builds += [(lambda n=n: apcount.build_mono_relaxation(n, True),
+                    mono_program(n), 2, cyclic_action(n)) for n in range(3, 25)]
+        real = symmetry.orbit_basis
+        for build, prog, s, action in builds:
+            made = []
 
-        def recording(action):
-            seen.append(action)
-            return real(action)
+            def recording(label):
+                made.append(label)
+                return real(label)
 
-        monkeypatch.setattr(symmetry, "commutant_basis", recording)
-        for p in (5, 7, 11, 13):
-            apcount.build_density_relaxation(p, (p + 1) // 2, use_symmetry=True)
-        for n in range(3, 25):
-            apcount.build_mono_relaxation(n, use_symmetry=True)
-        assert len(seen) > 26
-        for action in seen:
-            a, b = real(action), orbit_basis(_pair_orbits(action))
-            assert (a.orbits, a.sizes, a.transpose_of) == (b.orbits, b.sizes, b.transpose_of)
-            for field in ("label", "counts", "L_float"):
-                x, y = getattr(a, field), getattr(b, field)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(symmetry, "orbit_basis", recording)
+                build()
+            expect = {}
+            for _, _, _, b in enumerated_families(prog, s, action):
+                expect.setdefault(b.label.tobytes(), b.label)
+            assert [(x.dtype, x.tobytes()) for x in made] == \
+                [(x.dtype, x.tobytes()) for x in expect.values()]
 
 
 def _blocks(Q, *parts):
@@ -622,6 +639,44 @@ class TestOrbitHelper:
         assert orbits("abc", []) == [["a"], ["b"], ["c"]]
 
 
+class TestLabels:
+    @staticmethod
+    def _bfs(n, edges):
+        """Each vertex labelled by the least vertex of its component, by
+        breadth-first search from each vertex in turn."""
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        label = [-1] * n
+        for v in range(n):
+            if label[v] < 0:
+                label[v], queue = v, [v]
+                for u in queue:
+                    for w in adj[u]:
+                        if label[w] < 0:
+                            label[w] = v
+                            queue.append(w)
+        return label
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_bfs_with_duplicates_loops_and_isolated_vertices(self, seed):
+        rng = random.Random(seed)
+        n = 40
+        # edges among the first 30 vertices only, so 30..39 stay isolated
+        edges = [(rng.randrange(30), rng.randrange(30)) for _ in range(25)]
+        edges += edges[:10]                                 # duplicates
+        edges += [(v, v) for v in rng.sample(range(n), 8)]  # self-loops
+        rng.shuffle(edges)
+        src, dst = (np.array(x, dtype=np.intp) for x in zip(*edges))
+        assert _labels(n, src, dst).tolist() == self._bfs(n, edges)
+
+    def test_no_edges(self):
+        empty = np.array([], dtype=np.intp)
+        assert _labels(4, empty, empty).tolist() == [0, 1, 2, 3]
+        assert _labels(0, empty, empty).tolist() == []
+
+
 def _mono(n, *powers):
     e = [0] * n
     for i, v in powers:
@@ -651,19 +706,44 @@ def dihedral_quartic_program(perturb=None):
         eqs=(Polynomial(n, {**{_mono(n, (i, 2)): 1 for i in range(n)}, one: -2}),))
 
 
+def enumerated_families(prog, s, action):
+    """(multiplied polynomial, orbit size, monomial vector, basis) for σ0 and
+    for each inequality orbit by its first member, in symmetric_sos_dual's
+    order, with the orbits and stabilizers found by enumerating the group:
+    the basis is the commutant basis of the stabilizer of the multiplied
+    polynomial, acting on the order-⌊(s - deg)/2⌋ monomial vector."""
+    elems = action.elements()
+    ineqs = [q.terms for q in prog.ineqs]
+
+    def image(terms, g):
+        mv = _monomial_map(g)
+        return {mv(m): c for m, c in terms.items()}
+
+    families, seen = [({(0,) * prog.n: 1}, 1, s // 2)], set()
+    for k, terms in enumerate(ineqs):
+        if k not in seen:
+            orbit = {ineqs.index(image(terms, g)) for g in elems}
+            seen |= orbit
+            families.append((terms, len(orbit), (s - prog.ineqs[k].degree()) // 2))
+    out = []
+    for terms, mult, order in families:
+        vec = monomial_vector(prog.n, order)
+        stab = [g for g in elems if image(terms, g) == terms]
+        out.append((terms, mult, vec, commutant_basis(induced_action(stab, vec))))
+    return out
+
+
 def reference_symmetric_rows(prog, s, action, eq_mult_degrees=None):
     """symmetric_sos_dual's free coefficients per row by the per-orbit
     formula: every multiplier walked term by term (a Gram orbit pair by
     pair), summed per monomial orbit O in Fractions, times m/|O|, and for
     Gram orbit j times 1/sqrt(t_j), summed over each transpose group."""
-    n, gens = prog.n, action.generators
-    moves = [_monomial_map(g) for g in gens]
+    n = prog.n
+    moves = [_monomial_map(g) for g in action.generators]
 
     def image(terms, mv):
         return {mv(m): c for m, c in terms.items()}
 
-    ineq_perms = [_permutation_of([q.terms for q in prog.ineqs], lambda t, mv=mv: image(t, mv),
-                                  "inequalities", gi) for gi, mv in enumerate(moves)]
     eq_perms = [_permutation_of([q.terms for q in prog.eqs], lambda t, mv=mv: image(t, mv),
                                 "equalities", gi) for gi, mv in enumerate(moves)]
     monos = sorted(monomials_up_to_degree(n, s), key=lambda m: (sum(m), [-e for e in m]))
@@ -689,16 +769,7 @@ def reference_symmetric_rows(prog, s, action, eq_mult_degrees=None):
         for row, v in balance(terms, len(orbit)).items():
             rows[row][col] = float(v)
         col += 1
-    families = [({(0,) * n: 1}, 1, gens, s // 2)]
-    for orbit in orbits(range(len(prog.ineqs)), [lambda k, pi=pi: pi[k] for pi in ineq_perms]):
-        g = prog.ineqs[orbit[0]]
-        families.append((g.terms, len(orbit), _stabilizer(action, ineq_perms, orbit[0]),
-                         (s - g.degree()) // 2))
-    for g_terms, mult, stab, order in families:
-        vec = monomial_vector(n, order)
-        pos = {b: i for i, b in enumerate(vec)}
-        basis = commutant_basis(GroupAction(len(vec), [
-            tuple(pos[mv(b)] for b in vec) for mv in map(_monomial_map, stab)]))
+    for g_terms, mult, vec, basis in enumerated_families(prog, s, action):
         for group in basis.sym_groups():
             for j in group:
                 terms = {}
@@ -747,6 +818,19 @@ class TestSymmetricSosDual:
         a, b = solve(full), solve(reduced)
         assert conclusive(a) and conclusive(b)
         assert abs(a.primal_obj - b.primal_obj) <= 1e-6
+
+    @pytest.mark.parametrize("prog, s, action", [
+        (dihedral_quartic_program(), 4, dihedral_action(4)),
+        (density_relaxation_program(7, 3), 3, affine_action(7)),
+        (mono_program(8), 2, cyclic_action(8)),
+    ], ids=["dihedral quartic", "density p=7", "mono n=8"])
+    def test_redundant_generators_give_the_same_forms(self, prog, s, action):
+        # a repeated generator and the identity generate the same group
+        gens = action.generators
+        redundant = GroupAction(action.size, [gens[0], tuple(range(action.size)), *gens,
+                                              gens[-1]])
+        assert pickle.dumps(symmetric_sos_dual(prog, s, redundant)) == \
+            pickle.dumps(symmetric_sos_dual(prog, s, action))
 
     def test_rejects_moved_objective(self):
         prog = dihedral_quartic_program(perturb={_mono(4, (0, 3)): Fraction(1)})
