@@ -48,17 +48,28 @@ class ApSet:
         return tuple(sorted(t)) in set(self.triples)
 
 
+def _ap_columns(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 3-APs of Z_n as three index arrays (a, a+b, a+2b), one entry per
+    AP.  An AP comes from (a, b), b in 1..(n-1)/2, once for each of its
+    midpoints a+b: its two other elements give the steps b and -b, and just
+    one of them is in that range.  Every AP has one midpoint except, when
+    3 | n, the cosets {a, a+n/3, a+2n/3}, each of whose elements is one;
+    those are kept from a < n/3 only."""
+    h = (n - 1) // 2
+    a, b = np.divmod(np.arange(n * h), max(h, 1))
+    b += 1
+    keep = (3 * b != n) | (a < b)
+    a, b = a[keep], b[keep]
+    return a, (a + b) % n, (a + 2 * b) % n
+
+
 def enumerate_aps(n: int) -> ApSet:
-    """All 3-APs of Z_n, deduplicated as sorted triples."""
+    """All 3-APs of Z_n, deduplicated as sorted triples, in sorted order."""
     if n < 3:
         raise ValueError("need n >= 3")
-    seen = set()
-    for a in range(n):
-        for b in range(1, n):
-            t = {a, (a + b) % n, (a + 2 * b) % n}
-            if len(t) == 3:
-                seen.add(tuple(sorted(t)))
-    return ApSet(n, tuple(sorted(seen)))
+    t = np.sort(np.stack(_ap_columns(n), axis=1), axis=1)
+    t = t[np.lexsort(t.T[::-1])]
+    return ApSet(n, tuple(map(tuple, t.tolist())))
 
 
 def ap_count_formula(n: int) -> Fraction:
@@ -179,22 +190,45 @@ def density_lambda(p: int, D: int) -> Fraction:
     return (D ** 3 - half * D ** 2 + (half - 1) * D) / (p - 1)
 
 
+W_MAX_SUBSETS = 10 ** 7  # the most D-subsets brute_force_W enumerates
+W_CHUNK = 1 << 22  # brute_force_W's chunk: subsets times APs, about 4 MB a gather
+
+
 def brute_force_W(p: int, D: int) -> int:
-    """Exact minimum number of 3-APs inside any D-element subset of Z_p."""
-    if comb(p, D) > 10 ** 7:
+    """Exact minimum number of 3-APs inside any D-element subset of Z_p.
+
+    Vectorized over the subsets, a chunk of ranks at a time.  With k =
+    min(D, p - D), the k-subsets of a chunk's ranks in colexicographic order
+    are unranked in the combinatorial number system (rank = sum_i C(c_i, i)
+    over the elements c_k > ... > c_1, each c_i the largest c with C(c, i)
+    at most what is left of the rank); the D-subsets are these or, when
+    k < D, their complements.  A chunk is a boolean membership matrix, one
+    column per subset, and a subset's count is the number of APs {a, b, c}
+    whose rows a, b and c are all set.  A chunk holds W_CHUNK // #APs
+    subsets, and the enumeration stops after the first chunk that holds an
+    AP-free subset."""
+    total = comb(p, D)
+    if total > W_MAX_SUBSETS:
         raise ValueError("subset enumeration too large")
-    aps = enumerate_aps(p).triples if p >= 3 else ()
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in aps]
+    a, b, c = _ap_columns(p)
+    k = min(D, p - D)
+    binom = [np.ones(p, dtype=np.int64)]   # binom[i][x] = C(x, i), capped at total
+    for _ in range(k):
+        binom.append(np.minimum(np.concatenate(([0], np.cumsum(binom[-1])[:-1])), total))
+    chunk = max(1, W_CHUNK // max(1, len(a)))
     best = None
-    for subset in combinations(range(p), D):
-        m = 0
-        for v in subset:
-            m |= 1 << v
-        cnt = sum(1 for t in masks if t & m == t)
-        if best is None or cnt < best:
-            best = cnt
-            if best == 0:
-                break
+    for lo in range(0, total, chunk):
+        r = np.arange(lo, min(lo + chunk, total))
+        cols = np.arange(len(r))
+        member = np.full((p, len(r)), k < D)   # a complement loses its k elements
+        for i in range(k, 0, -1):
+            e = np.searchsorted(binom[i], r, side="right") - 1
+            member[e, cols] = k == D
+            r = r - binom[i][e]
+        cnt = int((member[a] & member[b] & member[c]).sum(axis=0, dtype=np.int32).min())
+        best = cnt if best is None else min(best, cnt)
+        if best == 0:
+            break
     return best
 
 
@@ -208,21 +242,29 @@ def _exponents(n: int, *powers: Tuple[int, int]) -> Monomial:
 
 def _power_sum(n: int, e: int, minus) -> Polynomial:
     """sum_i x_i^e - minus."""
-    terms = {_exponents(n, (i, e)): Fraction(1) for i in range(n)}
+    terms = {_exponents(n, (i, e)): 1 for i in range(n)}
     terms[(0,) * n] = -Fraction(minus)
     return Polynomial(n, terms)
+
+
+def _identity_constants(D: int) -> Tuple[Fraction, ...]:
+    """The values of the five moment identities on a 0/1 vector with D ones:
+    sum X_i, sum X_i^2 and sum X_i^3 are D, sum_{i<j} X_i X_j is D(D-1)/2
+    and sum_{i != j} X_i^2 X_j is D(D-1)."""
+    D = Fraction(D)
+    return D, D, D, D * (D - 1) / 2, D * (D - 1)
 
 
 def density_program(p: int, D: int) -> PolyProgram:
     """The program certified by the closed-form density certificate:
     minimize the 3-AP count of the 0/1 vector with X_i >= 0 and the cubic
     moment identities as equalities."""
+    _, _, c3, _, c21 = _identity_constants(D)
     f = Polynomial(p, {_exponents(p, (a, 1), (b, 1), (c, 1)): 1 for a, b, c in enumerate_aps(p)})
     ineqs = tuple(Polynomial.variable(p, i) for i in range(p))
-    h1 = -_power_sum(p, 3, D)
-    s21 = {_exponents(p, (i, 2), (j, 1)): Fraction(1)
-           for i in range(p) for j in range(p) if i != j}
-    s21[(0,) * p] = -Fraction(D) * (D - 1)
+    h1 = -_power_sum(p, 3, c3)
+    s21 = {_exponents(p, (i, 2), (j, 1)): 1 for i in range(p) for j in range(p) if i != j}
+    s21[(0,) * p] = -c21
     return PolyProgram(p, f, ineqs=ineqs, eqs=(h1, Polynomial(p, s21)))
 
 
@@ -239,32 +281,19 @@ def density_certificate(p: int, D: int) -> Certificate:
         raise ValueError("p must be an odd prime")
     if not 0 <= D <= p:
         raise ValueError("need 0 <= D <= p")
-    dim = p + 1  # basis (1, X_0 .. X_{p-1})
-    half = (p - 1) // 2
-    entry: Dict[int, Fraction] = {}  # integer entry v -> v/(p-1)
+    # forms[i, k] is the k-th form squared in X_i's multiplier, over the basis
+    # (1, X_0 .. X_{p-1}): one per pair r < s, then D X_i - sum_j X_j
+    r, s = np.triu_indices((p - 1) // 2, 1)
+    r, s, k, i = r + 1, s + 1, np.arange(len(r)), np.arange(p)[:, None]
+    forms = np.zeros((p, len(k) + 1, p + 1), dtype=np.int64)
+    for step, sign in ((r, 1), (-r, 1), (s, -1), (-s, -1)):
+        forms[i, k, 1 + (i + step) % p] = sign     # four distinct X's, as 0 < r < s < p/2
+    forms[:, -1, 1:] = -1
+    forms[i[:, 0], -1, 1 + i[:, 0]] += D
+    q = forms.transpose(0, 2, 1) @ forms  # (p-1) times each Gram, in ints
+    entry = {x: Fraction(x, p - 1) for x in np.unique(q).tolist()}
     grams: List[List[List[Fraction]]] = [[[Fraction(0)]]]  # σ0 = 0 on basis (1)
-    for i in range(p):
-        q = [[0] * dim for _ in range(dim)]  # (p-1) times the Gram, in ints
-
-        def add_outer(vec: Dict[int, int]):
-            for a, va in vec.items():
-                row = q[a]
-                for b, vb in vec.items():
-                    row[b] += va * vb
-
-        for r in range(1, half + 1):
-            for s in range(r + 1, half + 1):
-                w: Dict[int, int] = {}
-                for pos, sign in (((i + r) % p, 1), ((i - r) % p, 1),
-                                  ((i + s) % p, -1), ((i - s) % p, -1)):
-                    w[1 + pos] = w.get(1 + pos, 0) + sign
-                add_outer(w)
-        v = {1 + j: -1 for j in range(p)}
-        v[1 + i] += D
-        add_outer(v)
-        for x in {x for row in q for x in row} - entry.keys():
-            entry[x] = Fraction(x, p - 1)
-        grams.append([[entry[x] for x in row] for row in q])
+    grams += [[[entry[x] for x in row] for row in g] for g in q.tolist()]
     sigma3 = Polynomial.constant(p, Fraction((D - 1) ** 2, p - 1))
     sigma4 = Polynomial.constant(p, Fraction(4 * D - p - 3, 2 * (p - 1)))
     return Certificate(
@@ -282,15 +311,16 @@ def density_relaxation_program(p: int, D: int) -> PolyProgram:
     """min sum_APs X_i X_j X_k over the box relaxation of 0/1 vectors summing
     to D, with the implied moment identities as equalities."""
     base = density_program(p, D)
+    c1, c2, c3, c11, _ = _identity_constants(D)
     one = Polynomial.constant(p, 1)
     ineqs = tuple(Polynomial.variable(p, i) for i in range(p)) + tuple(
         one - Polynomial.variable(p, i) for i in range(p))
-    pairs = {_exponents(p, (i, 1), (j, 1)): Fraction(1) for i, j in combinations(range(p), 2)}
-    pairs[(0,) * p] = -Fraction(D * (D - 1), 2)
+    pairs = {_exponents(p, (i, 1), (j, 1)): 1 for i, j in combinations(range(p), 2)}
+    pairs[(0,) * p] = -c11
     eqs = (
-        _power_sum(p, 1, D),
-        _power_sum(p, 2, D),
-        _power_sum(p, 3, D),
+        _power_sum(p, 1, c1),
+        _power_sum(p, 2, c2),
+        _power_sum(p, 3, c3),
         Polynomial(p, pairs),
         base.eqs[1],
     )

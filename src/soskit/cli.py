@@ -28,6 +28,7 @@ from soskit import apcount, graphs, relax, sdp, symmetry
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
+ORACLE_MAX_SUBSETS = 10 ** 6  # apcount density reports W up to this many D-subsets
 
 
 class CliError(Exception):
@@ -336,7 +337,7 @@ def cmd_apcount_density(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     sol = sdp.solve(prob, tol=args.tol)
-    oracle = apcount.brute_force_W(p, D) if comb(p, D) <= 10 ** 6 else None
+    oracle = apcount.brute_force_W(p, D) if comb(p, D) <= ORACLE_MAX_SUBSETS else None
     payload = {
         "problem": "apcount-density",
         "params": {"p": p, "D": D, "sym": bool(args.sym), "order": args.order,

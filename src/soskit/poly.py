@@ -91,7 +91,17 @@ def monomials_graded_lex(n: int, r: int) -> list[Monomial]:
     return [m for level in _degree_levels(n, r) for m in level]
 
 
+# Fractions are immutable, so polynomials may share them: a small int
+# coefficient becomes one of these, with no Fraction() call, and two equal
+# ones compare by identity when term dicts are compared
+_SMALL = {k: Fraction(k) for k in range(-16, 17)}
+
+
 def _as_exact(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
+    if type(value) is int and value in _SMALL:
+        return _SMALL[value]
     if isinstance(value, float):
         raise ValueError("float coefficient in exact-mode polynomial; use mode='float'")
     return Fraction(value)
@@ -108,14 +118,15 @@ class Polynomial:
         if n < 1:
             raise ValueError("polynomial needs at least one variable")
         clean: Dict[Monomial, Coefficient] = {}
+        coerce = _as_exact if mode == EXACT else float
         for m, c in terms.items():
             m = tuple(m)
             if len(m) != n:
                 raise ValueError(f"monomial {m} has wrong length for n={n}")
-            if any(e < 0 for e in m):
+            if min(m) < 0:
                 raise ValueError(f"negative exponent in {m}")
-            c = _as_exact(c) if mode == EXACT else float(c)
-            if c != 0:
+            c = coerce(c)
+            if c:
                 clean[m] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)

@@ -139,11 +139,12 @@ def gram_rows(n: int, order: int, g_terms: Mapping[Monomial, object],
     prod_of = np.empty(d * d, dtype=np.intp)
     prod_of[[i * d + j for ij in pairs.values() for i, j in ij]] = np.repeat(
         np.arange(len(pairs)), [len(ij) for ij in pairs.values()])
-    cols = np.arange(d * d)
+    # one add.at over all terms adds each entry's terms in the order of g_terms
+    rows = np.array([row_of[mono_mul(prod, gm)] for gm in g_terms for prod in pairs],
+                    dtype=np.intp).reshape(len(g_terms), len(pairs))
     out = np.zeros((m, d * d))
-    for gm, gc in g_terms.items():
-        row = np.array([row_of[mono_mul(prod, gm)] for prod in pairs])
-        out[row[prod_of], cols] += float(gc)
+    np.add.at(out, (rows[:, prod_of], np.arange(d * d)),
+              np.array([float(gc) for gc in g_terms.values()])[:, None])
     return out
 
 
@@ -260,13 +261,11 @@ class Certificate:
     mode: str = FLOAT
 
     def to_json(self) -> dict:
-        def cell(v):
-            return str(v) if self.mode == EXACT else float(v)
-
+        cell = str if self.mode == EXACT else float
         grams = []
         for q in self.gram:
             rows = np.atleast_2d(q).tolist() if self.mode == FLOAT else q
-            grams.append([[cell(v) for v in row] for row in rows])
+            grams.append([list(map(cell, row)) for row in rows])
         return {
             "lambda": cell(self.lam),
             "grams": grams,
@@ -356,7 +355,7 @@ def verify_certificate(p: PolyProgram, cert: Certificate, mode: str = EXACT) -> 
 def _exact_ratio(c) -> Tuple[int, int]:
     if type(c) is not Fraction:
         c = _as_exact(c)  # refuses floats
-    return c.numerator, c.denominator
+    return c.as_integer_ratio()
 
 
 def _float_ratio(c) -> Tuple[float, int]:

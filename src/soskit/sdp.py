@@ -217,7 +217,7 @@ def is_psd_exact(M):
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
-    nd = [[(v.numerator, v.denominator) if type(v) is Fraction else _ratio(v) for v in row]
+    nd = [[v.as_integer_ratio() if type(v) is Fraction else _ratio(v) for v in row]
           for row in M]
     dens = {d for row in nd for _, d in row}
     L = lcm(*dens)

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from soskit import sdp
+from soskit import apcount, sdp
 from soskit.apcount import (
     ap_count_formula,
     ap_orbits,
@@ -59,6 +59,22 @@ class TestEnumerate:
             aps = set(enumerate_aps(n).triples)
             for t in combinations(range(n), 3):
                 assert (t in aps) == is_ap_by_midpoint(t, n)
+
+    def test_matches_reference_loop(self):
+        # the same sorted triples as a loop over every (a, b), 3 | n among the n
+        for n in range(3, 61):
+            seen = {tuple(sorted({a, (a + b) % n, (a + 2 * b) % n}))
+                    for a in range(n) for b in range(1, n)}
+            expect = tuple(sorted(t for t in seen if len(t) == 3))
+            got = enumerate_aps(n).triples
+            assert got == expect and all(type(v) is int for t in got for v in t), f"n={n}"
+
+    def test_ap_columns_each_ap_once(self):
+        for n in range(1, 61):
+            cols = apcount._ap_columns(n)
+            assert all(x.dtype.kind == "i" for x in cols)
+            got = sorted(tuple(sorted(t)) for t in zip(*(x.tolist() for x in cols)))
+            assert got == list(enumerate_aps(n).triples if n >= 3 else ()), f"n={n}"
 
     def test_count_formula_cross_check(self):
         # the closed-form count matches enumeration away from multiples of 3
@@ -186,11 +202,50 @@ class TestDensityLambda:
             density_lambda(5, 9)
 
 
+def reference_W(p, D):
+    """The bitmask loop over lexicographic D-subsets, stopping at 0."""
+    aps = enumerate_aps(p).triples if p >= 3 else ()
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in aps]
+    best = None
+    for subset in combinations(range(p), D):
+        m = 0
+        for v in subset:
+            m |= 1 << v
+        cnt = sum(1 for t in masks if t & m == t)
+        if best is None or cnt < best:
+            best = cnt
+            if best == 0:
+                break
+    return best
+
+
 class TestBruteForceW:
     def test_values(self):
         assert brute_force_W(5, 3) == 1
         assert brute_force_W(5, 5) == 10
         assert brute_force_W(7, 2) == 0
+
+    @pytest.mark.parametrize("p", range(1, 14))
+    def test_matches_reference_loop_at_every_D(self, p):
+        for D in range(p + 2):      # no (p + 1)-subsets: both give None
+            assert brute_force_W(p, D) == reference_W(p, D), f"D={D}"
+
+    @pytest.mark.parametrize("p", [17, 23])
+    def test_matches_reference_loop_at_small_D(self, p):
+        for D in range(7):
+            assert brute_force_W(p, D) == reference_W(p, D), f"D={D}"
+
+    def test_small_chunks_agree(self, monkeypatch):
+        # 6 to 23 subsets per chunk: the minimum and the stop at 0 span chunks
+        monkeypatch.setattr(apcount, "W_CHUNK", 500)
+        for p in (7, 11, 13):
+            for D in range(p + 1):
+                assert brute_force_W(p, D) == reference_W(p, D), f"p={p} D={D}"
+
+    def test_subset_limit(self):
+        assert comb(30, 15) > apcount.W_MAX_SUBSETS >= 10 ** 7
+        with pytest.raises(ValueError):
+            brute_force_W(30, 15)
 
 
 class TestDensityCertificate:
@@ -295,6 +350,14 @@ class TestDensityRelaxation:
     def test_symmetry_needs_prime(self):
         with pytest.raises(ValueError):
             build_density_relaxation(6, 2, use_symmetry=True)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_identities_vanish_on_every_d_subset(self, p):
+        for D in range(p + 1):
+            prog = density_relaxation_program(p, D)
+            for subset in combinations(range(p), D):
+                x = [int(i in subset) for i in range(p)]
+                assert all(h.evaluate(x) == 0 for h in prog.eqs), f"D={D} {subset}"
 
     def test_extracted_certificate_p5_full(self):
         prob, info = build_density_relaxation(5, 5)

@@ -354,6 +354,15 @@ class TestApcount:
         assert data["oracle"] == 1
         assert data["bound"] <= 1 + 1e-6
 
+    def test_density_oracle_follows_the_subset_limit(self, capsys, monkeypatch):
+        # comb(5, 2) = 10 subsets
+        monkeypatch.setattr(cli, "ORACLE_MAX_SUBSETS", 10)
+        _, data = run(capsys, "apcount", "density", "--p", "5", "--D", "2", "--sym")
+        assert data["oracle"] == 0
+        monkeypatch.setattr(cli, "ORACLE_MAX_SUBSETS", 9)
+        _, data = run(capsys, "apcount", "density", "--p", "5", "--D", "2", "--sym")
+        assert data["oracle"] is None
+
     def test_parser_built_once_and_options_reset(self, capsys, monkeypatch):
         built = []
 

@@ -138,6 +138,20 @@ class TestArithmetic:
         p = Polynomial(1, {(1,): 1}) - Polynomial(1, {(1,): 1})
         assert p.is_zero() and p.terms == {}
 
+    def test_exact_coefficients_from_ints_and_fractions(self):
+        third = Fraction(1, 3)
+        p = Polynomial(2, {(1, 0): 1, (0, 1): 1, (1, 1): third, (2, 0): -16, (0, 2): 17,
+                           (2, 2): 0, (3, 0): Fraction(0)})
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert p.terms == {(1, 0): 1, (0, 1): 1, (1, 1): third, (2, 0): -16, (0, 2): 17}
+        # a Fraction is kept, and equal small ints share one, so equal
+        # coefficients compare by identity
+        assert p.terms[(1, 1)] is third and p.terms[(1, 0)] is p.terms[(0, 1)]
+        with pytest.raises(ValueError):
+            Polynomial(1, {(1,): 0.5})
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1, -1): 1})
+
 
 class TestCoefficientAccess:
     def test_coefficient_of(self):
