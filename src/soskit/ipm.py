@@ -24,14 +24,26 @@ Search direction is HKM with a Mehrotra predictor-corrector.  Each matrix of
 an iteration is factored once and used through its factor; the cone guard,
 which factors the blocks of the next iterate to accept its step, hands those
 factors on.  With the block factors S_b = Ls_b Ls_b' and X_b = Lx_b Lx_b',
-the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb S_b^-1) is the Gram
-matrix of the rows G_k = vec(Ls_b^-1 A_kb Lx_b), together with the
-orthant's columns of A scaled by sqrt(x / s): M = G G' is one symmetric
-rank-k product, symmetric and positive semidefinite by construction.
-S_b^-1 = Ls_b^-T Ls_b^-1, and the step length to a block's boundary is
-read off the least eigenvalue of Lx_b^-1 dX_b Lx_b^-T (of Ls_b^-1 dS_b
-Ls_b^-T on the dual side, in the same call).  The triangular inverses come
-from a 2x2 block recursion (numpy has no triangular solve).
+the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb S_b^-1) is assembled
+one of two ways per stack, chosen once per solve from A's nonzeros
+(``_Rows``), as in Fujisawa, Kojima & Nakata, "Exploiting sparsity in
+primal-dual interior-point methods for semidefinite programming" (Math.
+Prog. 79, 1997).  A stack whose pairs of nonzeros in one block, sum_b T_b^2
+for T_b nonzeros in block b, number at most the m k d^2 entries of its
+dense rows takes their formula F3: each pair adds its product with one
+entry of X_b and one of S_b^-1 to one entry of M, all in one bincount.  The
+other stacks and the orthant form the Gram rows G_k = vec(Ls_b^-1 A_kb
+Lx_b), the orthant's columns of A scaled by sqrt(x / s), on their own
+columns, and their part of M is the one symmetric rank-k product G G'.
+When a stack took F3, its part is symmetrized before it is added, so M is
+symmetric; it is positive semidefinite up to rounding, and a Cholesky
+factorization that fails on it still ends the run (below).  A's products
+A x and y'A are bincounts over its nonzeros when A has at least 2^16
+entries and at most 1/32 of them are nonzero, and dense products
+otherwise.  S_b^-1 = Ls_b^-T Ls_b^-1, and the step length to a block's
+boundary is read off the least eigenvalue of Lx_b^-1 dX_b Lx_b^-T (of
+Ls_b^-1 dS_b Ls_b^-T on the dual side, in the same call).  The triangular
+inverses come from a 2x2 block recursion (numpy has no triangular solve).
 
 Free scalars are eliminated once per solve, as in Kobayashi, Nakata &
 Kojima, "A conversion of an SDP having free variables into the standard
@@ -229,8 +241,17 @@ def _eliminate(form: StdForm):
     w = pinv.T @ form.free_obj
     log.debug("free scalars eliminated: %d rows -> %d, rank %d, %d free",
               len(D), len(D) - r, r, D.shape[1])
-    red = StdForm(dims=form.dims, rows=U2.T @ form.rows, free=np.zeros((len(D) - r, 0)),
-                  c=form.c - w @ form.rows, free_obj=np.zeros(0), b=U2.T @ form.b)
+    if np.count_nonzero(U2) == U2.shape[1]:
+        # U2's columns are unit vectors, so each picks one row, as LAPACK
+        # returns when each free column touches one row: U2'A by indexing,
+        # the same numbers as the product without its m^2 n multiplications
+        k, sel = np.nonzero(U2.T)
+        u = U2[sel, k]
+        rows, rhs = u[:, None] * form.rows[sel], u * form.b[sel]
+    else:
+        rows, rhs = U2.T @ form.rows, U2.T @ form.b
+    red = StdForm(dims=form.dims, rows=rows, free=np.zeros((len(D) - r, 0)),
+                  c=form.c - w @ form.rows, free_obj=np.zeros(0), b=rhs)
     return red, float(form.b @ w), U2, w, pinv
 
 
@@ -332,7 +353,9 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
     ``form`` is sliced onto it only when that face cuts a row or an index,
     and X, S and y are lifted back to its shape.  Free scalars, if any, are
     then eliminated (``_eliminate``) and y and u lifted back.  Each iteration
-    factors the Schur complement M = G G' alone (see the module docstring).
+    assembles the Schur complement M, by F3 on the stacks whose nonzeros
+    pair up sparsely and as G G' on the rest, symmetrizes it and factors it
+    alone (see the module docstring and ``_Rows``).
     ``optimal`` means pres <= tol, dres <= tol and relative_gap(pobj, dobj)
     <= tol, so the absolute gap is at most tol * max(1, (|pobj| + |dobj|)
     / 2), on iterates no larger than ITERATE_CAP times the data scale, all
@@ -438,14 +461,137 @@ class _Vec:
 def _schur_rows(A: np.ndarray, psd, lp, Lsi: List[np.ndarray],
                 Lx: List[np.ndarray], w: np.ndarray, out: np.ndarray) -> None:
     """Write into ``out`` (shaped as A) the rows G whose Gram matrix G G' is
-    the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb S_b^-1): block b
-    of row k is Ls_b^-1 A_kb Lx_b, given the stacks of Ls_b^-1 and Lx_b
-    (S_b = Ls_b Ls_b', X_b = Lx_b Lx_b'), one product per stack, and the
-    orthant's columns are A's scaled by w = sqrt(x / s)."""
+    the part of the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb
+    S_b^-1) on A's columns: block b of row k is Ls_b^-1 A_kb Lx_b, given the
+    stacks of Ls_b^-1 and Lx_b (S_b = Ls_b Ls_b', X_b = Lx_b Lx_b'), one
+    product per stack, and the orthant's columns are A's scaled by w =
+    sqrt(x / s).  ``_Rows`` passes the columns of the stacks that do not take
+    F3, with the orthant's; G G' is symmetric and positive semidefinite by
+    construction, and the F3 part is added to it symmetrized."""
     for a, g, li, lx in zip(_views(A, psd), _views(out, psd), Lsi, Lx):
         for k in range(0, len(a), 64):  # row chunks keep a @ lx's temporary small
             np.matmul(li, a[k:k + 64] @ lx, out=g[k:k + 64])
     out[:, lp] = A[:, lp] * w
+
+
+# A stack assembles its part of M by F3 when its pairs of nonzeros in one
+# block, sum_b T_b^2, number at most its dense rows' entries, m k d^2.  Solves
+# of the full theta of C61 (62 rows, one 61 x 61 block, 33,489 pairs against
+# 230,702 entries) took 24.5 ms with F3 against 37.7 ms without, and of C41
+# 11.0 against 13.6 ms.  The benchmark's other stacks have at least 2 pairs
+# per entry, and letting stacks of up to 10 pairs per entry take F3 made the
+# n = 7 SOS side of a ball quartic 3x slower (Xeon, one BLAS thread).
+_F3_PAIRS_PER_ENTRY = 1
+# A's products are bincounts over its nonzeros when A has at least
+# _SPARSE_MIN_ENTRIES entries and at most _SPARSE_FILL of them are nonzero.
+# Per pair of products, bincounts took 0.3-0.9x the dense time at 3% nonzero
+# and 1.3-2x at 5% on 25 x 825 to 329 x 1360 matrices.  On the n = 7 SOS side
+# of a ball quartic (329 x 1360, 0.4% nonzero) they took a solve from 142.7
+# to 130.7 ms.  On the 125 x 477 forms of the n = 5 quartics they save about
+# 15 us per pair, under 2% of a solve, and the SOS side of the quartic that
+# ``test_stop_reasons`` stalls ended numerical_failure with them under two
+# BLAS threads, a rounding change in an endgame that makes no progress
+# either way; so forms below 2^16 entries keep the dense products (Xeon,
+# one BLAS thread unless stated).
+_SPARSE_MIN_ENTRIES = 1 << 16
+_SPARSE_FILL = 1 / 32
+
+
+class _Rows:
+    """A as the IPM uses it, planned once per solve from its nonzeros: the
+    products A x and y'A, and an iteration's Schur complement M, assembled
+    as the module docstring says.  On a stack that takes F3, each pair (s,
+    t) of nonzeros A_kb[i_s, j_s] = v_s and A_lb[i_t, j_t] = v_t of one
+    block adds v_s v_t X_b[j_s, i_t] S_b^-1[j_t, i_s] to M_kl.  The pairs'
+    indices into M, X and the F3 stacks' S^-1, and v_s v_t / 2, are found
+    here, so the F3 part of an iteration is one bincount, added to G G'
+    together with its transpose."""
+
+    def __init__(self, A: np.ndarray, psd, lp: slice):
+        self.A = A
+        m = len(A)
+        # np.nonzero(A)'s indices; it took 2-15x longer on 2 x 729 to 329 x 1360 forms
+        r, col = np.unravel_index(np.flatnonzero(A != 0.0), A.shape)
+        val = A[r, col]
+        self.sparse = A.size >= _SPARSE_MIN_ENTRIES and len(r) <= _SPARSE_FILL * A.size
+        if self.sparse:
+            self.nz = (r, col, val)
+
+        self.f3, self.dense = [], []  # stack indices by assembly
+        self.counts = []  # (d, k, pairs, dense entries) of each F3 stack
+        pairs = []  # (M, X, S^-1, v_s v_t / 2) of each F3 stack
+        soff = 0    # the F3 stack's offset in the concatenated S^-1 stacks
+        for i, (o, d, k) in enumerate(psd):
+            sel = (col >= o) & (col < o + k * d * d)
+            blk, loc = np.divmod(col[sel] - o, d * d)
+            T = np.bincount(blk, minlength=k)
+            count = int(T @ T)
+            if count > _F3_PAIRS_PER_ENTRY * m * k * d * d:
+                self.dense.append(i)
+                continue
+            self.f3.append(i)
+            self.counts.append((d, k, count, m * k * d * d))
+            order = np.argsort(blk, kind="stable")
+            rs, bs, vs = r[sel][order], blk[order], val[sel][order]
+            ii, jj = np.divmod(loc[order], d)
+            # s runs over the nonzeros, t over those of s's block; each flat
+            # index is a part from s plus a part from t
+            reps = T[bs]
+            s = np.repeat(np.arange(len(bs)), reps)
+            t = np.repeat(np.cumsum(T)[bs] - T[bs] - np.cumsum(reps) + reps, reps) + np.arange(count)
+            boff = bs * (d * d)
+            pairs.append(((rs * m)[s] + rs[t], (o + boff + jj * d)[s] + ii[t],
+                          (soff + boff + ii)[s] + (jj * d)[t], (0.5 * vs)[s] * vs[t]))
+            soff += k * d * d
+        if len(pairs) > 1:
+            pairs = [tuple(map(np.concatenate, zip(*pairs)))]
+        self.pairs = pairs[0] if pairs else None
+
+        # the dense stacks and the orthant, laid out side by side
+        self.psd_d, cols, at = [], [], 0
+        for i in self.dense:
+            o, d, k = psd[i]
+            self.psd_d.append((at, d, k))
+            cols.append(A[:, o:o + k * d * d])
+            at += k * d * d
+        self.lp_d = slice(at, at + lp.stop - lp.start)
+        self.Ad = A if not self.f3 else np.concatenate(cols + [A[:, lp]], axis=1)
+        self.G = np.empty_like(self.Ad)
+
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("schur assembly: F3 on %s; A products %s (%d of %d entries nonzero)",
+                      ", ".join(f"the {k} {d}x{d} blocks ({c} pairs <= {e} dense entries)"
+                                for d, k, c, e in self.counts) or "no stack",
+                      "sparse" if self.sparse else "dense", len(r), A.size)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        if not self.sparse:
+            return self.A @ x
+        r, col, val = self.nz
+        return np.bincount(r, weights=val * x[col], minlength=self.A.shape[0])
+
+    def rdot(self, y: np.ndarray) -> np.ndarray:
+        """y'A."""
+        if not self.sparse:
+            return y @ self.A
+        r, col, val = self.nz
+        return np.bincount(col, weights=val * y[r], minlength=self.A.shape[1])
+
+    def schur(self, xv: np.ndarray, Lsi: List[np.ndarray], Lx: List[np.ndarray],
+              Sinv: List[np.ndarray], w: np.ndarray, M: np.ndarray) -> None:
+        """Write the HKM Schur complement into M, given the iterate's X (as
+        its vector xv), the stacks of Ls_b^-1, Lx_b and S_b^-1, and the
+        orthant's w = sqrt(x / s)."""
+        _schur_rows(self.Ad, self.psd_d, self.lp_d, [Lsi[i] for i in self.dense],
+                    [Lx[i] for i in self.dense], w, self.G)
+        np.matmul(self.G, self.G.T, out=M)
+        if self.pairs is not None:
+            mi, xi, si, vv = self.pairs
+            sflat = np.concatenate([Sinv[i].reshape(-1) for i in self.f3])
+            F = np.bincount(mi, weights=vv * xv[xi] * sflat[si], minlength=M.size).reshape(M.shape)
+            F += F.T
+            M += F
 
 
 def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -495,7 +641,7 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
             P[...] = scale * np.eye(P.shape[-1])
         w.l[...] = scale
     y = np.zeros(m)
-    G = np.empty_like(A)  # the rows of the Schur product M = G G'
+    rows = _Rows(A, psd, lp)
     M = np.empty((m, m))
 
     status = ITER_CAP
@@ -526,9 +672,9 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
         return a, None
 
     for it in range(max_iter + 1):
-        rp = b - A @ X.v
+        rp = b - rows.dot(X.v)
         np.subtract(c, S.v, out=Rd.v)
-        Rd.v -= y @ A
+        Rd.v -= rows.rdot(y)
 
         pobj = float(c @ X.v) + offset
         dobj = (float(b @ y) if m else 0.0) + offset
@@ -579,9 +725,7 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
         Lsi = [li[k:] for li, (_, _, k) in zip(Li, psd)]
         Sinv = [np.swapaxes(li, -1, -2) @ li for li in Lsi]
 
-        # M = G G' is one symmetric rank-k product, formed in M's buffer
-        _schur_rows(A, psd, lp, Lsi, Lx, np.sqrt(X.l / S.l), G)
-        np.matmul(G, G.T, out=M)
+        rows.schur(X.v, Lsi, Lx, Sinv, np.sqrt(X.l / S.l), M)
         Minv = None  # release the last factor before making the next
         Minv = _kkt_factor(M)
         if Minv is None:
@@ -596,8 +740,8 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
             for vb, xr, rcb, si in zip(V.P, XRdSinv, Rc, Sinv):
                 np.subtract(xr, rcb @ si, out=vb)
             V.l[...] = (X.l * Rd.l - rc) / S.l
-            dy = _kkt_solve(M, Minv, rp + A @ V.v)
-            np.subtract(Rd.v, dy @ A, out=DS.v)
+            dy = _kkt_solve(M, Minv, rp + rows.dot(V.v))
+            np.subtract(Rd.v, rows.rdot(dy), out=DS.v)
             for dxb, rcb, xb, dsb, si in zip(DX.P, Rc, X.P, DS.P, Sinv):
                 w = (rcb - xb @ dsb) @ si
                 np.add(w, np.swapaxes(w, -1, -2), out=dxb)

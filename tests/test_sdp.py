@@ -982,6 +982,130 @@ class TestStackedCones:
         assert {status for runs in seen.values() for _, status in runs} == {sdp.OPTIMAL}
 
 
+def _mixed_form(seed, m=40):
+    """A seeded grouped form with symmetric rows on two sparse stacks, of
+    three 24 x 24 and two 10 x 10 blocks (each row one entry and its mirror
+    in one block of each), a dense stack of two 3 x 3 blocks (full blocks on
+    the first ten rows) and an orthant of three 1x1 blocks (one entry per
+    row): 77,960 entries, at most 380 of them nonzero."""
+    rng = np.random.default_rng(seed)
+    form = ipm.StdForm.zeros([24] * 3 + [10] * 2 + [3] * 2 + [1] * 3, m, 0)
+    blocks = form.blocks()
+    for k in range(m):
+        for first, count, d in ((0, 3, 24), (3, 2, 10)):
+            i, j = rng.integers(d, size=2)
+            blocks[first + rng.integers(count)][k, [i, j], [j, i]] = rng.normal()
+        blocks[7 + rng.integers(3)][k] = rng.normal()
+    for a in blocks[5:7]:
+        a[:10] = rng.normal(size=(10, 3, 3))
+        a[:10] += np.swapaxes(a[:10], -1, -2)
+    return form
+
+
+class TestSparseRows:
+    """A's nonzeros, read once per solve, choose how each stack assembles
+    its part of the Schur complement (F3 or G G') and whether A's products
+    are bincounts over them."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_assembly_equals_the_dense_gram_product(self, seed):
+        form = _mixed_form(seed)
+        A = form.rows
+        psd, lp = ipm._cones(form)
+        lp = slice(int(lp[0]), int(lp[-1]) + 1)
+        rows = ipm._Rows(A, psd, lp)
+        assert (rows.f3, rows.dense, rows.sparse) == ([0, 1], [2], True)
+
+        rng = np.random.default_rng(10 + seed)
+        X, S = [], []
+        for _, d, k in psd:
+            for blocks in (X, S):
+                B = rng.normal(size=(k, d, d))
+                blocks.append(B @ np.swapaxes(B, -1, -2) + np.eye(d))
+        x, s = rng.uniform(0.5, 2.0, size=(2, lp.stop - lp.start))
+        Lx = [np.linalg.cholesky(xb) for xb in X]
+        Lsi = [ipm._tril_inv(np.linalg.cholesky(sb)) for sb in S]
+        Sinv = [np.swapaxes(li, -1, -2) @ li for li in Lsi]
+        xv = np.concatenate([xb.reshape(-1) for xb in X] + [x])
+        M = np.empty((len(A), len(A)))
+        rows.schur(xv, Lsi, Lx, Sinv, np.sqrt(x / s), M)
+
+        G = np.empty_like(A)
+        ipm._schur_rows(A, psd, lp, Lsi, Lx, np.sqrt(x / s), G)
+        ref = G @ G.T
+        assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(M, M.T)
+
+        v, w = rng.normal(size=A.shape[1]), rng.normal(size=len(A))
+        np.testing.assert_allclose(rows.dot(v), A @ v, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(rows.rdot(w), w @ A, rtol=1e-13, atol=1e-13)
+
+    def test_workload_forms_take_their_assembly_paths(self, monkeypatch):
+        # F3 only on the full theta of C41 and C61; sparse products on the
+        # pop forms of n = 6 and 7 and the full thetas; every other form as
+        # before
+        seen = []
+        group = []
+
+        class Recorded(ipm._Rows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                seen.append((group[-1], self.counts, self.sparse))
+
+        monkeypatch.setattr(ipm, "_Rows", Recorded)
+        for name, p in _workload_problems():
+            group.append(name)
+            solve(p, max_iter=0)
+        assert len(seen) == 90
+        f3 = [(name, [(d, k) for d, k, _, _ in counts]) for name, counts, _ in seen if counts]
+        assert f3 == [("reduce", [(41, 1)]), ("reduce", [(61, 1)])]
+        sparse = [name for name, _, sp in seen if sp]
+        assert sparse == ["pop"] * 4 + ["reduce"] * 2
+        assert [sp for name, _, sp in seen if name == "pop"] == [False] * 12 + [True] * 4
+        assert [sp for name, _, sp in seen if name == "reduce"] == [True, False, True, False]
+
+    @pytest.mark.parametrize("n", [41, 61])
+    def test_theta_of_odd_cycles(self, n):
+        # Lovasz: theta(C_n) = n cos(pi/n) / (1 + cos(pi/n)) for odd n; at
+        # tol 1e-8 the gap alone is about 2e-7 on theta(C_61) ~ 30
+        s = solve(graphs.theta_problem(graphs.Graph.cycle(n)), tol=1e-9)
+        exact = n * np.cos(np.pi / n) / (1.0 + np.cos(np.pi / n))
+        assert s.status == sdp.OPTIMAL
+        assert abs(s.primal_obj - exact) <= 1e-7 and abs(s.dual_obj - exact) <= 1e-7
+
+    def test_assembly_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="soskit.ipm"):
+            solve(graphs.theta_problem(graphs.Graph.cycle(41)), max_iter=0)
+        assert ("schur assembly: F3 on the 1 41x41 blocks (15129 pairs <= 70602 dense "
+                "entries); A products sparse (123 of 70602 entries nonzero)") in caplog.text
+
+    def test_row_selection_elimination_is_the_product(self, monkeypatch):
+        # the forms of both sides of the n = 7 ball quartic, and a form whose
+        # free columns touch rows 1 and 3, for which LAPACK returns U2 with a
+        # -1: each column of U2 picks one row, and U2'A and U2'b by indexing
+        # are bit for bit the products
+        forms = []
+        real = ipm._eliminate
+
+        def recorded(form):
+            forms.append(form)
+            return real(form)
+
+        monkeypatch.setattr(ipm, "_eliminate", recorded)
+        prog = ball_quartic(7, random.Random(1))
+        for p in (build_sos_dual(prog, 4)[0], build_moment_primal(prog, 4)[0]):
+            solve(p, max_iter=0)
+        assert len(forms) == 2
+        forms.append(random_free_form(2, 0, m=4))
+        forms[-1].free[...] = [[0.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
+        for form in forms:
+            red, _, U2, _, _ = real(form)
+            assert np.array_equal(np.count_nonzero(U2, axis=0), np.ones(U2.shape[1]))
+            assert red.rows.tobytes() == (U2.T @ form.rows).tobytes()
+            assert red.b.tobytes() == (U2.T @ form.b).tobytes()
+        assert U2.min() == -1.0
+
+
 def random_free_form(nf, seed, m=8, dims=(3, 2, 1, 1, 1), repeated=False):
     """A seeded standard form with nf free columns (the last one a copy of
     the first when ``repeated``), strictly feasible on both sides: b and c
