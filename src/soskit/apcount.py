@@ -347,12 +347,12 @@ def build_density_relaxation(p: int, D: int, use_symmetry: bool = False,
 def mono_program(n: int) -> PolyProgram:
     """min sum_APs (x_a x_b + x_a x_c + x_b x_c + 1)/4 over x in {-1,1}^n,
     with x_i^2 = 1 as equality constraints."""
-    quarter = Fraction(1, 4)
-    terms: Dict[Monomial, Fraction] = {}
+    counts: Dict[Monomial, int] = {}  # each monomial's number of quarters
     for a, b, c in enumerate_aps(n):
         for m in (_exponents(n, (a, 1), (b, 1)), _exponents(n, (a, 1), (c, 1)),
                   _exponents(n, (b, 1), (c, 1)), (0,) * n):
-            terms[m] = terms.get(m, 0) + quarter
+            counts[m] = counts.get(m, 0) + 1
+    terms = {m: Fraction(k, 4) for m, k in counts.items()}
     eqs = tuple(Polynomial(n, {_exponents(n, (i, 2)): 1, (0,) * n: -1}) for i in range(n))
     return PolyProgram(n, Polynomial(n, terms), eqs=eqs)
 

@@ -12,38 +12,48 @@ block is one entry of a single nonnegative orthant, the LP cone of
 mixed-cone IPMs such as SDPA and SeDuMi: its x and s are vectors on those
 blocks' columns of A, its directions are entrywise, its step length is a
 ratio test and its cone guard is x > 0.  The d x d blocks with d > 1 of
-one size are one stack, a (k, d, d) view of their columns, and every
-factorization, inversion, product and eigenvalue computation on them is
-one numpy call over the stack.  So the LAPACK calls of an iteration follow
-the distinct block sizes, not the number of blocks or of inequality rows.
-A form whose blocks are not grouped by size is permuted into that order
-once per solve, and its solution permuted back; the iterate, its trial
-points, the directions and their views are made once per solve.
+one size are one stack, a (k, d, d) view of their columns.  X and S are the
+two rows of one (2, n) array (``_Pair``), so each stack of both sides is
+one (2, k, d, d) view, and every factorization, inversion, product and
+eigenvalue computation on them is one numpy call for both sides.  Per
+distinct block size an iteration makes one ``cholesky`` call (the cone
+guard's trial X and S), one ``inv`` (of Lx and Ls) and two ``eigvalsh``
+(the predictor's and the corrector's step lengths); the Schur complement
+adds one ``cholesky`` and one ``inv``.  So the LAPACK calls of an iteration
+follow the distinct block sizes, not the number of blocks or of inequality
+rows.  A form whose blocks are not grouped by size is permuted into that
+order once per solve, and its solution permuted back; the iterate, the
+guard's trial point, the one direction buffer that the corrector
+overwrites, their views, the stacks' identities and the blocks' offsets
+are made once per solve.
 
 Search direction is HKM with a Mehrotra predictor-corrector.  Each matrix of
-an iteration is factored once and used through its factor; the cone guard,
-which factors the blocks of the next iterate to accept its step, hands those
-factors on.  With the block factors S_b = Ls_b Ls_b' and X_b = Lx_b Lx_b',
+an iteration is factored once and used through its factor, and the predictor
+and the corrector share X S, X Rd S^-1 and x * rd.  The cone guard, which
+factors the blocks of the next iterate to accept its step, hands those
+factors on; when the stacked factorization of the trial X and S fails, each
+side backtracks alone, so the steps are those of two separate guards
+(``_guard``).  With the block factors S_b = Ls_b Ls_b' and X_b = Lx_b Lx_b',
 the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb S_b^-1) is assembled
 one of two ways per stack, chosen once per solve from A's nonzeros
 (``_Rows``), as in Fujisawa, Kojima & Nakata, "Exploiting sparsity in
 primal-dual interior-point methods for semidefinite programming" (Math.
 Prog. 79, 1997).  A stack whose pairs of nonzeros in one block, sum_b T_b^2
-for T_b nonzeros in block b, number at most the m k d^2 entries of its
-dense rows takes their formula F3: each pair adds its product with one
-entry of X_b and one of S_b^-1 to one entry of M, all in one bincount.  The
-other stacks and the orthant form the Gram rows G_k = vec(Ls_b^-1 A_kb
-Lx_b), the orthant's columns of A scaled by sqrt(x / s), on their own
-columns, and their part of M is the one symmetric rank-k product G G'.
-When a stack took F3, its part is symmetrized before it is added, so M is
-symmetric; it is positive semidefinite up to rounding, and a Cholesky
-factorization that fails on it still ends the run (below).  A's products
-A x and y'A are bincounts over its nonzeros when A has at least 2^16
-entries and at most 1/32 of them are nonzero, and dense products
-otherwise.  S_b^-1 = Ls_b^-T Ls_b^-1, and the step length to a block's
-boundary is read off the least eigenvalue of Lx_b^-1 dX_b Lx_b^-T (of
-Ls_b^-1 dS_b Ls_b^-T on the dual side, in the same call).  The triangular
-inverses come from a 2x2 block recursion (numpy has no triangular solve).
+for T_b nonzeros in block b, number at most the m k d^2 entries of its dense
+rows takes their formula F3: each pair adds its product with one entry of
+X_b and one of S_b^-1 to one entry of M, all in one bincount.  The other
+stacks and the orthant form the Gram rows G_k = vec(Ls_b^-1 A_kb Lx_b), the
+orthant's columns of A scaled by sqrt(x / s), on their own columns, and
+their part of M is the one symmetric rank-k product G G'.  When a stack took
+F3, its part is symmetrized before it is added, so M is symmetric; it is
+positive semidefinite up to rounding, and a Cholesky factorization that
+fails on it still ends the run (below).  A's products A x and y'A are
+bincounts over its nonzeros when A has at least 2^16 entries and at most
+1/32 of them are nonzero, and dense products otherwise.  S_b^-1 = Ls_b^-T
+Ls_b^-1, and the step length to a block's boundary is read off the least
+eigenvalue of Lx_b^-1 dX_b Lx_b^-T (of Ls_b^-1 dS_b Ls_b^-T on the dual
+side, in the same call).  The triangular inverses come from a 2x2 block
+recursion (numpy has no triangular solve).
 
 Free scalars are eliminated once per solve, as in Kobayashi, Nakata &
 Kojima, "A conversion of an SDP having free variables into the standard
@@ -82,6 +92,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -119,10 +130,16 @@ class StdForm:
 
     def blocks(self, w: Optional[np.ndarray] = None) -> List[np.ndarray]:
         """Views of the column blocks of w (default ``rows``), each block's
-        last axis as a d x d matrix."""
+        last axis as a d x d matrix: one view per run of equal-size blocks,
+        cut into its blocks."""
         w = self.rows if w is None else w
-        return [w[..., self.off[i]:self.off[i + 1]].reshape(w.shape[:-1] + (d, d))
-                for i, d in enumerate(self.dims)]
+        out, o = [], 0
+        for d, run in groupby(self.dims):
+            k = len(list(run))
+            view = w[..., o:o + k * d * d].reshape(w.shape[:-1] + (k, d, d))
+            out.extend(np.moveaxis(view, -3, 0) if w.ndim > 1 else view)
+            o += k * d * d
+        return out
 
 
 @dataclass
@@ -156,10 +173,17 @@ ITER_CAP = "iter_cap"
 
 @dataclass
 class _Face:
-    keep: List[np.ndarray]       # kept original indices per block
+    dims: List[int]              # the form's block sizes
+    alive: np.ndarray            # kept indices, numbered across the blocks
     kept_rows: List[int]
     reduced: bool                # some block lost an index
     cols: np.ndarray             # kept columns of ``rows``, in restricted order
+
+    @property
+    def keep(self) -> List[np.ndarray]:
+        """The kept original indices of each block."""
+        start = np.cumsum([0] + self.dims)
+        return [np.flatnonzero(self.alive[s:s + d]) for s, d in zip(start, self.dims)]
 
 
 def relative_gap(pobj: float, dobj: float) -> float:
@@ -178,30 +202,33 @@ def _face(form: StdForm) -> Optional[_Face]:
     every entry pinned at its start, until a sweep pins nothing.  Rows left
     with no live entry are dropped.  Returns None when a pinned entry must
     be negative or an empty row has a nonzero rhs (structurally infeasible).
+    A sweep looks only at rows without free scalars and with at most one
+    live entry; the columns' block entries are mapped once such a row exists.
     """
-    dims = np.array(form.dims, dtype=np.intp)
-    start = np.concatenate(([0], np.cumsum(dims)))
-    # each column's entry (i, j), numbered across the blocks' indices: the
-    # column o + i*d + j of a d x d block at offset o
-    blk = np.repeat(np.arange(len(dims)), dims * dims)
-    local, d = np.arange(form.off[-1]) - form.off[blk], dims[blk]
-    ii, jj = start[blk] + local // d, start[blk] + local % d
-    nonzero = form.rows != 0.0
-    has_free = np.any(form.free != 0.0, axis=1)  # such rows pin nothing
-    alive = np.ones(start[-1], dtype=bool)
+    live = form.rows != 0.0  # entries in live columns
+    can = ~(form.free != 0.0).any(axis=1)  # rows that can pin or be dropped
     dead = np.zeros(len(form.b), dtype=bool)
+    alive = np.ones(sum(form.dims), dtype=bool)
     reduced = False
+    ii = jj = None  # each column's entry (i, j), numbered across the blocks' indices
 
     while True:
-        k = np.flatnonzero(~(has_free | dead))
-        live = nonzero[k] & (alive[ii] & alive[jj])
-        count = np.count_nonzero(live, axis=1)
-        empty = k[count == 0]
+        count = live.sum(axis=1)
+        k = np.flatnonzero(can & (count <= 1))
+        if not k.size:
+            break
+        if ii is None:
+            dims = np.array(form.dims, dtype=np.intp)
+            start = np.cumsum(dims) - dims
+            # the column o + i*d + j of a d x d block at offset o
+            blk = np.repeat(np.arange(len(dims)), dims * dims)
+            i, j = np.divmod(np.arange(form.off[-1]) - form.off[blk], dims[blk])
+            ii, jj = start[blk] + i, start[blk] + j
+        empty, k = k[count[k] == 0], k[count[k] == 1]
         if np.any(form.b[empty] != 0.0):
             return None
-        dead[empty] = True
-        k = k[count == 1]
-        col = np.nonzero(live[count == 1])[1]  # each such row's one entry
+        dead[empty], can[empty] = True, False
+        col = live[k].argmax(axis=1)  # each such row's one entry
         on_diag = ii[col] == jj[col]
         k, col = k[on_diag], col[on_diag]
         pinned = form.b[k] / form.rows[k, col]
@@ -210,13 +237,14 @@ def _face(form: StdForm) -> Optional[_Face]:
         k, col = k[pinned == 0.0], col[pinned == 0.0]
         if not k.size:
             break
-        dead[k] = True
+        dead[k], can[k] = True, False
         alive[ii[col]] = False
+        live[:, ~(alive[ii] & alive[jj])] = False
         reduced = True
 
-    return _Face(keep=[np.flatnonzero(alive[s:s + d]) for s, d in zip(start, form.dims)],
-                 kept_rows=np.flatnonzero(~dead).tolist(), reduced=reduced,
-                 cols=np.flatnonzero(alive[ii] & alive[jj]))
+    return _Face(dims=list(form.dims), alive=alive, kept_rows=np.flatnonzero(~dead).tolist(),
+                 reduced=reduced, cols=(np.arange(form.off[-1]) if ii is None  # no row could pin
+                                        else np.flatnonzero(alive[ii] & alive[jj])))
 
 
 def _restrict(form: StdForm, face: _Face) -> StdForm:
@@ -383,7 +411,8 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
         cf = sub.free_obj
         res.y = w + U2 @ res.y
         res.u = pinv @ (sub.b - sub.rows @ _vec(res.X))
-        fres = float(np.linalg.norm(cf - sub.free.T @ res.y)) / (1.0 + float(np.linalg.norm(cf)))
+        r = cf - sub.free.T @ res.y
+        fres = math.sqrt(r @ r) / (1.0 + math.sqrt(cf @ cf))  # np.linalg.norm's formula
         res.dres = max(res.dres, fres)
         if fres > tol and res.pres <= tol:  # an exact primal ray on a feasible form
             res.status = "dual_infeasible_cert"
@@ -448,30 +477,42 @@ def _grouped(form: StdForm):
 
 
 class _Vec:
-    """A vector on the columns of a grouped form, with its stacks as (k, d,
-    d) views ``P`` and its orthant as the view ``l``, made once per solve."""
+    """An array whose last axis runs over the columns of a grouped form,
+    with its stacks as views ``P`` (the last axis as (k, d, d)) and its
+    orthant as the view ``l``, made once per solve."""
     __slots__ = ("v", "P", "l")
 
+    def __init__(self, v: np.ndarray, psd, lp: slice):
+        self.v, self.P, self.l = v, _views(v, psd), v[..., lp]
+
+
+class _Pair(_Vec):
+    """The X and S sides of the iterate or of a direction as the rows of one
+    (2, n) _Vec, so that one call serves both sides, and each side also as
+    the _Vec ``x`` or ``s`` of the pair's views."""
+    __slots__ = ("x", "s")
+
     def __init__(self, n: int, psd, lp: slice):
-        self.v = np.empty(n)
-        self.P = _views(self.v, psd)
-        self.l = self.v[lp]
+        super().__init__(np.empty((2, n)), psd, lp)
+        self.x, self.s = (_Vec.__new__(_Vec) for _ in range(2))
+        for j, side in enumerate((self.x, self.s)):
+            side.v, side.P, side.l = self.v[j], [P[j] for P in self.P], self.l[j]
 
 
-def _schur_rows(A: np.ndarray, psd, lp, Lsi: List[np.ndarray],
-                Lx: List[np.ndarray], w: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` (shaped as A) the rows G whose Gram matrix G G' is
-    the part of the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb
-    S_b^-1) on A's columns: block b of row k is Ls_b^-1 A_kb Lx_b, given the
-    stacks of Ls_b^-1 and Lx_b (S_b = Ls_b Ls_b', X_b = Lx_b Lx_b'), one
-    product per stack, and the orthant's columns are A's scaled by w =
-    sqrt(x / s).  ``_Rows`` passes the columns of the stacks that do not take
-    F3, with the orthant's; G G' is symmetric and positive semidefinite by
-    construction, and the F3 part is added to it symmetrized."""
-    for a, g, li, lx in zip(_views(A, psd), _views(out, psd), Lsi, Lx):
+def _schur_rows(A: _Vec, G: _Vec, Lsi: List[np.ndarray], Lx: List[np.ndarray],
+                w: np.ndarray) -> None:
+    """Write into G (shaped as A) the rows G whose Gram matrix G G' is the
+    part of the HKM Schur complement M_kl = sum_b tr(A_kb X_b A_lb S_b^-1) on
+    A's columns: block b of row k is Ls_b^-1 A_kb Lx_b, given the stacks of
+    Ls_b^-1 and Lx_b (S_b = Ls_b Ls_b', X_b = Lx_b Lx_b'), one product per
+    stack, and the orthant's columns are A's scaled by w = sqrt(x / s).
+    ``_Rows`` passes the columns of the stacks that do not take F3, with the
+    orthant's; G G' is symmetric and positive semidefinite by construction,
+    and the F3 part is added to it symmetrized."""
+    for a, g, li, lx in zip(A.P, G.P, Lsi, Lx):
         for k in range(0, len(a), 64):  # row chunks keep a @ lx's temporary small
             np.matmul(li, a[k:k + 64] @ lx, out=g[k:k + 64])
-    out[:, lp] = A[:, lp] * w
+    np.multiply(A.l, w, out=G.l)
 
 
 # A stack assembles its part of M by F3 when its pairs of nonzeros in one
@@ -510,29 +551,32 @@ class _Rows:
     def __init__(self, A: np.ndarray, psd, lp: slice):
         self.A = A
         m = len(A)
-        # np.nonzero(A)'s indices; it took 2-15x longer on 2 x 729 to 329 x 1360 forms
-        r, col = np.unravel_index(np.flatnonzero(A != 0.0), A.shape)
-        val = A[r, col]
-        self.sparse = A.size >= _SPARSE_MIN_ENTRIES and len(r) <= _SPARSE_FILL * A.size
+        nonzero = A != 0.0
+        self.sparse = (A.size >= _SPARSE_MIN_ENTRIES
+                       and np.count_nonzero(nonzero) <= _SPARSE_FILL * A.size)
         if self.sparse:
-            self.nz = (r, col, val)
+            # np.nonzero(A)'s indices; it took 2-15x longer on 2 x 729 to 329 x 1360 forms
+            r, col = np.unravel_index(np.flatnonzero(nonzero), A.shape)
+            self.nz = (r, col, A[r, col])
 
         self.f3, self.dense = [], []  # stack indices by assembly
         self.counts = []  # (d, k, pairs, dense entries) of each F3 stack
         pairs = []  # (M, X, S^-1, v_s v_t / 2) of each F3 stack
         soff = 0    # the F3 stack's offset in the concatenated S^-1 stacks
         for i, (o, d, k) in enumerate(psd):
-            sel = (col >= o) & (col < o + k * d * d)
-            blk, loc = np.divmod(col[sel] - o, d * d)
-            T = np.bincount(blk, minlength=k)
+            live = nonzero[:, o:o + k * d * d]
+            T = live.reshape(m, k, d * d).sum(axis=(0, 2))
             count = int(T @ T)
             if count > _F3_PAIRS_PER_ENTRY * m * k * d * d:
                 self.dense.append(i)
                 continue
             self.f3.append(i)
             self.counts.append((d, k, count, m * k * d * d))
+            # the stack's nonzeros by row, then column, stably sorted by block
+            r, col = np.nonzero(live)
+            blk, loc = np.divmod(col, d * d)
             order = np.argsort(blk, kind="stable")
-            rs, bs, vs = r[sel][order], blk[order], val[sel][order]
+            rs, bs, vs = r[order], blk[order], A[r, o + col][order]
             ii, jj = np.divmod(loc[order], d)
             # s runs over the nonzeros, t over those of s's block; each flat
             # index is a part from s plus a part from t
@@ -548,21 +592,21 @@ class _Rows:
         self.pairs = pairs[0] if pairs else None
 
         # the dense stacks and the orthant, laid out side by side
-        self.psd_d, cols, at = [], [], 0
+        psd_d, cols, at = [], [], 0
         for i in self.dense:
             o, d, k = psd[i]
-            self.psd_d.append((at, d, k))
+            psd_d.append((at, d, k))
             cols.append(A[:, o:o + k * d * d])
             at += k * d * d
-        self.lp_d = slice(at, at + lp.stop - lp.start)
-        self.Ad = A if not self.f3 else np.concatenate(cols + [A[:, lp]], axis=1)
-        self.G = np.empty_like(self.Ad)
+        lp_d = slice(at, at + lp.stop - lp.start)
+        Ad = A if not self.f3 else np.concatenate(cols + [A[:, lp]], axis=1)
+        self.Ad, self.G = _Vec(Ad, psd_d, lp_d), _Vec(np.empty_like(Ad), psd_d, lp_d)
 
         if log.isEnabledFor(logging.DEBUG):
             log.debug("schur assembly: F3 on %s; A products %s (%d of %d entries nonzero)",
                       ", ".join(f"the {k} {d}x{d} blocks ({c} pairs <= {e} dense entries)"
                                 for d, k, c, e in self.counts) or "no stack",
-                      "sparse" if self.sparse else "dense", len(r), A.size)
+                      "sparse" if self.sparse else "dense", np.count_nonzero(nonzero), A.size)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """A x."""
@@ -583,9 +627,8 @@ class _Rows:
         """Write the HKM Schur complement into M, given the iterate's X (as
         its vector xv), the stacks of Ls_b^-1, Lx_b and S_b^-1, and the
         orthant's w = sqrt(x / s)."""
-        _schur_rows(self.Ad, self.psd_d, self.lp_d, [Lsi[i] for i in self.dense],
-                    [Lx[i] for i in self.dense], w, self.G)
-        np.matmul(self.G, self.G.T, out=M)
+        _schur_rows(self.Ad, self.G, [Lsi[i] for i in self.dense], [Lx[i] for i in self.dense], w)
+        np.matmul(self.G.v, self.G.v.T, out=M)
         if self.pairs is not None:
             mi, xi, si, vv = self.pairs
             sflat = np.concatenate([Sinv[i].reshape(-1) for i in self.f3])
@@ -594,21 +637,72 @@ class _Rows:
             M += F
 
 
-def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest t with v + t*dv >= 0 given v > 0: the orthant's step, with
-    the threshold of ``_boundary_step`` on dv/v."""
+def _ratio_steps(v: np.ndarray, dv: np.ndarray) -> List[float]:
+    """The orthant's step on each side of a pair: the largest t with v +
+    t*dv >= 0 given v > 0, with the threshold of ``_boundary_step`` on
+    dv/v, and inf on a side where no entry decreases.  The least -v/dv is
+    minus the largest v/dv, bit for bit."""
     neg = dv / v < -1e-14
-    return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
+    if not neg.any():
+        return [np.inf, np.inf]
+    q = np.empty(v.shape)
+    q.fill(-np.inf)
+    np.divide(v, dv, out=q, where=neg)
+    return [-t for t in q.max(axis=1).tolist()]
 
 
-def _largest_block(w: np.ndarray, psd, lp: slice) -> float:
-    """The largest Frobenius norm of a block of w: of a stack's matrices or
-    of an orthant entry."""
-    sq = w * w
-    top = [float(sq[o:o + k * d * d].reshape(k, d * d).sum(axis=1).max()) for o, d, k in psd]
-    if sq[lp].size:
-        top.append(float(sq[lp].max()))
-    return math.sqrt(max(top, default=0.0))
+def _block_starts(form: StdForm) -> np.ndarray:
+    """The offsets, in a pair's flattened (2, n) array, of the blocks of X
+    and then of S, in column order, for ``_largest_block``; blocks with d =
+    0 have no columns and no offset."""
+    starts = form.off[:-1][np.array(form.dims, dtype=int) > 0]
+    return np.concatenate((starts, form.off[-1] + starts))
+
+
+def _largest_block(w: np.ndarray, starts: np.ndarray) -> float:
+    """The largest Frobenius norm of a block of w, a stack's matrix or an
+    orthant entry, given the offset of each block in w's flattened form, in
+    increasing order (``np.add.reduceat`` sums from each offset to the
+    next)."""
+    return math.sqrt(float(np.add.reduceat((w * w).reshape(-1), starts).max(initial=0.0)))
+
+
+def _backtrack(w: _Vec, dw: _Vec, a: float, trial: _Vec):
+    """w + a*dw into ``trial`` for the first of a, 0.8a, ... (30 tries)
+    inside the cone, with its stacks' Cholesky factors; past the last try,
+    w + 0.8^30 a*dw unchecked, and None.  One side of the cone guard."""
+    for _ in range(30):
+        np.multiply(dw.v, a, out=trial.v)
+        trial.v += w.v
+        if (trial.l > 0.0).all():
+            L = _chols(trial.P)
+            if L is not None:
+                return a, L
+        a *= 0.8
+    np.multiply(dw.v, a, out=trial.v)
+    trial.v += w.v
+    return a, None
+
+
+def _guard(z: _Pair, dz: _Pair, ap: float, ad: float, trial: _Pair):
+    """The cone guard, against rounding past the cone boundary: the pair (X
+    + ap dX, S + ad dS) into ``trial``, accepted when its orthant is positive
+    and each block size's X and S factor in one stacked Cholesky call.
+    When that fails, each side backtracks on its own (``_backtrack``), so
+    the result is that of the two sides' guards.  Returns the step lengths
+    and the trial's factors as (2, k, d, d) stacks, Lx over Ls, or None when
+    a side ran out of tries."""
+    np.multiply(dz.v, np.array([[ap], [ad]]), out=trial.v)
+    trial.v += z.v
+    if (trial.l > 0.0).all():
+        L = _chols(trial.P)
+        if L is not None:
+            return ap, ad, L
+    ap, Lx = _backtrack(z.x, dz.x, ap, trial.x)
+    ad, Ls = _backtrack(z.s, dz.s, ad, trial.s)
+    if Lx is None or Ls is None:
+        return ap, ad, None
+    return ap, ad, [np.stack(f) for f in zip(Lx, Ls)]
 
 
 def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
@@ -617,10 +711,10 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
     those of ``orig``, the form before elimination; objectives add ``offset``.
 
     The iteration runs on the form's columns grouped by cone (``_grouped``):
-    each block size is one (k, d, d) stack, so every factorization,
-    inversion, product and eigenvalue computation of an iteration is one
-    numpy call per distinct block size, and the 1x1 blocks are one orthant
-    vector."""
+    each block size is one (k, d, d) stack, and X and S are the rows of one
+    (2, n) array, so every factorization, inversion, product and eigenvalue
+    computation of an iteration is one numpy call per distinct block size
+    for both sides, and the 1x1 blocks are one orthant of both sides."""
     given = form
     form, perm = _grouped(form)
     A, b, c = form.rows, form.b, form.c
@@ -629,17 +723,21 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
     psd, lp = _cones(form)
     lp = slice(int(lp[0]), int(lp[-1]) + 1) if lp.size else slice(0, 0)  # one run once grouped
 
-    cnorm = float(np.linalg.norm(orig.c))
-    bnorm = float(np.linalg.norm(orig.b))
-    scale = 1.0 + max(float(np.max(np.abs(orig.b))) if len(orig.b) else 0.0, cnorm)
+    # np.linalg.norm's own formula, without its overhead
+    cnorm, bnorm = math.sqrt(orig.c @ orig.c), math.sqrt(orig.b @ orig.b)
+    scale = 1.0 + max(float(abs(orig.b).max(initial=0.0)), cnorm)
 
-    # the iterate, the cone guard's trial points, the directions and the
-    # residual, each with its views, and the Schur buffers, made once
-    X, S, Xt, St, V, DXa, DSa, DX, DS, Rd = (_Vec(n, psd, lp) for _ in range(10))
-    for w in (X, S):
-        for P in w.P:
-            P[...] = scale * np.eye(P.shape[-1])
-        w.l[...] = scale
+    # the iterate (X, S), the cone guard's trial point and the direction
+    # (dX, dS), each a pair; V and the dual residual; the stacks'
+    # identities and the offsets of the blocks of a pair, for its largest
+    # block: all made once
+    z, zt, dz = (_Pair(n, psd, lp) for _ in range(3))
+    V, Rd = (_Vec(np.empty(n), psd, lp) for _ in range(2))
+    eye = [np.eye(d) for _, d, _ in psd]
+    for P, e in zip(z.P, eye):
+        P[...] = scale * e
+    z.l[...] = scale
+    starts = _block_starts(form)
     y = np.zeros(m)
     rows = _Rows(A, psd, lp)
     M = np.empty((m, m))
@@ -649,47 +747,63 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
     it = 0
     pres = dres = relgap = np.inf
     pobj = dobj = np.nan
-    best = None          # (error, xv, sv, y, pobj, dobj, pres, dres, relgap)
+    best = None          # (error, (X, S), y, pobj, dobj, pres, dres, relgap)
     best_age = 0
-    # Cholesky factors of the X and S stacks, when known: sqrt(scale) I at
-    # the start, then those the cone guard found
-    Lx = Ls = [np.sqrt(scale) * np.broadcast_to(np.eye(d), (k, d, d)) for _, d, k in psd]
+    # the stacks' Cholesky factors, Lx over Ls: at the start the entrywise
+    # square root of the diagonal iterate, then those the cone guard found
+    L = [np.sqrt(P) for P in z.P]
 
-    def guarded(w, dw, a, trial):
-        """w + a*dw into ``trial`` for the first of a, 0.8a, ... (30 tries)
-        inside the cone, with its stacks' Cholesky factors; past the last
-        try, w + 0.8^30 a*dw unchecked, and None."""
-        for _ in range(30):
-            np.multiply(dw.v, a, out=trial.v)
-            trial.v += w.v
-            if (trial.l > 0.0).all():
-                L = _chols(trial.P)
-                if L is not None:
-                    return a, L
-            a *= 0.8
-        np.multiply(dw.v, a, out=trial.v)
-        trial.v += w.v
-        return a, None
+    def directions(Rc, rc, d):
+        """The HKM direction for the complementarity residual (Rc, rc),
+        written into the pair d; returns dy."""
+        X, S = z.x, z.s
+        for vb, xr, rcb, si in zip(V.P, XRdSinv, Rc, Sinv):
+            np.subtract(xr, rcb @ si, out=vb)
+        np.subtract(xRd, rc, out=V.l)
+        V.l /= S.l
+        dy = _kkt_solve(M, Minv, rp + rows.dot(V.v))
+        np.subtract(Rd.v, rows.rdot(dy), out=d.s.v)
+        for dxb, rcb, xb, dsb, si in zip(d.x.P, Rc, X.P, d.s.P, Sinv):
+            w = (rcb - xb @ dsb) @ si
+            np.add(w, w.swapaxes(-1, -2), out=dxb)
+            dxb /= 2.0
+        np.multiply(X.l, d.s.l, out=d.x.l)
+        np.subtract(rc, d.x.l, out=d.x.l)
+        d.x.l /= S.l
+        return dy
+
+    def steps(d, frac):
+        """The step lengths to the cones' boundaries: the orthant's ratio
+        test and the least eigenvalues of Lx^-1 dX Lx^-T and Ls^-1 dS Ls^-T
+        over each stack, both sides in one call."""
+        ap, ad = _ratio_steps(z.l, d.l)
+        ap, ad = min(1.0, frac * ap), min(1.0, frac * ad)
+        for li, lt, dP in zip(Li, LiT, d.P):
+            w = li @ dP @ lt
+            lx, ls = np.linalg.eigvalsh((w + w.swapaxes(-1, -2)) / 2.0)[..., 0].min(axis=1)
+            ap = min(ap, frac * _boundary_step(float(lx)))
+            ad = min(ad, frac * _boundary_step(float(ls)))
+        return ap, ad
 
     for it in range(max_iter + 1):
-        rp = b - rows.dot(X.v)
-        np.subtract(c, S.v, out=Rd.v)
+        x, s = z.x.v, z.s.v
+        rp = b - rows.dot(x)
+        np.subtract(c, s, out=Rd.v)
         Rd.v -= rows.rdot(y)
 
-        pobj = float(c @ X.v) + offset
+        pobj = float(c @ x) + offset
         dobj = (float(b @ y) if m else 0.0) + offset
-        mu = float(X.v @ S.v) / nu
+        mu = float(x @ s) / nu
 
         # np.linalg.norm's own formula, without its overhead
         pres = math.sqrt(rp @ rp) / (1.0 + bnorm)
         dres = math.sqrt(Rd.v @ Rd.v) / (1.0 + cnorm)
         relgap = relative_gap(pobj, dobj)
 
-        itnorm = max(_largest_block(X.v, psd, lp), _largest_block(S.v, psd, lp),
-                     float(abs(y).max()) if m else 0.0)
+        itnorm = max(_largest_block(z.v, starts), float(abs(y).max(initial=0.0)))
         err = max(pres, dres, relgap)
         if itnorm <= ITERATE_CAP * scale and (best is None or err < best[0]):
-            best = (err, X.v.copy(), S.v.copy(), y.copy(), pobj, dobj, pres, dres, relgap)
+            best = (err, z.v.copy(), y, pobj, dobj, pres, dres, relgap)
             best_age = 0
         else:
             best_age += 1
@@ -715,76 +829,51 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
             status = ITER_CAP
             break
 
-        Ls = _chols(S.P) if Ls is None else Ls
-        Lx = _chols(X.P) if Lx is None else Lx
-        if Ls is None or Lx is None or not ((X.l > 0.0).all() and (S.l > 0.0).all()):
-            status = "numerical_failure"
-            break
+        if L is None:  # the guard left a side unchecked
+            L = _chols(z.P) if (z.l > 0.0).all() else None
+            if L is None:
+                status = "numerical_failure"
+                break
         # Lx^-1 over Ls^-1, one inversion per stack
-        Li = [_tril_inv(np.concatenate((lx, ls))) for lx, ls in zip(Lx, Ls)]
-        Lsi = [li[k:] for li, (_, _, k) in zip(Li, psd)]
-        Sinv = [np.swapaxes(li, -1, -2) @ li for li in Lsi]
+        Li = [_tril_inv(f) for f in L]
+        LiT = [li.swapaxes(-1, -2) for li in Li]
+        Lsi = [li[1] for li in Li]
+        Sinv = [lt[1] @ li for lt, li in zip(LiT, Lsi)]
 
-        rows.schur(X.v, Lsi, Lx, Sinv, np.sqrt(X.l / S.l), M)
+        rows.schur(x, Lsi, [f[0] for f in L], Sinv, np.sqrt(z.x.l / z.s.l), M)
         Minv = None  # release the last factor before making the next
         Minv = _kkt_factor(M)
         if Minv is None:
             status = "numerical_failure"
             break
 
-        XRdSinv = [xb @ r @ si for xb, r, si in zip(X.P, Rd.P, Sinv)]
-
-        def directions(Rc, rc, DX, DS):
-            """The HKM direction for the complementarity residual (Rc, rc),
-            written into DX and DS; returns dy."""
-            for vb, xr, rcb, si in zip(V.P, XRdSinv, Rc, Sinv):
-                np.subtract(xr, rcb @ si, out=vb)
-            V.l[...] = (X.l * Rd.l - rc) / S.l
-            dy = _kkt_solve(M, Minv, rp + rows.dot(V.v))
-            np.subtract(Rd.v, rows.rdot(dy), out=DS.v)
-            for dxb, rcb, xb, dsb, si in zip(DX.P, Rc, X.P, DS.P, Sinv):
-                w = (rcb - xb @ dsb) @ si
-                np.add(w, np.swapaxes(w, -1, -2), out=dxb)
-                dxb /= 2.0
-            DX.l[...] = (rc - X.l * DS.l) / S.l
-            return dy
-
-        def steps(DX, DS, frac=1.0):
-            """The step lengths to the cones' boundaries: the least
-            eigenvalue of Lx^-1 dX Lx^-T and of Ls^-1 dS Ls^-T over each
-            stack, both sides in one call, and the orthant's ratio test."""
-            ap = min(1.0, frac * _ratio_step(X.l, DX.l))
-            ad = min(1.0, frac * _ratio_step(S.l, DS.l))
-            for li, dx, ds, (_, _, k) in zip(Li, DX.P, DS.P, psd):
-                w = li @ np.concatenate((dx, ds)) @ np.swapaxes(li, -1, -2)
-                lam = np.linalg.eigvalsh((w + np.swapaxes(w, -1, -2)) / 2.0)[:, 0]
-                ap = min(ap, frac * _boundary_step(float(lam[:k].min())))
-                ad = min(ad, frac * _boundary_step(float(lam[k:].min())))
-            return ap, ad
+        # the work that the predictor and the corrector share
+        XS = [xb @ sb for xb, sb in zip(z.x.P, z.s.P)]
+        xs = z.x.l * z.s.l
+        XRdSinv = [xb @ r @ si for xb, r, si in zip(z.x.P, Rd.P, Sinv)]
+        xRd = z.x.l * Rd.l
 
         # predictor
-        directions([-(xb @ sb) for xb, sb in zip(X.P, S.P)], -(X.l * S.l), DXa, DSa)
-        ap, ad = steps(DXa, DSa)
-        mu_aff = float((X.v + ap * DXa.v) @ (S.v + ad * DSa.v)) / nu
+        directions([-w for w in XS], -xs, dz)
+        ap, ad = steps(dz, 1.0)
+        mu_aff = float((x + ap * dz.x.v) @ (s + ad * dz.s.v)) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
-        # corrector
-        Rc = [sigma * mu * np.eye(xb.shape[-1]) - xb @ sb - dxb @ dsb
-              for xb, sb, dxb, dsb in zip(X.P, S.P, DXa.P, DSa.P)]
-        dy = directions(Rc, sigma * mu - X.l * S.l - DXa.l * DSa.l, DX, DS)
-        ap, ad = steps(DX, DS, STEP_FRACTION)
+        # corrector, from the predictor's direction, which it then overwrites
+        smu = sigma * mu
+        Rc = [smu * e - w - dxb @ dsb for e, w, dxb, dsb in zip(eye, XS, dz.x.P, dz.s.P)]
+        dy = directions(Rc, smu - xs - dz.x.l * dz.s.l, dz)
+        ap, ad = steps(dz, STEP_FRACTION)
 
-        # guard against rounding past the cone boundary; the factors it
-        # finds are the next iteration's
-        ap, Lx = guarded(X, DX, ap, Xt)
-        ad, Ls = guarded(S, DS, ad, St)
-        X, Xt, S, St = Xt, X, St, S
+        # the factors the guard finds are the next iteration's
+        ap, ad, L = _guard(z, dz, ap, ad, zt)
+        z, zt = zt, z
         y = y + ad * dy
 
-    xv, sv = X.v, S.v
+    w = z.v
     # a stalled run ends at its best iterate, not wherever it drifted
     if status != "optimal" and best is not None and best[0] < max(pres, dres, relgap):
-        _, xv, sv, y, pobj, dobj, pres, dres, relgap = best
+        _, w, y, pobj, dobj, pres, dres, relgap = best
 
     # Slater-failure signatures: feasibility converged but the gap did not,
     # or the iterates ran away while staying feasible
@@ -792,8 +881,7 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
         if relgap > 100.0 * tol or status == DIVERGED:
             marginal = True
 
-    if perm is not None:  # back to the form's own column order
-        xv, sv = (_unpermuted(w, perm) for w in (xv, sv))
+    xv, sv = w if perm is None else (_unpermuted(v, perm) for v in w)
     return StdResult(
         status=status,
         pobj=pobj,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import isfinite, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -309,14 +310,24 @@ def dual_of(p: SdpProblem) -> SdpProblem:
     sign = 1.0 if p.sense == "min" else -1.0
     folded, kept = _sign_rows(p)
     v = {k: i for i, k in enumerate(kept)}  # row k's multiplier, a dual free scalar
-    first = np.cumsum([0] + [len(_split(l, l.const)) for l in p.lmis])  # Z_l's first block
+    # Z_l's first block
+    first = list(accumulate((len(_split(l, l.const)) for l in p.lmis), initial=0))
+    # one row per primal free scalar: its blocks and free coefficients, in
+    # order of inequality and of row
+    blocks: List[Dict[int, np.ndarray]] = [{} for _ in range(p.n_free)]
+    free: List[Dict[int, float]] = [{} for _ in range(p.n_free)]
+    for li, l in enumerate(p.lmis):
+        for j, g in l.coeffs.items():
+            for t, gt in enumerate(_split(l, g)):
+                blocks[j][first[li] + t] = sign * gt
+    for k in kept:
+        for j, a in p.rows[k].free.items():
+            free[j][v[k]] = a
     d_rows: List[LinearRow] = []
-    for j in range(p.n_free):  # one row per primal free scalar
-        blocks = {int(first[li]) + t: sign * g for li, l in enumerate(p.lmis) if j in l.coeffs
-                  for t, g in enumerate(_split(l, l.coeffs[j]))}
-        free = {v[k]: p.rows[k].free[j] for k in kept if j in p.rows[k].free}
-        d_rows.append(LinearRow(blocks=blocks, free=free, rhs=float(p.free_obj[j]),
+    for j in range(p.n_free):
+        d_rows.append(LinearRow(blocks=blocks[j], free=free[j], rhs=float(p.free_obj[j]),
                                 rel="<=" if j in folded else "==", label=f"free[{j}]"))
+        blocks[j] = None  # the row holds its own symmetrized copies
     for k in kept:  # sign constraint for the other inequality rows
         if p.rows[k].rel == "<=":
             d_rows.append(LinearRow(free={v[k]: sign}, rhs=0.0, rel="<=",
@@ -348,7 +359,7 @@ def dual_of(p: SdpProblem) -> SdpProblem:
         rows=d_rows,
         lmis=d_lmis,
         sense="max" if p.sense == "min" else "min",
-        diag_groups=[(int(first[li]), l.dim) for li, l in enumerate(p.lmis) if l.diag],
+        diag_groups=[(first[li], l.dim) for li, l in enumerate(p.lmis) if l.diag],
     )
 
 
@@ -630,13 +641,13 @@ def _standardize(q: SdpProblem) -> ipm.StdForm:
     dims = list(q.block_dims) + slack_dims + [1] * len(ineq)
     m = len(q.rows) + sum(_pin_rows(l) for l in q.lmis)
     form = ipm.StdForm.zeros(dims, m, q.n_free)
-    A = form.blocks()
-    for c, cb in zip(q.C, form.blocks(form.c)):
-        cb[...] = c
+    off = form.off.tolist()  # block b in columns off[b]:off[b + 1]
+    for b, c in enumerate(q.C):
+        form.c[off[b]:off[b + 1]] = c.reshape(-1)
     form.free_obj[:] = q.free_obj
     for k, r in enumerate(q.rows):
         for b, a in r.blocks.items():
-            A[b][k] = a
+            form.rows[k, off[b]:off[b + 1]] = a.reshape(-1)
         for j, c in r.free.items():
             form.free[k, j] = c
         form.b[k] = r.rhs
@@ -658,8 +669,8 @@ def _standardize(q: SdpProblem) -> ipm.StdForm:
         form.b[pins] = l.const[i, j]
         k += i.size
 
-    for k, slack in zip(ineq, A[nb + len(slack_dims):]):
-        slack[k] = 1.0
+    for k, b in zip(ineq, range(nb + len(slack_dims), len(dims))):
+        form.rows[k, off[b]] = 1.0
     return form
 
 

@@ -4,16 +4,45 @@ a small graph corpus for the sandwich tests."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+import numpy as np
 import pytest
 
 from soskit.graphs import Graph, hamming_graph
 from soskit.poly import Polynomial, monomials_up_to_degree
 from soskit.relax import PolyProgram
+
+
+# The numpy and OpenBLAS versions on which test_sdp's WORKLOAD_ITERATIONS
+# were recorded; other builds round differently, which can move a solve by
+# an iteration, so the counts are exact only here.
+RECORDED_BUILD = ("2.4.", "0.3.31")
+
+
+def blas_build() -> dict:
+    """numpy's BLAS build: its name, version and, for OpenBLAS, configuration."""
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
+
+def on_recorded_build() -> bool:
+    """Whether numpy and its BLAS are the RECORDED_BUILD versions."""
+    return (np.__version__.startswith(RECORDED_BUILD[0])
+            and str(blas_build().get("version", "")).startswith(RECORDED_BUILD[1]))
+
+
+def pytest_report_header(config):
+    """The rounding regime of the run: numpy and BLAS versions, the BLAS
+    thread setting, and whether iteration counts are checked exactly."""
+    blas = blas_build()
+    return [f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}, "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
+            "WORKLOAD_ITERATIONS checked " + ("exactly" if on_recorded_build() else "within one")
+            + f" (RECORDED_BUILD numpy {RECORDED_BUILD[0]}*, BLAS {RECORDED_BUILD[1]}*)"]
 
 
 def P(n, terms):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,7 @@ from soskit.apcount import (
     same_color_indicator,
 )
 from soskit.poly import Polynomial
-from soskit.relax import extract_certificate, verify_certificate
+from soskit.relax import PolyProgram, extract_certificate, verify_certificate
 from soskit.symmetry import affine_action
 
 
@@ -129,6 +130,26 @@ class TestMonoCount:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             mono_ap_count([1, 0, -1])
+
+
+def _mono_program_loop(n):
+    """mono_program as one Fraction(1, 4) added per AP and term, the
+    reference for the integer counts."""
+    quarter = Fraction(1, 4)
+    terms = {}
+    for a, b, c in enumerate_aps(n):
+        for m in (apcount._exponents(n, (a, 1), (b, 1)), apcount._exponents(n, (a, 1), (c, 1)),
+                  apcount._exponents(n, (b, 1), (c, 1)), (0,) * n):
+            terms[m] = terms.get(m, 0) + quarter
+    eqs = tuple(Polynomial(n, {apcount._exponents(n, (i, 2)): 1, (0,) * n: -1}) for i in range(n))
+    return PolyProgram(n, Polynomial(n, terms), eqs=eqs)
+
+
+class TestMonoProgram:
+    def test_matches_the_fraction_loop(self):
+        # same coefficients, in the same order of first appearance
+        for n in range(3, 61):
+            assert pickle.dumps(mono_program(n)) == pickle.dumps(_mono_program_loop(n)), n
 
 
 class TestBruteForceR:

@@ -22,7 +22,7 @@ from soskit.sdp import (
     to_sdpa_form,
 )
 
-from conftest import ball_quartic
+from conftest import ball_quartic, on_recorded_build
 
 
 def gap_example():
@@ -781,8 +781,10 @@ class TestFactoredLinearAlgebra:
         M = A @ T.T
 
         G = np.empty_like(A)
-        ipm._schur_rows(A, psd, lp, [ipm._tril_inv(np.linalg.cholesky(sb)) for sb in S],
-                        [np.linalg.cholesky(xb) for xb in X], np.sqrt(x / s), G)
+        lp = slice(int(lp[0]), int(lp[-1]) + 1) if len(lp) else slice(0, 0)
+        ipm._schur_rows(ipm._Vec(A, psd, lp), ipm._Vec(G, psd, lp),
+                        [ipm._tril_inv(np.linalg.cholesky(sb)) for sb in S],
+                        [np.linalg.cholesky(xb) for xb in X], np.sqrt(x / s))
         assert np.max(np.abs(G @ G.T - M)) <= 1e-12 * np.max(np.abs(M))
 
     @pytest.mark.parametrize("free", ["0", "1", "4", "repeated"])
@@ -854,8 +856,7 @@ def _linalg_counter(monkeypatch, names=("cholesky", "eigvalsh", "inv")):
 # block solved them (numpy 2.4, OpenBLAS 0.3.31); every one ended optimal.
 # theta's are the unsplit class problems (graphs.theta_class_problem).
 # Rounding differs between BLAS builds and can move a solve by an iteration,
-# so the counts are exact only on the build they were recorded on.
-RECORDED_BUILD = ("2.4.", "0.3.31")
+# so the counts are exact only on RECORDED_BUILD (conftest).
 WORKLOAD_ITERATIONS = {
     "density": [6, 7, 8, 7, 8, 8, 6, 7, 8, 8, 8, 9, 9, 10, 7, 7, 8, 8, 8, 8, 8, 10, 9, 12,
                 10, 10, 7, 8, 9, 9, 9, 9, 9, 10, 11, 10, 10, 12, 10, 11],
@@ -916,6 +917,70 @@ class TestStackedCones:
         assert per_iteration[0] == per_iteration[1]
         assert set(per_iteration[0]) == {"cholesky", "eigvalsh", "inv"}
 
+    @pytest.mark.parametrize("name,problem,budget", [
+        ("density p=13 D=6", lambda: apcount.build_density_relaxation(13, 6, use_symmetry=True)[0],
+         {"cholesky": 3, "inv": 3, "eigvalsh": 4}),
+        ("mono n=24", lambda: apcount.build_mono_relaxation(24, use_symmetry=True)[0],
+         {"cholesky": 2, "inv": 2, "eigvalsh": 2}),
+        ("theta' H(2,4,2)", lambda: graphs.theta_class_problem(graphs.hamming_graph(2, 4, 2),
+                                                              prime=True)[0],
+         {"cholesky": 2, "inv": 2, "eigvalsh": 2}),
+    ])
+    def test_lapack_budget_per_iteration(self, monkeypatch, name, problem, budget):
+        # blocks [5, 20, 20], [27] and [5] with an orthant: per block size
+        # one Cholesky call for the guard's X and S together, one inversion
+        # and one eigenvalue call for each of the predictor's and the
+        # corrector's steps, plus one Cholesky factorization and one
+        # inversion of the Schur complement
+        p = problem()
+        counts = _linalg_counter(monkeypatch)
+        s = solve(p)
+        assert s.status == sdp.OPTIMAL
+        assert counts == {k: v * s.iterations for k, v in budget.items()}, name
+
+    def test_guard_falls_back_to_each_side(self):
+        # the stacked trial point of a 2x2 and a 3x3 block and two orthant
+        # entries leaves the cone on the S side only: the guard returns the
+        # steps, factors and trial point of the two sides' own backtracking
+        psd, lp, n = [(0, 2, 1), (4, 3, 1)], slice(13, 15), 15
+        z, dz, trial = (ipm._Pair(n, psd, lp) for _ in range(3))
+        rng = np.random.default_rng(2)
+        for P in z.P:
+            P[...] = np.eye(P.shape[-1])
+        z.l[...] = 1.0
+        dz.v[...] = rng.uniform(-0.1, 0.1, size=(2, n))
+        for P in dz.P:
+            P += P.swapaxes(-1, -2)
+        dz.s.P[0][0] = -2.0 * np.eye(2)
+        ap, ad, L = ipm._guard(z, dz, 0.9, 1.0, trial)
+        (ax, Lx, tx), (as_, Ls, ts) = (_side_guard(z.v[j], dz.v[j], a, psd, lp)
+                                       for j, a in ((0, 0.9), (1, 1.0)))
+        assert (ap, ad) == (ax, as_) and ap == 0.9 and ad < 0.5
+        assert len(L) == len(Lx) == len(Ls) == 2
+        for f, lx, ls in zip(L, Lx, Ls):
+            assert np.array_equal(f[0], lx) and np.array_equal(f[1], ls)
+        assert np.array_equal(trial.v, np.stack((tx, ts)))
+
+    @pytest.mark.parametrize("dims", [[1, 1, 3], [2, 1, 1, 3], [3, 1, 3, 2, 1, 0, 2], [1, 0, 3]])
+    def test_largest_block_with_the_orthant_before_a_stack(self, dims):
+        # the orthant first, between two stacks, and spread over blocks of
+        # three sizes: the largest block norm of each side equals the
+        # per-block Frobenius norms' maximum, whatever the cones' order
+        form, _ = ipm._grouped(ipm.StdForm.zeros(dims, 1, 0))
+        rng = np.random.default_rng(7)
+        n = int(form.off[-1])
+        starts = ipm._block_starts(form)
+        for scale in (1.0, 1e3):
+            w = rng.normal(size=(2, n))
+            w[:, form.off[-2]:] *= scale  # the last block the largest
+            norms = [np.linalg.norm(side[o:o + d * d])
+                     for side in w for o, d in zip(form.off.tolist(), form.dims) if d]
+            assert ipm._largest_block(w, starts) == pytest.approx(max(norms), rel=1e-14)
+            w[:, form.off[-2]:] = 0.0  # and the last block the smallest
+            norms = [np.linalg.norm(side[o:o + d * d])
+                     for side in w for o, d in zip(form.off.tolist(), form.dims) if d]
+            assert ipm._largest_block(w, starts) == pytest.approx(max(norms), rel=1e-14)
+
     def test_blocks_out_of_size_order(self):
         # blocks of sizes 2, 3, 1, 2, 3 are solved grouped by size and come
         # back in their own order, equal to the same problem sorted by size
@@ -957,9 +1022,7 @@ class TestStackedCones:
     def test_workload_forms_keep_their_iteration_counts(self, monkeypatch):
         # every form ends optimal; iteration counts are WORKLOAD_ITERATIONS
         # exactly on the recorded BLAS build and within one elsewhere
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        exact = (np.__version__.startswith(RECORDED_BUILD[0])
-                 and str(blas.get("version", "")).startswith(RECORDED_BUILD[1]))
+        exact = on_recorded_build()
         seen = {name: [] for name in WORKLOAD_ITERATIONS}
         real = ipm.solve_std
         group = []
@@ -980,6 +1043,21 @@ class TestStackedCones:
             assert len(counts[name]) == len(recorded_counts)
             assert all(abs(a - b) <= 1 for a, b in zip(counts[name], recorded_counts)), name
         assert {status for runs in seen.values() for _, status in runs} == {sdp.OPTIMAL}
+
+
+def _side_guard(w, dw, a, psd, lp):
+    """The cone guard of one side, as the IPM ran it for X and S apart: w +
+    a dw for the first of a, 0.8a, ... (30 tries) whose orthant is positive
+    and whose stacks factor; (a, the stacks' factors, the point)."""
+    for _ in range(30):
+        t = dw * a + w
+        if (t[lp] > 0.0).all():
+            try:
+                return a, [np.linalg.cholesky(P) for P in ipm._views(t, psd)], t
+            except np.linalg.LinAlgError:
+                pass
+        a *= 0.8
+    return a, None, dw * a + w
 
 
 def _mixed_form(seed, m=40):
@@ -1031,7 +1109,7 @@ class TestSparseRows:
         rows.schur(xv, Lsi, Lx, Sinv, np.sqrt(x / s), M)
 
         G = np.empty_like(A)
-        ipm._schur_rows(A, psd, lp, Lsi, Lx, np.sqrt(x / s), G)
+        ipm._schur_rows(ipm._Vec(A, psd, lp), ipm._Vec(G, psd, lp), Lsi, Lx, np.sqrt(x / s))
         ref = G @ G.T
         assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(M, M.T)
