@@ -24,13 +24,7 @@ from soskit.relax import (
     SosDualInfo,
     build_sos_dual,
 )
-from soskit.symmetry import (
-    affine_action,
-    cyclic_action,
-    is_prime,
-    orbits,
-    symmetric_sos_dual,
-)
+from soskit.symmetry import affine_action, cyclic_action, is_prime, orbits
 
 
 @dataclass(frozen=True)
@@ -330,16 +324,14 @@ def density_relaxation_program(p: int, D: int) -> PolyProgram:
 def build_density_relaxation(p: int, D: int, use_symmetry: bool = False,
                              ) -> Tuple[sdp.SdpProblem, Optional[SosDualInfo]]:
     """Degree-3 SOS dual of the density program, with scalar multipliers on
-    the five moment identities.  With use_symmetry it is the reduced dual of
-    symmetric_sos_dual under the affine group of Z_p (no SosDualInfo)."""
+    the five moment identities.  With use_symmetry it is reduced by the
+    affine group of Z_p (no SosDualInfo)."""
     if not 0 <= D <= p:
         raise ValueError("need 0 <= D <= p")
     if use_symmetry and (not is_prime(p) or p == 2):
         raise ValueError("the symmetric build needs an odd prime p")
-    prog = density_relaxation_program(p, D)
-    if use_symmetry:
-        return symmetric_sos_dual(prog, 3, affine_action(p), eq_mult_degrees=[0] * 5), None
-    return build_sos_dual(prog, 3, eq_mult_degrees=[0] * 5)
+    return build_sos_dual(density_relaxation_program(p, D), 3, [0] * 5,
+                          affine_action(p) if use_symmetry else None)
 
 
 # -- monochromatic relaxation ----------------------------------------------------
@@ -360,10 +352,7 @@ def mono_program(n: int) -> PolyProgram:
 def build_mono_relaxation(n: int, use_symmetry: bool = False,
                           ) -> Tuple[sdp.SdpProblem, Optional[SosDualInfo]]:
     """Degree-2 SOS dual of the monochromatic AP program.  With use_symmetry
-    it is the reduced dual of symmetric_sos_dual under the rotations of Z_n
-    (no SosDualInfo)."""
+    it is reduced by the rotations of Z_n (no SosDualInfo)."""
     if n < 3:
         raise ValueError("need n >= 3")
-    if use_symmetry:
-        return symmetric_sos_dual(mono_program(n), 2, cyclic_action(n)), None
-    return build_sos_dual(mono_program(n), 2)
+    return build_sos_dual(mono_program(n), 2, action=cyclic_action(n) if use_symmetry else None)

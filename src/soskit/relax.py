@@ -3,7 +3,11 @@
 The SOS side compiles  sup λ : f - λ = σ0 + Σ σi·gi + Σ ck·hk  into an SDP
 with one PSD block per squared multiplier (σ0 is the multiplier of g0 = 1)
 and one equality row per monomial (the constant monomial's row carries λ).
-Equality constraints get free polynomial multipliers.  The moment side is
+Equality constraints get free polynomial multipliers.  One builder,
+build_sos_dual, writes it: under a permutation group on the variables it
+keeps only invariant certificates, with one row per monomial orbit and each
+multiplier in the coordinates of its commutant (soskit.symmetry), and the
+unreduced relaxation is the case of the trivial group.  The moment side is
 ``sdp.dual_of`` the SOS side: it minimizes the linear functional of the
 objective over truncated moment sequences, one moment per monomial row, with
 PSD moment and localizing matrices from the Gram blocks and linear pinning
@@ -25,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from soskit import sdp
+from soskit import sdp, symmetry
 from soskit.moment import monomial_vector
 from soskit.poly import (
     EXACT,
@@ -34,6 +38,7 @@ from soskit.poly import (
     Polynomial,
     _as_exact,
     mono_mul,
+    monomials_graded_lex,
     monomials_up_to_degree,
 )
 
@@ -150,78 +155,147 @@ def gram_rows(n: int, order: int, g_terms: Mapping[Monomial, object],
 
 def build_sos_dual(p: PolyProgram, s: int,
                    eq_mult_degrees: Optional[Sequence[int]] = None,
-                   ) -> Tuple[sdp.SdpProblem, SosDualInfo]:
+                   action: Optional[symmetry.GroupAction] = None,
+                   ) -> Tuple[sdp.SdpProblem, Optional[SosDualInfo]]:
     """SDP for  sup λ : f - λ = σ0 + Σ σi·gi + Σ ck·hk  with σ0 of order
     2*floor(s/2), σi of order 2*floor((s - deg gi)/2), and free polynomial
     multipliers ck of degree s - deg hk (cap individually with
-    eq_mult_degrees, e.g. 0 for scalar multipliers)."""
+    eq_mult_degrees, e.g. 0 for scalar multipliers), over the certificates
+    invariant under ``action``, a permutation group on the variables
+    (Gatermann & Parrilo 2004); None is the trivial group.
+
+    Every generator must fix the objective and permute the inequalities and
+    the equalities; this is checked exactly, and a ValueError names the
+    first generator that fails.  The problem has
+      - one balance row per monomial orbit, in the monomials_graded_lex
+        order of the orbit's first member (by degree, then descending
+        lexicographic), which is the monomial the row reads;
+      - the free scalars λ, then one per orbit of equality multipliers
+        γ·h_k (the cap constant on orbits);
+      - a multiplier for σ0 and for the first member g of each inequality
+        orbit.  When the group is trivial (no generators, or identities
+        only), every orbit has one member and each multiplier is a d x d
+        PSD Gram block over monomial_vector's basis, which the returned
+        SosDualInfo describes.  Otherwise it lies in the commutant of the
+        stabilizer of g, as an LMI in the commutant's coordinates (the
+        regular *-representation; symmetry._orbit_coordinates), and the
+        SosDualInfo is None.  The stabilizer's pair orbits are the group's
+        orbits on triples (member, b, b') read at g, and equal pair orbits
+        share one orbit_basis.
+    An invariant sum over an orbit of m images of a polynomial P has
+    coefficient m/|O| * Σ_{β in O} P_β at each monomial of an orbit O.  Each
+    family's rows come from gram_rows with every monomial mapped to its
+    orbit's row, so the sums over O (and over a block's pair orbits) add the
+    coefficients in floating point, exactly for integer data; only the final
+    scaling by m/|O| and 1/sqrt(t) rounds.
+    """
     check_order(p, s)
     n = p.n
-    f = p.objective
+    action = symmetry.GroupAction(n, []) if action is None else action
+    if action.size != n:
+        raise ValueError("action size does not match the variable count")
+    gens = action.generators
+    trivial = all(g == tuple(range(n)) for g in gens)
+    moves = [symmetry._monomial_map(g) for g in gens]
+    ineq_perms, eq_perms = [], []
+    ineq_terms = [q.terms for q in p.ineqs]
+    eq_terms = [q.terms for q in p.eqs]
+    for gi, mv in enumerate(moves):
+        def image(terms: Dict[Monomial, object], mv=mv) -> Dict[Monomial, object]:
+            return {mv(m): c for m, c in terms.items()}
 
-    sos_mults = (Polynomial.constant(n, 1),) + p.ineqs  # g0 = 1 carries σ0
-    orders = [(s - g.degree()) // 2 for g in sos_mults]
-    bases = [monomial_vector(n, d) for d in orders]
+        if image(p.objective.terms) != p.objective.terms:
+            raise ValueError(f"program not invariant: generator {gi} moves the objective")
+        ineq_perms.append(symmetry._permutation_of(ineq_terms, image, "inequalities", gi))
+        eq_perms.append(symmetry._permutation_of(eq_terms, image, "equalities", gi))
 
-    monos = monomials_up_to_degree(n, s)
-    row_of = {m: k for k, m in enumerate(monos)}
+    mono_orbits = symmetry.orbits(monomials_graded_lex(n, s), moves)
+    row_of = {m: k for k, o in enumerate(mono_orbits) for m in o}
+    nrows = len(mono_orbits)
+    orbit_size = np.array([[len(o)] for o in mono_orbits])
+
+    # the free scalars' columns: row O of a family holds m/|O| times its sum over O
+    columns = [np.eye(nrows, 1)]    # λ, in the constant monomial's row
+    names = ["lambda"]
 
     if eq_mult_degrees is None:
         eq_mult_degrees = [s - h.degree() for h in p.eqs]
     elif len(eq_mult_degrees) != len(p.eqs):
         raise ValueError("one multiplier degree per equality required")
+    caps = [min(c, s - h.degree()) for c, h in zip(eq_mult_degrees, p.eqs)]
+    if any(caps[k] != caps[pi[k]] for pi in eq_perms for k in range(len(caps))):
+        raise ValueError("equality multiplier degrees must agree on each orbit")
+    mults = [(k, gamma) for k in range(len(p.eqs))
+             for gamma in monomials_up_to_degree(n, caps[k])]
+    eq_mult_indices: List[Dict[Monomial, int]] = [{} for _ in p.eqs]
+    for orbit in symmetry.orbits(mults, [lambda kg, pi=pi, mv=mv: (pi[kg[0]], mv(kg[1]))
+                                         for pi, mv in zip(eq_perms, moves)]):
+        k, gamma = orbit[0]
+        # c·γ·h_k is σ·γ·h_k for σ = c over the order-0 basis, a 1x1 Gram block
+        terms = {mono_mul(gamma, m): c for m, c in p.eqs[k].terms.items()}
+        columns.append(gram_rows(n, 0, terms, row_of, nrows) * len(orbit) / orbit_size)
+        eq_mult_indices[k][gamma] = len(names)
+        names.append(f"c[{k}]{gamma}")
 
-    free_names = ["lambda"]
-    lam = 0
-    eq_mult_indices: List[Dict[Monomial, int]] = []
-    for k, h in enumerate(p.eqs):
-        idx = {}
-        for g in monomials_up_to_degree(n, min(eq_mult_degrees[k], s - h.degree())):
-            idx[g] = len(free_names)
-            free_names.append(f"c[{k}]{g}")
-        eq_mult_indices.append(idx)
-    n_free = len(free_names)
+    # (multiplied polynomial, its orbit, each generator's permutation of the
+    # orbit's polynomials, basis order, label); σ0 multiplies the orbit {1}
+    families = [({(0,) * n: 1}, [0], [[0]] * len(gens), s // 2, "sigma0")]
+    for orbit in symmetry.orbits(range(len(p.ineqs)),
+                                 [lambda k, pi=pi: pi[k] for pi in ineq_perms]):
+        g = p.ineqs[orbit[0]]
+        families.append((g.terms, orbit, ineq_perms, (s - g.degree()) // 2,
+                         f"sigma{orbit[0] + 1}"))
+    grams, lmis = [], []
+    bases: Dict[bytes, symmetry.OrbitBasis] = {}
+    for g_terms, orbit, perms, order, label in families:
+        vec = monomial_vector(n, order)
+        d = len(vec)
+        rows_g = gram_rows(n, order, g_terms, row_of, nrows)
+        if trivial:
+            grams.append(rows_g.reshape(-1, d, d))
+            continue
+        # G is transitive on the orbit, so the orbits of the stabilizer of its
+        # first member on basis pairs (b, b') are the G-orbits of the triples
+        # (member, b, b') read at the first member, numbered as _pair_orbits
+        pos = {b: i for i, b in enumerate(vec)}
+        at = {k: r for r, k in enumerate(orbit)}
+        m = len(orbit)
+        images = []     # a generator maps the triple (r, b, b') to (g(r), g(b), g(b'))
+        for pi, mv in zip(perms, moves):
+            r = np.array([at[pi[k]] for k in orbit])
+            b = np.array([pos[mv(x)] for x in vec])
+            images.append((r[:, None, None] * d + b[:, None]) * d + b)
+        triples = symmetry._labels(m * d * d, np.tile(np.arange(m * d * d), len(images)),
+                                   np.array(images, dtype=np.intp).ravel())
+        pairs = symmetry._first_seen(triples[:d * d].reshape(d, d))[0]
+        if pairs.tobytes() not in bases:
+            bases[pairs.tobytes()] = symmetry.orbit_basis(pairs)
+        basis = bases[pairs.tobytes()]
+        coef, L = symmetry._orbit_coordinates(rows_g, basis)
+        columns.append(coef * len(orbit) / orbit_size)
+        lmis.append(sdp.MatrixIneq(basis.d, np.zeros((basis.d, basis.d)),
+                                   dict(enumerate(L, len(names))), label=label))
+        names += [f"{label}{g}" for g in basis.sym_groups()]
 
-    rows = [sdp.LinearRow(rhs=float(f.coefficient_of(m)), rel="==", label=str(m))
-            for m in monos]
-    rows[row_of[(0,) * n]].free[lam] = 1.0
-
-    # σi·gi blocks, σ0 first: coefficient of Qi[j,l] in row α is [gi]_γ
-    # for γ = α - βj - βl
-    for bi, (g, d) in enumerate(zip(sos_mults, orders)):
-        dim = len(bases[bi])
-        block = gram_rows(n, d, g.terms, row_of, len(monos)).reshape(-1, dim, dim)
+    rows = [sdp.LinearRow(free={j: v for j, v in enumerate(r) if v},
+                          rhs=float(p.objective.coefficient_of(o[0])), rel="==",
+                          label=str(o[0]))
+            for r, o in zip(np.hstack(columns).tolist(), mono_orbits)]
+    for bi, block in enumerate(grams):   # set after __post_init__: gram_rows is symmetric
         for k in np.flatnonzero(block.any(axis=(1, 2))):
             rows[k].blocks[bi] = block[k]
-    # equality multipliers: coefficient of c_{k,γ} in row α is [hk]_{α-γ}
-    for k, h in enumerate(p.eqs):
-        for gamma, idx in eq_mult_indices[k].items():
-            for hm, hc in h.terms.items():
-                alpha = mono_mul(gamma, hm)
-                r = rows[row_of[alpha]]
-                r.free[idx] = r.free.get(idx, 0.0) + float(hc)
-
-    free_obj = np.zeros(n_free)
-    free_obj[lam] = 1.0
-    prob = sdp.SdpProblem(
-        block_dims=[len(b) for b in bases],
-        C=[np.zeros((len(b),) * 2) for b in bases],
-        n_free=n_free,
-        free_obj=free_obj,
-        rows=rows,
-        sense="max",
-        free_names=free_names,
-    )
-    info = SosDualInfo(
-        n=n,
-        order=s,
-        row_of_monomial=row_of,
-        lambda_index=lam,
-        gram_orders=orders,
-        gram_blocks=list(range(len(bases))),
-        eq_mult_indices=eq_mult_indices,
-    )
-    return prob, info
+    free_obj = np.zeros(len(names))
+    free_obj[0] = 1.0
+    dims = [g.shape[1] for g in grams]
+    prob = sdp.SdpProblem(block_dims=dims, C=[np.zeros((d, d)) for d in dims],
+                          n_free=len(names), free_obj=free_obj, rows=rows, lmis=lmis,
+                          sense="max", free_names=names)
+    if not trivial:
+        return prob, None
+    return prob, SosDualInfo(n=n, order=s, row_of_monomial=row_of, lambda_index=0,
+                             gram_orders=[f[3] for f in families],
+                             gram_blocks=list(range(len(grams))),
+                             eq_mult_indices=eq_mult_indices)
 
 
 # -- moment primal side --------------------------------------------------------

@@ -21,23 +21,20 @@ split_lmi then splits a matrix inequality over the L_k into its simple
 components; over a commutative algebra every component is 1x1, and the
 inequality is an LP.
 
-Both reducers, reduce_sdp for an invariant SDP and symmetric_sos_dual for an
-invariant polynomial program, restrict a Gram block to the commutant the
-same way: _orbit_coordinates projects the block's coefficient rows onto the
-orbit indicators E_i and pairs each orbit with its transpose.  The SOS side
-first sums its coefficient rows over monomial orbits, from the same σ·g
-expansion (relax.gram_rows) that the unreduced SOS dual uses.
+Two builders restrict a Gram block to the commutant the same way:
+reduce_sdp for an invariant SDP, and relax.build_sos_dual for a polynomial
+program under a nontrivial action.  _orbit_coordinates projects the
+block's coefficient rows onto the orbit indicators E_i and pairs each orbit
+with its transpose; the SOS builder first sums its coefficient rows over
+monomial orbits.  This module knows nothing of polynomial programs beyond
+_monomial_map and _permutation_of, the action of a permutation on
+exponent vectors and on term dicts.
 
 Every orbit computation is one kernel, _labels: the connected components
 of a graph on 0..n-1, each index labelled by its component's least member.
 orbits (items under maps), _pair_orbits (Z x Z under the generators),
-_components (eigenvectors under coupling) and the multiplier bases of
-symmetric_sos_dual all call it.  No stabilizer is built: a multiplier of an
-inequality orbit lives in the commutant of the stabilizer of the orbit's
-first member, and as the group is transitive on the orbit, that
-stabilizer's orbits on basis pairs (b, b') are the group's orbits on the
-triples (member, b, b') at the first member.  σ0 is the multiplier of the
-orbit {1}, whose stabilizer is the whole group.
+_components (eigenvectors under coupling) and the SOS builder's multiplier
+bases all call it, and no stabilizer subgroup is ever built.
 """
 
 from __future__ import annotations
@@ -52,9 +49,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Ty
 import numpy as np
 
 from soskit import sdp
-from soskit.moment import monomial_vector
-from soskit.poly import Monomial, mono_mul, monomials_graded_lex, monomials_up_to_degree
-from soskit.relax import PolyProgram, check_order, gram_rows
+from soskit.poly import Monomial
 
 GROUP_ENUMERATION_CAP = 10 ** 6
 CLOSURE_CHUNK = 2 ** 22     # signature entries per chunk of coherent_closure
@@ -749,7 +744,7 @@ def reduce_sdp(p: sdp.SdpProblem, action: GroupAction) -> ReducedSdp:
     return ReducedSdp(problem=reduced, basis=basis, groups=groups, row_map=row_map)
 
 
-# -- symmetric SOS duals of invariant programs ------------------------------------
+# -- permutations of polynomial programs -------------------------------------------
 
 def _monomial_map(g: Sequence[int]) -> Callable[[Monomial], Monomial]:
     """The substitution x_i -> x_{g[i]} on exponent vectors."""
@@ -774,120 +769,3 @@ def _permutation_of(items: Sequence[dict], image: Callable, what: str, gi: int) 
     if None in perm or len(set(perm)) != len(items):
         raise ValueError(f"program not invariant: generator {gi} does not permute the {what}")
     return perm
-
-
-def symmetric_sos_dual(prog: PolyProgram, s: int, action: GroupAction,
-                       eq_mult_degrees: Optional[Sequence[int]] = None) -> sdp.SdpProblem:
-    """The order-s SOS dual of build_sos_dual restricted to invariant
-    certificates, for a program whose variables the action permutes.
-
-    Every generator must fix the objective and permute the inequalities and
-    the equalities; this is checked exactly, and a ValueError names the
-    first generator that fails.  The reduced problem keeps
-      - one balance row per monomial orbit, by degree and then by descending
-        lexicographic order of the orbit's largest exponent vector, which is
-        the monomial the row reads;
-      - λ, then one free scalar per orbit of equality multipliers γ·h_k (with
-        deg γ capped as in build_sos_dual, and the cap constant on orbits);
-      - σ0 in the commutant of the induced action on the order-⌊s/2⌋
-        monomial basis, then for each inequality orbit the multiplier of its
-        first member g in the commutant of the stabilizer of g, carried to
-        the rest of the orbit by coset representatives; the stabilizer's
-        pair orbits come from the group's orbits on triples (member, b, b'),
-        and equal pair orbits share one orbit_basis.
-    An invariant sum over an orbit of m images of a polynomial P has
-    coefficient m/|O| * Σ_{β in O} P_β at each monomial of an orbit O.  Each
-    family's rows come from relax.gram_rows with every monomial mapped to its
-    orbit's row, so the sums over O (and, for a Gram block, over the pair
-    orbits of _orbit_coordinates, the projection reduce_sdp uses) add the
-    coefficients in floating point, exactly for integer data; only the final
-    scaling by m/|O| and 1/sqrt(t) rounds.
-    """
-    check_order(prog, s)
-    n = prog.n
-    if action.size != n:
-        raise ValueError("action size does not match the variable count")
-    gens = action.generators
-    moves = [_monomial_map(g) for g in gens]
-    ineq_perms, eq_perms = [], []
-    ineq_terms = [q.terms for q in prog.ineqs]
-    eq_terms = [q.terms for q in prog.eqs]
-    for gi, mv in enumerate(moves):
-        def image(terms: Dict[Monomial, object], mv=mv) -> Dict[Monomial, object]:
-            return {mv(m): c for m, c in terms.items()}
-
-        if image(prog.objective.terms) != prog.objective.terms:
-            raise ValueError(f"program not invariant: generator {gi} moves the objective")
-        ineq_perms.append(_permutation_of(ineq_terms, image, "inequalities", gi))
-        eq_perms.append(_permutation_of(eq_terms, image, "equalities", gi))
-
-    monos = monomials_graded_lex(n, s)
-    mono_orbits = orbits(monos, moves)
-    row_of = {m: k for k, o in enumerate(mono_orbits) for m in o}
-    nrows = len(mono_orbits)
-    orbit_size = np.array([[len(o)] for o in mono_orbits])
-
-    # the free scalars' columns: row O of a family holds m/|O| times its sum over O
-    columns = [np.eye(nrows, 1)]    # λ, in the constant monomial's row
-    names = ["lambda"]
-
-    if eq_mult_degrees is None:
-        eq_mult_degrees = [s - h.degree() for h in prog.eqs]
-    elif len(eq_mult_degrees) != len(prog.eqs):
-        raise ValueError("one multiplier degree per equality required")
-    caps = [min(c, s - h.degree()) for c, h in zip(eq_mult_degrees, prog.eqs)]
-    if any(caps[k] != caps[pi[k]] for pi in eq_perms for k in range(len(caps))):
-        raise ValueError("equality multiplier degrees must agree on each orbit")
-    mults = [(k, gamma) for k in range(len(prog.eqs))
-             for gamma in monomials_up_to_degree(n, caps[k])]
-    for orbit in orbits(mults, [lambda kg, pi=pi, mv=mv: (pi[kg[0]], mv(kg[1]))
-                                for pi, mv in zip(eq_perms, moves)]):
-        k, gamma = orbit[0]
-        # c·γ·h_k is σ·γ·h_k for σ = c over the order-0 basis, a 1x1 Gram block
-        terms = {mono_mul(gamma, m): c for m, c in prog.eqs[k].terms.items()}
-        columns.append(gram_rows(n, 0, terms, row_of, nrows) * len(orbit) / orbit_size)
-        names.append(f"c[{k}]{gamma}")
-
-    # (multiplied polynomial, its orbit, each generator's permutation of the
-    # orbit's polynomials, basis order, label); σ0 multiplies the orbit {1}
-    families = [({(0,) * n: 1}, [0], [[0]] * len(gens), s // 2, "sigma0")]
-    for orbit in orbits(range(len(prog.ineqs)),
-                        [lambda k, pi=pi: pi[k] for pi in ineq_perms]):
-        g = prog.ineqs[orbit[0]]
-        families.append((g.terms, orbit, ineq_perms, (s - g.degree()) // 2,
-                         f"sigma{orbit[0] + 1}"))
-    lmis = []
-    bases: Dict[bytes, OrbitBasis] = {}
-    for g_terms, orbit, perms, order, label in families:
-        # G is transitive on the orbit, so the orbits of the stabilizer of its
-        # first member on basis pairs (b, b') are the G-orbits of the triples
-        # (member, b, b') read at the first member, numbered as _pair_orbits
-        vec = monomial_vector(n, order)
-        pos = {b: i for i, b in enumerate(vec)}
-        at = {k: r for r, k in enumerate(orbit)}
-        m, d = len(orbit), len(vec)
-        images = []     # a generator maps the triple (r, b, b') to (g(r), g(b), g(b'))
-        for pi, mv in zip(perms, moves):
-            r = np.array([at[pi[k]] for k in orbit])
-            b = np.array([pos[mv(x)] for x in vec])
-            images.append((r[:, None, None] * d + b[:, None]) * d + b)
-        triples = _labels(m * d * d, np.tile(np.arange(m * d * d), len(images)),
-                          np.array(images, dtype=np.intp).ravel())
-        pairs = _first_seen(triples[:d * d].reshape(d, d))[0]
-        if pairs.tobytes() not in bases:
-            bases[pairs.tobytes()] = orbit_basis(pairs)
-        basis = bases[pairs.tobytes()]
-        coef, L = _orbit_coordinates(gram_rows(n, order, g_terms, row_of, nrows), basis)
-        columns.append(coef * len(orbit) / orbit_size)
-        lmis.append(sdp.MatrixIneq(basis.d, np.zeros((basis.d, basis.d)),
-                                   dict(enumerate(L, len(names))), label=label))
-        names += [f"{label}{g}" for g in basis.sym_groups()]
-
-    rows = [sdp.LinearRow(free={j: v for j, v in enumerate(r) if v},
-                          rhs=float(prog.objective.coefficient_of(o[0])), rel="==",
-                          label=str(o[0]))
-            for r, o in zip(np.hstack(columns).tolist(), mono_orbits)]
-    free_obj = np.zeros(len(names))
-    free_obj[0] = 1.0
-    return sdp.SdpProblem(n_free=len(names), free_obj=free_obj, rows=rows, lmis=lmis,
-                          sense="max", free_names=names)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,9 +7,17 @@ import pytest
 
 from conftest import grid_minimum
 from soskit import sdp
-from soskit.apcount import density_certificate, density_program
+from soskit.apcount import density_certificate, density_program, mono_program
 from soskit.moment import monomial_vector
-from soskit.poly import EXACT, FLOAT, Polynomial, mono_mul, monomials_up_to_degree, motzkin
+from soskit.poly import (
+    EXACT,
+    FLOAT,
+    Polynomial,
+    mono_mul,
+    monomials_graded_lex,
+    monomials_up_to_degree,
+    motzkin,
+)
 from soskit.relax import (
     Certificate,
     PolyProgram,
@@ -22,6 +31,7 @@ from soskit.relax import (
     rationalize_certificate,
     verify_certificate,
 )
+from soskit.symmetry import GroupAction
 
 
 def disk_program():
@@ -66,6 +76,16 @@ class TestBuildSosDual:
         assert abs(sol.primal_obj) < 1e-6
         assert sol.primal_obj <= gmin + 1e-6
 
+    @pytest.mark.parametrize("p, s", [(ball_quartic(4, 3), 4), (PolyProgram(2, motzkin()), 6),
+                                      (mono_program(6), 2)],
+                             ids=["ball quartic", "motzkin", "mono n=6"])
+    def test_trivial_group_gives_the_unreduced_build(self, p, s):
+        # no generators, or the identity alone: every orbit has one member, so
+        # each multiplier stays a Gram block and the SosDualInfo is returned
+        want = pickle.dumps(build_sos_dual(p, s))
+        for gens in ([], [tuple(range(p.n))]):
+            assert pickle.dumps(build_sos_dual(p, s, action=GroupAction(p.n, gens))) == want
+
     def test_order_too_small(self):
         with pytest.raises(ValueError):
             build_sos_dual(PolyProgram(1, Polynomial(1, {(4,): 1})), 2)
@@ -83,8 +103,9 @@ def standard_forms(prob):
 
 def loop_sos_dual(p, s):
     """build_sos_dual of a program without equalities, each block entry
-    added pair by pair and term by term."""
-    monos = monomials_up_to_degree(p.n, s)
+    added pair by pair and term by term, one row per monomial in
+    monomials_graded_lex order."""
+    monos = monomials_graded_lex(p.n, s)
     row_of = {m: k for k, m in enumerate(monos)}
     rows = [sdp.LinearRow(rhs=float(p.objective.coefficient_of(m)), rel="==", label=str(m))
             for m in monos]

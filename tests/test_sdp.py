@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -854,7 +855,9 @@ def _linalg_counter(monkeypatch, names=("cholesky", "eigvalsh", "inv")):
 # Iterations of every standard form that one seed-1 pass of the benchmark's
 # four workloads solves, in job order, as the IPM with one LAPACK call per
 # block solved them (numpy 2.4, OpenBLAS 0.3.31); every one ended optimal.
-# theta's are the unsplit class problems (graphs.theta_class_problem).
+# theta's are the unsplit class problems (graphs.theta_class_problem), and
+# theta_split's the same problems split into simple components, the LPs
+# that graphs.theta solves.
 # Rounding differs between BLAS builds and can move a solve by an iteration,
 # so the counts are exact only on RECORDED_BUILD (conftest).
 WORKLOAD_ITERATIONS = {
@@ -862,6 +865,7 @@ WORKLOAD_ITERATIONS = {
                 10, 10, 7, 8, 9, 9, 9, 9, 9, 10, 11, 10, 10, 12, 10, 11],
     "pop": [9, 9, 10, 10, 14, 14, 11, 11, 11, 11, 9, 9, 9, 9, 11, 11],
     "theta": [8, 9, 8, 8, 9, 9, 9, 10],
+    "theta_split": [8, 10, 8, 8, 9, 10, 9, 11],
     "mono": [7] * 21 + [8],
     "reduce": [9, 9, 9, 10],
 }
@@ -871,8 +875,8 @@ def _workload_problems():
     """(workload, problem) of each solve of one seed-1 benchmark pass: the
     density relaxations with symmetry, the SOS and moment sides of the ball
     quartics, theta and theta' of the Hamming graphs in their coherent
-    closures, the cyclic mono relaxations, and the full and reduced theta
-    of C41 and C61."""
+    closures, unsplit and split as graphs.theta splits them, the cyclic mono
+    relaxations, and the full and reduced theta of C41 and C61."""
     for p in (5, 7, 11, 13):
         for D in range(p + 1):
             yield "density", apcount.build_density_relaxation(p, D, use_symmetry=True)[0]
@@ -885,7 +889,9 @@ def _workload_problems():
             yield "pop", build_moment_primal(prog, 4)[0]
     for qnd in ((2, 4, 2), (2, 4, 3), (2, 5, 3), (3, 3, 2)):
         for prime in (False, True):
-            yield "theta", graphs.theta_class_problem(graphs.hamming_graph(*qnd), prime=prime)[0]
+            problem = graphs.theta_class_problem(graphs.hamming_graph(*qnd), prime=prime)[0]
+            yield "theta", problem
+            yield "theta_split", replace(problem, lmis=symmetry.split_lmi(problem.lmis[0]))
     for n in range(3, 25):
         yield "mono", apcount.build_mono_relaxation(n, use_symmetry=True)[0]
     for n in (41, 61):
@@ -1134,7 +1140,7 @@ class TestSparseRows:
         for name, p in _workload_problems():
             group.append(name)
             solve(p, max_iter=0)
-        assert len(seen) == 90
+        assert len(seen) == 98
         f3 = [(name, [(d, k) for d, k, _, _ in counts]) for name, counts, _ in seen if counts]
         assert f3 == [("reduce", [(41, 1)]), ("reduce", [(61, 1)])]
         sparse = [name for name, _, sp in seen if sp]

@@ -1,6 +1,9 @@
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,6 @@ from soskit.symmetry import (
     phi_check,
     primitive_root,
     reduce_sdp,
-    symmetric_sos_dual,
 )
 from soskit.symmetry import (
     _labels,
@@ -708,7 +710,7 @@ def dihedral_quartic_program(perturb=None):
 
 def enumerated_families(prog, s, action):
     """(multiplied polynomial, orbit size, monomial vector, basis) for σ0 and
-    for each inequality orbit by its first member, in symmetric_sos_dual's
+    for each inequality orbit by its first member, in build_sos_dual's
     order, with the orbits and stabilizers found by enumerating the group:
     the basis is the commutant basis of the stabilizer of the multiplied
     polynomial, acting on the order-⌊(s - deg)/2⌋ monomial vector."""
@@ -734,10 +736,10 @@ def enumerated_families(prog, s, action):
 
 
 def reference_symmetric_rows(prog, s, action, eq_mult_degrees=None):
-    """symmetric_sos_dual's free coefficients per row by the per-orbit
-    formula: every multiplier walked term by term (a Gram orbit pair by
-    pair), summed per monomial orbit O in Fractions, times m/|O|, and for
-    Gram orbit j times 1/sqrt(t_j), summed over each transpose group."""
+    """build_sos_dual's free coefficients per row under action by the
+    per-orbit formula: every multiplier walked term by term (a Gram orbit
+    pair by pair), summed per monomial orbit O in Fractions, times m/|O|, and
+    for Gram orbit j times 1/sqrt(t_j), summed over each transpose group."""
     n = prog.n
     moves = [_monomial_map(g) for g in action.generators]
 
@@ -792,11 +794,21 @@ def symmetric_inputs():
     return out
 
 
+def test_importing_symmetry_leaves_relax_unloaded():
+    # relax's SOS builder uses symmetry's orbit kernels, never the reverse
+    src = str(Path(symmetry.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import soskit.symmetry; "
+            "print('soskit.relax' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
+
+
 class TestSymmetricSosDual:
     @pytest.mark.parametrize("name, prog, s, action, eq_degrees", symmetric_inputs(),
                              ids=[x[0] for x in symmetric_inputs()])
     def test_rows_match_per_orbit_formula(self, name, prog, s, action, eq_degrees):
-        red = symmetric_sos_dual(prog, s, action, eq_mult_degrees=eq_degrees)
+        red = build_sos_dual(prog, s, eq_degrees, action)[0]
         ref = reference_symmetric_rows(prog, s, action, eq_degrees)
         assert len(red.rows) == len(ref)
         for r, want in zip(red.rows, ref):
@@ -808,7 +820,7 @@ class TestSymmetricSosDual:
         from conftest import conclusive
         prog = dihedral_quartic_program()
         full, _ = build_sos_dual(prog, 4)
-        reduced = symmetric_sos_dual(prog, 4, dihedral_action(4))
+        reduced = build_sos_dual(prog, 4, None, dihedral_action(4))[0]
         # 70 monomials fall into 17 orbits; the degree-2 multiplier of the
         # equality keeps one scalar per orbit of its 15 monomials
         assert len(reduced.rows) == 17 < len(full.rows)
@@ -829,19 +841,19 @@ class TestSymmetricSosDual:
         gens = action.generators
         redundant = GroupAction(action.size, [gens[0], tuple(range(action.size)), *gens,
                                               gens[-1]])
-        assert pickle.dumps(symmetric_sos_dual(prog, s, redundant)) == \
-            pickle.dumps(symmetric_sos_dual(prog, s, action))
+        assert pickle.dumps(build_sos_dual(prog, s, None, redundant)[0]) == \
+            pickle.dumps(build_sos_dual(prog, s, None, action)[0])
 
     def test_rejects_moved_objective(self):
         prog = dihedral_quartic_program(perturb={_mono(4, (0, 3)): Fraction(1)})
         with pytest.raises(ValueError, match="generator 0 moves the objective"):
-            symmetric_sos_dual(prog, 4, dihedral_action(4))
+            build_sos_dual(prog, 4, None, dihedral_action(4))[0]
 
     def test_rejects_unpermuted_constraints(self):
         prog = dihedral_quartic_program()
         broken = PolyProgram(prog.n, prog.objective, ineqs=prog.ineqs[1:], eqs=prog.eqs)
         with pytest.raises(ValueError, match="generator 0 does not permute the inequalities"):
-            symmetric_sos_dual(broken, 4, dihedral_action(4))
+            build_sos_dual(broken, 4, None, dihedral_action(4))[0]
 
     def test_rejects_constraints_permuted_only_in_support(self):
         # 1 - 2 x_3^2 has the support of the orbit's other members, not their
@@ -851,8 +863,8 @@ class TestSymmetricSosDual:
         broken = PolyProgram(prog.n, prog.objective, ineqs=prog.ineqs[:3] + (g3,),
                              eqs=prog.eqs)
         with pytest.raises(ValueError, match="generator 0 does not permute the inequalities"):
-            symmetric_sos_dual(broken, 4, dihedral_action(4))
+            build_sos_dual(broken, 4, None, dihedral_action(4))[0]
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
-            symmetric_sos_dual(dihedral_quartic_program(), 4, dihedral_action(5))
+            build_sos_dual(dihedral_quartic_program(), 4, None, dihedral_action(5))[0]
