@@ -329,8 +329,6 @@ def cmd_apcount_density(args) -> int:
     p, D = args.p, args.D
     if not 0 <= D <= p:
         raise CliError(f"need 0 <= D <= p, got D={D}, p={p}")
-    if args.order != 3:
-        raise CliError("the density relaxation is built at order 3")
     try:
         lam = apcount.density_lambda(p, D)
         prob, _ = apcount.build_density_relaxation(p, D, use_symmetry=args.sym)
@@ -340,7 +338,7 @@ def cmd_apcount_density(args) -> int:
     oracle = apcount.brute_force_W(p, D) if comb(p, D) <= ORACLE_MAX_SUBSETS else None
     payload = {
         "problem": "apcount-density",
-        "params": {"p": p, "D": D, "sym": bool(args.sym), "order": args.order,
+        "params": {"p": p, "D": D, "sym": bool(args.sym), "order": 3,
                    "seed": args.seed},
         "bound": sol.primal_obj,
         "closed_form_lower": str(lam),
@@ -490,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--D", type=int, required=True)
     ad.add_argument("--sym", action="store_true")
     ad.add_argument("--cert-out", default=None)
-    common(ad, order_default=3)
+    common(ad)
     ad.set_defaults(func=cmd_apcount_density)
     at = apc_sub.add_parser("tables")
     at.add_argument("--min", type=int, default=3)

@@ -156,7 +156,7 @@ def theta_class_problem(g: Graph, prime: bool = False
     if label is None:
         return None
     basis = symmetry.orbit_basis(label)
-    kind = [colour[o[0]] for o in basis.orbits]     # 0 diagonal, 1 edge, 2 non-edge
+    kind = colour[tuple(basis.first.T)].tolist()     # 0 diagonal, 1 edge, 2 non-edge
     groups = [grp for grp in basis.sym_groups() if kind[grp[0]] != 1]
     root = np.sqrt(np.array(basis.sizes, dtype=float))
     rows = [sdp.LinearRow(free={v: root[grp[0]] for v, grp in enumerate(groups)

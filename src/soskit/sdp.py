@@ -529,10 +529,9 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     ``optimal`` promises relative residuals at most ``tol`` and a duality
     gap |primal_obj - dual_obj| at most tol * max(1, (|primal_obj| +
     |dual_obj|) / 2) (``ipm.relative_gap``, SDPA's measure), so at the
-    default tol the gap is at most 1e-8 times the objective's size.  Weak
-    duality is checked as a postcondition on optimal solutions: a reversed
-    gap beyond 10*tol on the same scale downgrades the status to
-    numerical_failure.
+    default tol the gap is at most 1e-8 times the objective's size.  A
+    dual-orientation solve stays optimal only if its mapped-back gap is at
+    most 10*tol (``_from_dual``).
     """
     q = p if p.sense == "min" else p.negated()
 
@@ -561,15 +560,6 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
         sol = _from_direct(q, ipm.solve_std(std, tol=tol, max_iter=max_iter))
     if p.sense == "max":
         sol.primal_obj, sol.dual_obj = -sol.primal_obj, -sol.dual_obj
-    return _weak_duality_postcheck(sol, p.sense, tol)
-
-
-def _weak_duality_postcheck(sol: SdpSolution, sense: str, tol: float) -> SdpSolution:
-    if sol.status == OPTIMAL:
-        reversed_gap = (sol.dual_obj > sol.primal_obj) if sense == "min" \
-            else (sol.primal_obj > sol.dual_obj)
-        if reversed_gap and ipm.relative_gap(sol.primal_obj, sol.dual_obj) > 10.0 * tol:
-            sol.status = NUMERICAL_FAILURE
     return sol
 
 

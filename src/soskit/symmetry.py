@@ -10,9 +10,9 @@ PSD constraint from |Z| to the number of orbits.
 
 The lam parameters are lam_{ij}^k = c_{ij}^k sqrt(t_k/(t_i t_j)), where
 c_{ij}^k counts walks of E_iE_j and t_i is the size of orbit i.  The counts
-are integers, and the float L_k are computed from them directly.  The exact
-lam, sums of rational multiples of square roots of squarefree integers, are
-computed from the counts only when read (phi_check reads them).
+are integers, and the float L_k are computed from them directly.  Exact
+work stays in the integer counts too: phi_check decides the homomorphism
+property from them, one squarefree radical at a time.
 
 Nothing above needs a group: the same basis and L_k exist for the classes
 of any coherent configuration (orbit_basis), and coherent_closure finds the
@@ -39,10 +39,10 @@ bases all call it, and no stabilizer subgroup is ever built.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -77,69 +77,6 @@ def _squarefree(n: int) -> Tuple[int, int]:
     if m > 1:
         r *= m
     return s, r
-
-
-class RadicalSum:
-    """Exact value sum_r c_r * sqrt(r) over squarefree integers r."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[int, Fraction]] = None):
-        self.terms = {r: c for r, c in (terms or {}).items() if c != 0}
-
-    @staticmethod
-    def of(coef, radicand: int = 1) -> "RadicalSum":
-        coef = Fraction(coef)
-        if coef == 0:
-            return RadicalSum()
-        s, r = _squarefree(radicand)
-        return RadicalSum({r: coef * s})
-
-    def __add__(self, other: "RadicalSum") -> "RadicalSum":
-        terms = dict(self.terms)
-        for r, c in other.terms.items():
-            terms[r] = terms.get(r, Fraction(0)) + c
-        return RadicalSum(terms)
-
-    def __sub__(self, other: "RadicalSum") -> "RadicalSum":
-        return self + (-other)
-
-    def __neg__(self) -> "RadicalSum":
-        return RadicalSum({r: -c for r, c in self.terms.items()})
-
-    def __mul__(self, other) -> "RadicalSum":
-        if not isinstance(other, RadicalSum):
-            other = RadicalSum.of(other)
-        terms: Dict[int, Fraction] = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                s, r = _squarefree(r1 * r2)
-                terms[r] = terms.get(r, Fraction(0)) + c1 * c2 * s
-        return RadicalSum(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadicalSum):
-            other = RadicalSum.of(other)
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __float__(self) -> float:
-        return sum(float(c) * float(r) ** 0.5 for r, c in self.terms.items())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{c}" if r == 1 else f"{c}*sqrt({r})"
-            for r, c in sorted(self.terms.items())
-        )
 
 
 # -- group actions ------------------------------------------------------------
@@ -272,11 +209,12 @@ def named_action(name: str) -> GroupAction:
 
 @dataclass
 class OrbitBasis:
-    """label[r, c] is the orbit of the pair (r, c), and counts[k, i, j] =
-    c_{ij}^k counts the walks of E_i E_j (see commutant_basis)."""
+    """label[r, c] is the orbit of the pair (r, c), first[k] is the first
+    pair of orbit k in row-major order, and counts[k, i, j] = c_{ij}^k counts
+    the walks of E_i E_j (see orbit_basis)."""
 
     size: int
-    orbits: List[List[Tuple[int, int]]]
+    first: np.ndarray       # (d, 2)
     sizes: List[int]
     transpose_of: List[int]
     label: np.ndarray
@@ -285,29 +223,10 @@ class OrbitBasis:
 
     @property
     def d(self) -> int:
-        return len(self.orbits)
-
-    @cached_property
-    def lam(self) -> Dict[Tuple[int, int], Dict[int, RadicalSum]]:
-        """Exact lam_{ij}^k = c_{ij}^k * sqrt(t_k/(t_i t_j)), computed from
-        counts when first read."""
-        t, counts = self.sizes, self.counts
-        return {
-            (i, j): {
-                int(k): RadicalSum.of(Fraction(int(counts[k, i, j]), t[i] * t[j]),
-                                      t[i] * t[j] * t[k])
-                for k in np.flatnonzero(counts[:, i, j])
-            }
-            for i in range(self.d) for j in range(self.d)
-        }
+        return len(self.sizes)
 
     def E(self, i: int) -> np.ndarray:
         return (self.label == i).astype(float)
-
-    def L_exact(self, k: int) -> List[List[RadicalSum]]:
-        d = self.d
-        return [[self.lam[(k, j)].get(i, RadicalSum()) for j in range(d)]
-                for i in range(d)]
 
     def sym_groups(self) -> List[Tuple[int, ...]]:
         """Transpose-paired orbit indices: (j,) when E_j is symmetric, else
@@ -371,14 +290,6 @@ def _pair_orbits(action: GroupAction) -> np.ndarray:
     images = (g[:, :, None] * n + g[:, None, :]).ravel()
     label = _labels(n * n, np.tile(np.arange(n * n), len(g)), images)
     return _first_seen(label.reshape(n, n))[0]
-
-
-def _orbit_lists(label: np.ndarray) -> List[List[Tuple[int, int]]]:
-    """The orbits of a label array, each listing its pairs in row-major order."""
-    rows, cols = divmod(np.argsort(label, axis=None, kind="stable"), label.shape[1])
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    ends = np.cumsum(np.bincount(label.ravel())).tolist()
-    return [pairs[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _first_seen(label: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -477,13 +388,11 @@ def orbit_basis(label: np.ndarray) -> OrbitBasis:
     c_{ij}^k = #{z : (x, z) in class i, (z, y) in class j}.  An
     AssertionError says the count is not constant on some class, i.e. the
     classes are not a coherent configuration.  The float matrices L_k come
-    from the integer counts; the exact lam is built only when read."""
-    pair_orbits = _orbit_lists(label)
+    from the integer counts."""
     n = label.shape[0]
-    d = len(pair_orbits)
-    sizes = [len(o) for o in pair_orbits]
-    first_x = np.array([o[0][0] for o in pair_orbits], dtype=np.int64)
-    first_y = np.array([o[0][1] for o in pair_orbits], dtype=np.int64)
+    _, index, sizes = np.unique(label, return_index=True, return_counts=True)
+    d, sizes = len(sizes), sizes.tolist()
+    first_x, first_y = np.divmod(index, n)
     transpose_of = label[first_y, first_x].tolist()
 
     # counts[k, i*d + j] = c_{ij}^k, read off the first pair of orbit k: one
@@ -516,55 +425,41 @@ def orbit_basis(label: np.ndarray) -> OrbitBasis:
     L_float = np.zeros((d, d, d))
     L_float[k, i, j] = counts[i, k, j] * s / (t[k] * t[j]) * root
 
-    return OrbitBasis(size=n, orbits=pair_orbits, sizes=sizes, transpose_of=transpose_of,
-                      label=label, counts=counts, L_float=L_float)
+    return OrbitBasis(size=n, first=np.column_stack([first_x, first_y]), sizes=sizes,
+                      transpose_of=transpose_of, label=label, counts=counts, L_float=L_float)
 
 
 def phi_check(basis: OrbitBasis, x: Sequence, y: Sequence) -> bool:
     """Verify the algebra homomorphism phi(XY) = phi(X)phi(Y) exactly for
-    X = sum x_i B_i, Y = sum y_j B_j with rational coordinates."""
-    d = basis.d
-    x = [Fraction(v) for v in x]
-    y = [Fraction(v) for v in y]
-    z = [RadicalSum() for _ in range(d)]
+    X = sum x_i B_i, Y = sum y_j B_j with rational coordinates.
+
+    With D = diag(sqrt(t)) and the integer matrices (M_k)_{ab} = c_{kb}^a,
+    phi(sum_k x_k B_k) = D (sum_k x_k / sqrt(t_k) M_k) D^-1, so
+    phi(XY) - phi(X)phi(Y) = D (sum_ij x_i y_j K_ij / sqrt(t_i t_j)) D^-1
+    with the integer matrices K_ij = sum_k c_{ij}^k M_k - M_i M_j.  Write
+    t_i t_j = s^2 r with r squarefree: square roots of distinct squarefree
+    integers are linearly independent over the rationals, so the difference
+    vanishes exactly when, for each r, sum x_i y_j K_ij / s over the pairs
+    (i, j) with that r does.  Each such sum is scaled to integer weights
+    and summed in Python ints; K itself is exact in int64 while
+    d n^2 < 2^63, since every count is at most n."""
+    d, t = basis.d, basis.sizes
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    M = basis.counts.transpose(1, 0, 2)
+    K = (np.einsum("kij,kab->ijab", basis.counts, M)
+         - np.einsum("iac,jcb->ijab", M, M)).reshape(d * d, d * d)
+    by_radical: Dict[int, Dict[int, Fraction]] = {}
     for i in range(d):
-        if x[i] == 0:
-            continue
         for j in range(d):
-            if y[j] == 0:
-                continue
-            for k, l in basis.lam[(i, j)].items():
-                z[k] = z[k] + (x[i] * y[j]) * l
-
-    Ls = [basis.L_exact(k) for k in range(d)]
-    lhs = [[RadicalSum() for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        if z[k].is_zero():
-            continue
-        for a in range(d):
-            for b in range(d):
-                lhs[a][b] = lhs[a][b] + z[k] * Ls[k][a][b]
-
-    phix = [[RadicalSum() for _ in range(d)] for _ in range(d)]
-    phiy = [[RadicalSum() for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        if x[k] != 0:
-            for a in range(d):
-                for b in range(d):
-                    phix[a][b] = phix[a][b] + x[k] * Ls[k][a][b]
-        if y[k] != 0:
-            for a in range(d):
-                for b in range(d):
-                    phiy[a][b] = phiy[a][b] + y[k] * Ls[k][a][b]
-    rhs = [[RadicalSum() for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for c in range(d):
-            if phix[a][c].is_zero():
-                continue
-            for b in range(d):
-                rhs[a][b] = rhs[a][b] + phix[a][c] * phiy[c][b]
-
-    return all(lhs[a][b] == rhs[a][b] for a in range(d) for b in range(d))
+            if x[i] and y[j]:
+                s, r = _squarefree(t[i] * t[j])
+                by_radical.setdefault(r, {})[i * d + j] = x[i] * y[j] / s
+    for w in by_radical.values():
+        q = math.lcm(*(v.denominator for v in w.values()))
+        weights = np.array([int(v * q) for v in w.values()], dtype=object)
+        if np.any(weights @ K[list(w)]):
+            return False
+    return True
 
 
 def group_average(action: GroupAction, X: np.ndarray) -> np.ndarray:

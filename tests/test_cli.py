@@ -243,6 +243,7 @@ class TestCertVerify:
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["apcount", "density", "--p", "x", "--D", "2"],
+        ["apcount", "density", "--p", "5", "--D", "2", "--order", "3"],
         ["pop", "solve", "f.json", "--bogus"],
         ["sdp", "solve"],
         ["theta"],
@@ -385,8 +386,8 @@ class TestApcount:
     def test_density(self, capsys, tmp_path):
         cert = str(tmp_path / "d.cert.json")
         code, data = run(capsys, "apcount", "density", "--p", "5", "--D", "4",
-                         "--order", "3", "--cert-out", cert)
-        assert code == 0
+                         "--cert-out", cert)
+        assert code == 0 and data["params"]["order"] == 3
         assert 3 - 1e-6 <= data["bound"] <= 4 + 1e-6
         assert data["certificate_verified"]
         # every emitted certificate re-verifies through cert verify

@@ -445,6 +445,32 @@ class TestSolve:
         face = ipm._face(sdp._standardize(free))
         assert not face.reduced and face.kept_rows == [0]
 
+    def test_iterates_certify_dual_infeasibility(self):
+        # C is negative definite and both rows have a zero diagonal, so
+        # X = tI with t -> oo stays feasible while <C, X> -> -oo: primal
+        # feasible iterates whose objective runs past -DIVERGENCE
+        C = -np.array([[1.0, 0.0, 0.1], [0.0, 1.1, 0.1], [0.1, 0.1, 1.1]])
+        a1 = np.array([[0.0, -0.3, 0.0], [-0.3, 0.0, 0.2], [0.0, 0.2, 0.0]])
+        a2 = np.array([[0.0, -0.5, -0.7], [-0.5, 0.0, 0.8], [-0.7, 0.8, 0.0]])
+        p = SdpProblem(block_dims=[3], C=[C], rows=[LinearRow(blocks={0: a1}, rhs=0.0),
+                                                    LinearRow(blocks={0: a2}, rhs=0.0)])
+        s = solve(p)
+        assert s.status == sdp.DUAL_INFEASIBLE
+        assert s.orientation == "direct" and s.iterations >= 1     # not found by _face
+
+    def test_iterates_certify_primal_infeasibility(self):
+        # x >= 0 with x0 + x1 + x2 + x3 = -1 has no solution, and no diagonal
+        # entry is pinned: dual feasible iterates whose objective runs past
+        # DIVERGENCE
+        c = [-0.8, 1.2, -0.5, 1.5]
+        A = [[1.0, 1.0, 1.0, 1.0], [1.4, 0.6, 0.4, 1.5], [-1.3, 0.1, -0.1, -1.4]]
+        p = SdpProblem(block_dims=[1] * 4, C=[np.array([[v]]) for v in c],
+                       rows=[LinearRow(blocks={k: np.array([[a]]) for k, a in enumerate(r)},
+                                       rhs=h) for r, h in zip(A, [-1.0, 1.6, 0.9])])
+        s = solve(p)
+        assert s.status == sdp.PRIMAL_INFEASIBLE
+        assert s.orientation == "direct" and s.iterations >= 1     # not found by _face
+
     def test_facial_reduction_follows_a_chained_pin(self):
         # X00 = 0 pins index 0, and only then does X00 + X11 = 0 pin index 1;
         # losing either pin would let the objective reach -1 or -2

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 import subprocess
@@ -18,7 +19,6 @@ from soskit.relax import PolyProgram, build_sos_dual
 from soskit.sdp import LinearRow, SdpProblem, solve
 from soskit.symmetry import (
     GroupAction,
-    RadicalSum,
     affine_action,
     coherent_closure,
     commutant_basis,
@@ -38,9 +38,9 @@ from soskit.symmetry import (
 from soskit.symmetry import (
     _labels,
     _monomial_map,
-    _orbit_lists,
     _pair_orbits,
     _permutation_of,
+    _squarefree,
     _unique_rows,
 )
 
@@ -55,20 +55,6 @@ def theta_problem_cycle(n):
         a[min(i, j), max(i, j)] = a[max(i, j), min(i, j)] = 0.5
         rows.append(LinearRow(blocks={0: a}, rhs=0.0, label=f"e{i}"))
     return SdpProblem(block_dims=[n], C=[np.ones((n, n))], rows=rows, sense="max")
-
-
-class TestRadicalSum:
-    def test_squarefree_normalization(self):
-        assert RadicalSum.of(1, 8) == RadicalSum.of(2, 2)
-        assert RadicalSum.of(3, 9) == RadicalSum.of(9, 1)
-
-    def test_product(self):
-        r2 = RadicalSum.of(1, 2)
-        assert r2 * r2 == RadicalSum.of(2)
-        assert RadicalSum.of(1, 6) * RadicalSum.of(1, 3) == RadicalSum.of(3, 2)
-
-    def test_float(self):
-        assert abs(float(RadicalSum.of(Fraction(1, 2), 8)) - 2 ** 0.5) < 1e-12
 
 
 class TestPermMatrix:
@@ -147,19 +133,15 @@ class TestCommutantBasis:
     def test_multiplication_parameters_exact(self):
         for action in (cyclic_action(5), dihedral_action(6), affine_action(5)):
             b = commutant_basis(action)
-            E = [b.E(i).astype(np.int64) for i in range(b.d)]
+            E = np.array([b.E(i) for i in range(b.d)]).astype(np.int64)
+            B = E / np.sqrt(b.sizes)[:, None, None]
             for i in range(b.d):
                 for j in range(b.d):
-                    prod = E[i] @ E[j]
-                    recon = np.zeros_like(prod, dtype=float)
-                    for k, lam in b.lam[(i, j)].items():
-                        # lam^2 must be the rational c^2 t_k/(t_i t_j)
-                        c = prod[b.orbits[k][0]]
-                        assert lam * lam == RadicalSum.of(
-                            Fraction(int(c) ** 2 * b.sizes[k], b.sizes[i] * b.sizes[j]))
-                        recon += float(lam) * b.E(k) / b.sizes[k] ** 0.5
-                    target = E[i] @ E[j] / (b.sizes[i] * b.sizes[j]) ** 0.5
-                    assert np.allclose(recon, target, atol=1e-12)
+                    # E_i E_j = sum_k c_{ij}^k E_k in integers, and
+                    # B_i B_j = sum_k lam_{ij}^k B_k with lam_{ij}^k = (L_i)_{kj}
+                    assert np.array_equal(E[i] @ E[j], np.tensordot(b.counts[:, i, j], E, axes=1))
+                    recon = np.tensordot(b.L_float[i, :, j], B, axes=1)
+                    assert np.allclose(recon, B[i] @ B[j], rtol=0, atol=1e-12)
 
     def test_commutes_with_generators(self):
         action = dihedral_action(5)
@@ -189,34 +171,20 @@ def stabilizer_action():
 
 
 class TestStructureConstants:
-    def test_lam_built_only_when_read(self, monkeypatch):
-        calls = []
-        of = RadicalSum.of
-
-        def counting(*args):
-            calls.append(args)
-            return of(*args)
-
-        monkeypatch.setattr(RadicalSum, "of", staticmethod(counting))
-        b = commutant_basis(dihedral_action(6))
-        assert b.d == 4 and calls == []
-        lam = b.lam
-        assert len(calls) == sum(len(v) for v in lam.values()) > 0
-        assert b.lam is lam
-        x = [Fraction(1), Fraction(-2, 3), Fraction(1, 2), Fraction(5)]
-        assert phi_check(b, x, x[::-1])
-
     @pytest.mark.parametrize("action", [
         *(cyclic_action(n) for n in range(5, 13)),
         *(dihedral_action(n) for n in (6, 41, 61)),
         affine_action(7), affine_action(13), stabilizer_action(),
     ], ids=lambda a: f"n{a.size}g{len(a.generators)}")
     def test_float_matrices_are_floats_of_exact_entries(self, action):
+        # (L_k)_{ij} = c_{kj}^i * s / (t_k t_j) * sqrt(r), t_i t_k t_j = s^2 r
         b = commutant_basis(action)
+        t = b.sizes
         exact = np.zeros((b.d, b.d, b.d))
-        for (k, j), column in b.lam.items():
-            for i, v in column.items():
-                exact[k, i, j] = float(v)
+        for i, k, j in zip(*np.nonzero(b.counts)):
+            s, r = _squarefree(t[i] * t[k] * t[j])
+            c = int(b.counts[i, k, j])
+            exact[k, i, j] = float(Fraction(c * s, t[k] * t[j])) * float(r) ** 0.5
         assert np.asarray(b.L_float).tobytes() == exact.tobytes()
 
 
@@ -239,21 +207,20 @@ class TestPairOrbits:
                 gens.append(tuple(g))
             action = GroupAction(n, gens)
             elems = np.array(action.elements())
-            expect, seen = [], set()
+            expect = np.full((n, n), -1)
             for i in range(n):
                 for j in range(n):
-                    if (i, j) not in seen:
-                        orbit = sorted(set(zip(elems[:, i].tolist(), elems[:, j].tolist())))
-                        seen.update(orbit)
-                        expect.append(orbit)
-            assert _orbit_lists(_pair_orbits(action)) == expect
+                    if expect[i, j] < 0:
+                        expect[elems[:, i], elems[:, j]] = expect.max() + 1
+            assert np.array_equal(_pair_orbits(action), expect)
 
     def test_group_average_and_basis_read_labels(self):
         action = dihedral_action(7)
         b = commutant_basis(action)
         X = np.random.default_rng(4).normal(size=(7, 7))
         avg = group_average(action, X)
-        for i, orbit in enumerate(b.orbits):
+        for i in range(b.d):
+            orbit = np.argwhere(b.label == i).tolist()
             E = np.zeros((7, 7))
             for r, c in orbit:
                 E[r, c] = 1.0
@@ -292,8 +259,10 @@ class TestCoherentClosure:
             assert np.array_equal(b.E(i).T, b.E(b.transpose_of[i]))
             # every class lies inside one colour, and classes are numbered
             # by their first pair in row-major order
-            assert len({int(colour[x, y]) for x, y in b.orbits[i]}) == 1
-        assert [o[0] for o in b.orbits] == sorted(o[0] for o in b.orbits)
+            pairs = np.argwhere(b.label == i)
+            assert len(set(colour[tuple(pairs.T)].tolist())) == 1
+            assert np.array_equal(b.first[i], pairs[0])
+        assert np.all(np.diff(b.first[:, 0] * b.size + b.first[:, 1]) > 0)
 
     @pytest.mark.parametrize("qnd", [(2, 4, 2), (2, 4, 3), (2, 5, 3), (3, 3, 2)])
     def test_walk_counts_match_a_count_per_pair(self, qnd):
@@ -301,8 +270,7 @@ class TestCoherentClosure:
         label = coherent_closure(pair_colours(hamming_graph(*qnd)))
         b = orbit_basis(label)
         expect = np.zeros((b.d, b.d, b.d), dtype=np.int64)
-        for k, orbit in enumerate(b.orbits):
-            x, y = orbit[0]
+        for k, (x, y) in enumerate(b.first.tolist()):
             for z in range(b.size):
                 expect[k, label[x, z], label[z, y]] += 1
         assert np.array_equal(b.counts, expect)
@@ -468,15 +436,22 @@ class TestPhiCheck:
         assert phi_check(b, [Fraction(2), Fraction(-1, 3)], [Fraction(1, 2), Fraction(5)])
 
     def test_transpose_orbit(self):
-        b = commutant_basis(cyclic_action(7))
-        for i in range(b.d):
-            it = b.transpose_of[i]
-            assert np.array_equal(b.E(i).T, b.E(it))
-            Li = b.L_exact(i)
-            Lit = b.L_exact(it)
-            for a in range(b.d):
-                for c in range(b.d):
-                    assert Li[a][c] == Lit[c][a]
+        # the *-property L_{i*} = L_i' in integers: t_a c_{ib}^a = t_b c_{i*a}^b
+        for action in (cyclic_action(7), dihedral_action(6), affine_action(7)):
+            b = commutant_basis(action)
+            t = np.array(b.sizes)[:, None]
+            for i in range(b.d):
+                it = b.transpose_of[i]
+                assert np.array_equal(b.E(i).T, b.E(it))
+                assert np.array_equal(b.counts[:, i] * t, (b.counts[:, it] * t).T)
+
+    def test_rejects_a_perturbed_count(self):
+        b = commutant_basis(cyclic_action(5))
+        counts = b.counts.copy()
+        counts[0, 1, 1] += 1        # c_{11}^0
+        ones = [Fraction(1)] * b.d
+        assert phi_check(b, ones, ones)
+        assert not phi_check(dataclasses.replace(b, counts=counts), ones, ones)
 
 
 class TestGroupAverage:
@@ -566,9 +541,9 @@ def reference_reduction(p, basis):
     per-orbit formula sum_j <a, E_j> / sqrt(t_j), one E_j at a time."""
     n = p.block_dims[0]
     Es = []
-    for orbit in basis.orbits:
+    for j in range(basis.d):
         E = np.zeros((n, n))
-        for r, c in orbit:
+        for r, c in np.argwhere(basis.label == j).tolist():
             E[r, c] = 1.0
         Es.append(E)
     groups = basis.sym_groups()
@@ -775,7 +750,7 @@ def reference_symmetric_rows(prog, s, action, eq_mult_degrees=None):
         for group in basis.sym_groups():
             for j in group:
                 terms = {}
-                for u, v in basis.orbits[j]:
+                for u, v in np.argwhere(basis.label == j).tolist():
                     for gm, gc in g_terms.items():
                         m = mono_mul(mono_mul(vec[u], vec[v]), gm)
                         terms[m] = terms.get(m, 0) + gc
