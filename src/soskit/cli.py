@@ -99,6 +99,17 @@ def _load_sdpa(path: str) -> sdp.SdpProblem:
         raise CliError(f"bad SDPA file {path}: {e}")
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite positive number, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _checked_order(prog: relax.PolyProgram, s: int) -> int:
     try:
         relax.check_order(prog, s)
@@ -378,6 +389,8 @@ def _table_row(n: int) -> dict:
 def cmd_apcount_tables(args) -> int:
     if not 3 <= args.min <= args.max <= 24:
         raise CliError("table range limited to 3 <= min <= max <= 24")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     ns = list(range(args.min, args.max + 1))
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded for --jobs alone
@@ -423,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, order_default=None):
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=_tolerance, default=1e-8)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         if order_default is not None:

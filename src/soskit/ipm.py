@@ -67,7 +67,8 @@ complement alone: a Cholesky factor of M + delta I (delta relative to M's
 largest diagonal entry), applied through its inverse, with the predictor and
 the corrector each refined against the unshifted M for as long as a step at
 least halves the residual, so the shift only damps the directions of M whose
-eigenvalues lie near or below it.  A failed factorization ends the run as
+eigenvalues lie near or below it.  A failed factorization, or a step
+length whose eigenvalues do not converge, ends the run as
 ``numerical_failure``; a run that stops short otherwise says why:
 ``diverged``, ``stalled`` or ``iter_cap`` (see DIVERGED).
 
@@ -775,12 +776,17 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
     def steps(d, frac):
         """The step lengths to the cones' boundaries: the orthant's ratio
         test and the least eigenvalues of Lx^-1 dX Lx^-T and Ls^-1 dS Ls^-T
-        over each stack, both sides in one call."""
+        over each stack, both sides in one call; None when an eigenvalue
+        computation does not converge."""
         ap, ad = _ratio_steps(z.l, d.l)
         ap, ad = min(1.0, frac * ap), min(1.0, frac * ad)
         for li, lt, dP in zip(Li, LiT, d.P):
             w = li @ dP @ lt
-            lx, ls = np.linalg.eigvalsh((w + w.swapaxes(-1, -2)) / 2.0)[..., 0].min(axis=1)
+            try:
+                lam = np.linalg.eigvalsh((w + w.swapaxes(-1, -2)) / 2.0)
+            except np.linalg.LinAlgError:
+                return None
+            lx, ls = lam[..., 0].min(axis=1)
             ap = min(ap, frac * _boundary_step(float(lx)))
             ad = min(ad, frac * _boundary_step(float(ls)))
         return ap, ad
@@ -855,7 +861,11 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
 
         # predictor
         directions([-w for w in XS], -xs, dz)
-        ap, ad = steps(dz, 1.0)
+        step = steps(dz, 1.0)
+        if step is None:
+            status = "numerical_failure"
+            break
+        ap, ad = step
         mu_aff = float((x + ap * dz.x.v) @ (s + ad * dz.s.v)) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
@@ -863,7 +873,11 @@ def _solve_core(form: StdForm, tol: float, max_iter: int, orig: StdForm,
         smu = sigma * mu
         Rc = [smu * e - w - dxb @ dsb for e, w, dxb, dsb in zip(eye, XS, dz.x.P, dz.s.P)]
         dy = directions(Rc, smu - xs - dz.x.l * dz.s.l, dz)
-        ap, ad = steps(dz, STEP_FRACTION)
+        step = steps(dz, STEP_FRACTION)
+        if step is None:
+            status = "numerical_failure"
+            break
+        ap, ad = step
 
         # the factors the guard finds are the next iteration's
         ap, ad, L = _guard(z, dz, ap, ad, zt)

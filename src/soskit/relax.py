@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,16 +118,17 @@ class SosDualInfo:
 
 
 @lru_cache(maxsize=64)
-def _pair_index(n: int, order: int) -> Mapping[Monomial, Tuple[Tuple[int, int], ...]]:
-    """Map each product of two monomials of the order-``order`` basis over n
-    variables to the (i, j) pairs of basis indices producing it.  Computed
-    once per (n, order); every caller shares the one read-only map."""
+def _products(n: int, order: int) -> Tuple[Tuple[Monomial, ...], np.ndarray]:
+    """The distinct products b_i b_j of two monomials of the order-``order``
+    basis b over n variables, in order of first appearance in row-major
+    order, and the read-only (d, d) table of each pair's index among them.
+    Computed once per (n, order); every caller shares them."""
     basis = monomial_vector(n, order)
-    out: Dict[Monomial, list] = {}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            out.setdefault(mono_mul(a, b), []).append((i, j))
-    return MappingProxyType({m: tuple(pairs) for m, pairs in out.items()})
+    index: Dict[Monomial, int] = {}
+    table = np.array([[index.setdefault(mono_mul(a, b), len(index)) for b in basis]
+                      for a in basis], dtype=np.intp)
+    table.flags.writeable = False
+    return tuple(index), table
 
 
 def gram_rows(n: int, order: int, g_terms: Mapping[Monomial, object],
@@ -139,14 +139,11 @@ def gram_rows(n: int, order: int, g_terms: Mapping[Monomial, object],
     row add up; when every monomial has its own row, each entry is one
     coefficient of g, since a pair (i, j) and α fix the term of g."""
     d = comb(n + order, order)
-    pairs = _pair_index(n, order)
-    # column i*d + j -> the index of its product b_i b_j in pairs
-    prod_of = np.empty(d * d, dtype=np.intp)
-    prod_of[[i * d + j for ij in pairs.values() for i, j in ij]] = np.repeat(
-        np.arange(len(pairs)), [len(ij) for ij in pairs.values()])
+    prods, table = _products(n, order)
+    prod_of = table.reshape(-1)  # column i*d + j -> the index of b_i b_j in prods
     # one add.at over all terms adds each entry's terms in the order of g_terms
-    rows = np.array([row_of[mono_mul(prod, gm)] for gm in g_terms for prod in pairs],
-                    dtype=np.intp).reshape(len(g_terms), len(pairs))
+    rows = np.array([row_of[mono_mul(prod, gm)] for gm in g_terms for prod in prods],
+                    dtype=np.intp).reshape(len(g_terms), len(prods))
     out = np.zeros((m, d * d))
     np.add.at(out, (rows[:, prod_of], np.arange(d * d)),
               np.array([float(gc) for gc in g_terms.values()])[:, None])
@@ -399,8 +396,8 @@ def verify_certificate(p: PolyProgram, cert: Certificate, mode: str = EXACT) -> 
     certificate whose Gram or order count, or a Gram size, does not fit p
     raises ValueError.
 
-    Both modes expand the identity in one pass into one dict with
-    ``_identity_residual`` and build one polynomial from it.
+    The residual polynomial holds every nonzero coefficient of the
+    expansion ``_identity_terms``, which this reads to the end.
     """
     if len(cert.gram) != 1 + len(p.ineqs) or len(cert.orders) != len(cert.gram):
         raise ValueError(f"expected {1 + len(p.ineqs)} Gram matrices and orders, "
@@ -415,7 +412,10 @@ def verify_certificate(p: PolyProgram, cert: Certificate, mode: str = EXACT) -> 
         if len(q) != size or any(len(row) != size for row in q):
             raise ValueError(f"the Gram matrix of σ{i} must be {size}x{size} for order {d}")
 
-    verdict = Verdict(identity_residual=_identity_residual(p, cert, exact),
+    ratio = _exact_ratio if exact else _float_ratio
+    terms = {m: Fraction(num, den) if exact else num
+             for m, num, den in _identity_terms(p, cert, ratio, ratio) if num}
+    verdict = Verdict(identity_residual=Polynomial(p.n, terms, EXACT if exact else FLOAT),
                       tol=0.0 if exact else float_identity_tol(p.objective))
     if not verdict.identity_ok():
         return verdict
@@ -436,49 +436,64 @@ def _float_ratio(c) -> Tuple[float, int]:
     return float(c), 1
 
 
-def _identity_residual(p: PolyProgram, cert: Certificate, exact: bool) -> Polynomial:
-    """σ0 + Σ σi·gi + Σ ck·hk + λ - f as one polynomial.
+def _identity_terms(p: PolyProgram, cert: Certificate, ratio, read):
+    """Yield each monomial of σ0 + Σ σi·gi + Σ ck·hk + λ - f with its
+    coefficient as (numerator, denominator), zero coefficients included.
 
-    Every coefficient is read as a (numerator, denominator) pair, a float
-    over 1 in float mode, and each product of two coefficients is appended
-    as the pair of products to its monomial's list.  Each list is summed
-    once, at the end, over the lcm of its denominators, so exact mode does
-    its arithmetic in Python ints and makes a Fraction only for a nonzero
-    residual coefficient."""
+    Every number is a (numerator, denominator) pair, a float over 1 in
+    float mode: the program's coefficients from ``ratio``, the
+    certificate's (Gram entries, multiplier coefficients, λ) from ``read``.
+    First each monomial gets the list of the sources it sums, each a slot
+    (the nonzero entries of one Gram product b_i b_j, one multiplier
+    coefficient, λ, or a coefficient of f) times a program coefficient,
+    None for 1; no certificate number is read yet.  A slot is read when
+    the first monomial that needs it is summed, so each number is read at
+    most once, and a consumer that stops early reads only what the
+    monomials before it used.  Each coefficient is summed once over the
+    lcm of its denominators, so exact arithmetic is done in Python ints."""
     n = p.n
-    ratio = _exact_ratio if exact else _float_ratio
     parts: Dict[Monomial, list] = {}
 
-    def factor(poly: Polynomial):
-        return [(m, ratio(c)) for m, c in poly.terms.items()]
+    def unit(coef: Tuple[object, int]) -> Optional[Tuple[object, int]]:
+        return None if coef == (1, 1) else coef
 
     sos_mults = (Polynomial.constant(n, 1),) + p.ineqs
     for g, q, d in zip(sos_mults, cert.gram, cert.orders):
-        nd = [[ratio(v) for v in row] for row in (q.tolist() if isinstance(q, np.ndarray) else q)]
-        gterms = factor(g)
-        for prod, pairs in _pair_index(n, d).items():
-            entries = [nd[i][j] for i, j in pairs if nd[i][j][0]]
-            if not entries:
-                continue
-            for gm, (gn, gd) in gterms:
-                parts.setdefault(mono_mul(prod, gm), []).extend(
-                    (a * gn, b * gd) for a, b in entries)
+        prods, table = _products(n, d)
+        nonzero: Dict[int, list] = {}  # product index -> its nonzero entries
+        for row, prow in zip(q.tolist() if isinstance(q, np.ndarray) else q, table.tolist()):
+            for v, t in zip(row, prow):
+                if v:
+                    nonzero.setdefault(t, []).append(v)
+        gterms = [(m, unit(ratio(c))) for m, c in g.terms.items()]
+        for t in sorted(nonzero):  # in the order of prods, whichever entries are zero
+            slot = [nonzero[t], None]  # the raw numbers, then their pairs once read
+            for gm, gc in gterms:
+                parts.setdefault(mono_mul(prods[t], gm), []).append((slot, gc))
     for h, c in zip(p.eqs, cert.eq_multipliers):
-        hterms = factor(h)
-        for cm, (cn, cd) in factor(c):
-            for hm, (hn, hd) in hterms:
-                parts.setdefault(mono_mul(cm, hm), []).append((cn * hn, cd * hd))
-    parts.setdefault((0,) * n, []).append(ratio(cert.lam))
-    for m, (a, b) in factor(p.objective):
-        parts.setdefault(m, []).append((-a, b))
+        hterms = [(m, unit(ratio(v))) for m, v in h.terms.items()]
+        for cm, v in c.terms.items():
+            slot = [[v], None]
+            for hm, hc in hterms:
+                parts.setdefault(mono_mul(cm, hm), []).append((slot, hc))
+    parts.setdefault((0,) * n, []).append(([[cert.lam], None], None))
+    for m, c in p.objective.terms.items():
+        a, b = ratio(c)
+        parts.setdefault(m, []).append(([None, [(-a, b)]], None))
 
-    terms = {}
-    for m, ps in parts.items():
+    for m, sources in parts.items():
+        ps = []
+        for slot, coef in sources:
+            vals = slot[1]
+            if vals is None:
+                vals = slot[1] = list(map(read, slot[0]))
+            if coef is None:
+                ps += vals
+            else:
+                gn, gd = coef
+                ps.extend((a * gn, b * gd) for a, b in vals)
         den = lcm(*(b for _, b in ps))
-        num = sum(a * (den // b) for a, b in ps)
-        if num:
-            terms[m] = Fraction(num, den) if exact else num
-    return Polynomial(n, terms, EXACT if exact else FLOAT)
+        yield m, sum(a * (den // b) for a, b in ps), den
 
 
 def float_identity_tol(f: Polynomial) -> float:
@@ -494,10 +509,20 @@ def _clip_psd(q: np.ndarray) -> np.ndarray:
 
 
 def _exact_if_verified(p: PolyProgram, cert: Certificate) -> Certificate:
-    """The continued-fraction rounding of the float cert when it verifies
-    exactly, else cert itself."""
+    """``rationalize_certificate(cert)`` when it verifies exactly, else cert.
+
+    The identity is expanded with ``_identity_terms``, each certificate
+    number rounded only when a monomial reads it, and the attempt stops at
+    the first nonzero coefficient.  Only when every coefficient vanishes is
+    the rational certificate built and its Gram matrices tested exactly for
+    PSD."""
+    def read(v) -> Tuple[int, int]:
+        return _rounded(v).as_integer_ratio()
+
+    if any(num for _, num, _ in _identity_terms(p, cert, _exact_ratio, read)):
+        return cert
     exact = rationalize_certificate(cert)
-    return exact if verify_certificate(p, exact, mode=EXACT).ok() else cert
+    return exact if all(sdp.is_psd(q, mode=EXACT)[0] for q in exact.gram) else cert
 
 
 def extract_certificate(sol: sdp.SdpSolution, info: SosDualInfo,
@@ -507,7 +532,9 @@ def extract_certificate(sol: sdp.SdpSolution, info: SosDualInfo,
     Gram matrices are symmetrized and eigenvalue-clipped at zero.  The
     continued-fraction rounding of the result (denominator cap 1e6) is
     returned when it verifies exactly, the float certificate otherwise, so
-    an exact certificate returned here needs no second verification.
+    an exact certificate returned here needs no second verification.  The
+    attempt (``_exact_if_verified``) rounds only the entries that the
+    identity's monomials read up to its first nonzero coefficient.
     """
     grams = []
     for blk in info.gram_blocks:
@@ -520,17 +547,19 @@ def extract_certificate(sol: sdp.SdpSolution, info: SosDualInfo,
     return _exact_if_verified(p, cert)
 
 
-def rationalize_certificate(cert: Certificate) -> Certificate:
-    """Continued-fraction rounding of every numeric entry, denominators
-    capped at RATIONALIZE_DENOMINATOR_CAP."""
-    def rat(v) -> Fraction:
-        return Fraction(float(v)).limit_denominator(RATIONALIZE_DENOMINATOR_CAP)
+def _rounded(v) -> Fraction:
+    """The continued-fraction rounding of one number, denominator at most
+    RATIONALIZE_DENOMINATOR_CAP."""
+    return Fraction(float(v)).limit_denominator(RATIONALIZE_DENOMINATOR_CAP)
 
-    grams = [[[rat(v) for v in row] for row in np.atleast_2d(q).tolist()]
+
+def rationalize_certificate(cert: Certificate) -> Certificate:
+    """Continued-fraction rounding (``_rounded``) of every numeric entry."""
+    grams = [[[_rounded(v) for v in row] for row in np.atleast_2d(q).tolist()]
              for q in cert.gram]
-    mults = [Polynomial(c.n, {m: rat(v) for m, v in c.terms.items()}, EXACT)
+    mults = [Polynomial(c.n, {m: _rounded(v) for m, v in c.terms.items()}, EXACT)
              for c in cert.eq_multipliers]
-    return Certificate(lam=rat(cert.lam), gram=grams, eq_multipliers=mults,
+    return Certificate(lam=_rounded(cert.lam), gram=grams, eq_multipliers=mults,
                        orders=list(cert.orders), mode=EXACT)
 
 

@@ -307,8 +307,12 @@ def dual_of(p: SdpProblem) -> SdpProblem:
     rows, and its ``<=`` rows return as the sign rows -u_j <= 0 (u_j <= 0
     for max), after the other rows, in order of j.
     """
+    return _dual(p, *_sign_rows(p))
+
+
+def _dual(p: SdpProblem, folded: Dict[int, int], kept: List[int]) -> SdpProblem:
+    """``dual_of(p)`` given p's ``_sign_rows``."""
     sign = 1.0 if p.sense == "min" else -1.0
-    folded, kept = _sign_rows(p)
     v = {k: i for i, k in enumerate(kept)}  # row k's multiplier, a dual free scalar
     # Z_l's first block
     first = list(accumulate((len(_split(l, l.const)) for l in p.lmis), initial=0))
@@ -542,7 +546,8 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     orientation = "direct"
     reason = f"cost_direct {cost_direct} <= cost_dual {cost_dual}"
     if cost_dual < cost_direct:
-        dual = dual_of(q)
+        fold = _sign_rows(q)
+        dual = _dual(q, *fold)
         std = _standardize(dual.negated())
         face = ipm._face(std)  # None: structurally infeasible
         if face is not None and not face.reduced:
@@ -553,8 +558,8 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     log.info("%s orientation: %s", orientation, reason)
 
     if orientation == "dual":
-        sol = _from_dual(q, dual, ipm.solve_std(std, tol=tol, max_iter=max_iter, face=face),
-                         tol)
+        sol = _from_dual(q, dual, fold,
+                         ipm.solve_std(std, tol=tol, max_iter=max_iter, face=face), tol)
     else:
         std = _standardize(q)
         sol = _from_direct(q, ipm.solve_std(std, tol=tol, max_iter=max_iter))
@@ -584,18 +589,19 @@ def _from_direct(q: SdpProblem, res: ipm.StdResult) -> SdpSolution:
     )
 
 
-def _from_dual(q: SdpProblem, dual: SdpProblem, res: ipm.StdResult, tol: float) -> SdpSolution:
+def _from_dual(q: SdpProblem, dual: SdpProblem, fold: Tuple[Dict[int, int], List[int]],
+               res: ipm.StdResult, tol: float) -> SdpSolution:
     """The solution of min-sense q from the standard form of its negated
-    dual ``dual_of(q)``: the dual's own solution (``_from_direct``), roles
-    swapped.  Its matrix-inequality multipliers are q's blocks, its blocks
-    q's Z, its free scalars the multipliers of q's kept rows, and minus the
-    multipliers of its first n_free rows are u.  A folded sign row's
-    multiplier is the slack of its scalar's dual row over the row's
-    coefficient.  The status stays optimal only if the solution also
-    certifies the primal pair at the tolerance."""
+    dual ``dual_of(q)``, made with fold = ``_sign_rows(q)``: the dual's own
+    solution (``_from_direct``), roles swapped.  Its matrix-inequality
+    multipliers are q's blocks, its blocks q's Z, its free scalars the
+    multipliers of q's kept rows, and minus the multipliers of its first
+    n_free rows are u.  A folded sign row's multiplier is the slack of its
+    scalar's dual row over the row's coefficient.  The status stays optimal
+    only if the solution also certifies the primal pair at the tolerance."""
     d = _from_direct(dual, res)
     u = -d.y[: q.n_free]
-    folded, kept = _sign_rows(q)
+    folded, kept = fold
     y = np.zeros(len(q.rows))
     y[kept] = d.free
     for j, k in folded.items():

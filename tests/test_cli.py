@@ -58,20 +58,21 @@ class TestPopSolve:
         assert data["certificate_path"] == cert
 
     def test_exact_certificate_verified_once(self, capsys, disk_file, monkeypatch):
-        exact, psd = [], []
-        verify, is_psd_exact = relax.verify_certificate, sdp.is_psd_exact
+        # the exact attempt's identity expansion and its two exact PSD tests
+        # are the only verification: the CLI does not verify again
+        expansions, psd = [], []
+        terms, is_psd_exact = relax._identity_terms, sdp.is_psd_exact
 
-        def counted_verify(prog, cert, mode=relax.EXACT):
-            if mode == relax.EXACT:
-                exact.append(cert)
-            return verify(prog, cert, mode=mode)
+        def counted_terms(prog, cert, ratio, read):
+            expansions.append(cert)
+            return terms(prog, cert, ratio, read)
 
-        monkeypatch.setattr(relax, "verify_certificate", counted_verify)
+        monkeypatch.setattr(relax, "_identity_terms", counted_terms)
         monkeypatch.setattr(sdp, "is_psd_exact", lambda M: psd.append(M) or is_psd_exact(M))
         code, data = run(capsys, "pop", "solve", disk_file, "--order", "2")
         assert code == 0
         assert data["verified"] and data["certificate_mode"] == relax.EXACT
-        assert len(exact) == 1
+        assert len(expansions) == 1
         assert len(psd) == 2
 
     def test_motzkin_inconclusive_exit(self, capsys, motzkin_file):
@@ -254,6 +255,21 @@ class TestUsage:
         assert cli.main(argv) == cli.EXIT_ERROR
         assert "usage: soskit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("command", [["pop", "solve", "{disk}", "--order", "2"],
+                                         ["pop", "sos-check", "{disk}"],
+                                         ["cert", "verify", "c.json", "{disk}"],
+                                         ["sdp", "solve", "f.dat-s"],
+                                         ["sym", "reduce", "--graph", "g", "--action", "cyclic 5"],
+                                         ["apcount", "density", "--p", "5", "--D", "2"],
+                                         ["theta", "prime", "--graph", "g"]])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, disk_file, command, tol):
+        argv = [a.format(disk=disk_file) for a in command] + [f"--tol={tol}"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error: argument --tol: must be a finite positive number" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
     @pytest.mark.parametrize("argv", [["--help"], ["sdp", "solve", "--help"],
                                       ["apcount", "density", "-h"]])
     def test_help_exits_zero(self, capsys, argv):
@@ -421,6 +437,8 @@ class TestApcount:
         ["mono", "--n", "2"],
         ["tables", "--min", "10", "--max", "5", "--pretty"],
         ["tables", "--min", "10", "--max", "5"],
+        ["tables", "--max", "5", "--jobs", "0"],
+        ["tables", "--max", "5", "--jobs", "-2"],
     ])
     def test_bad_parameters(self, capsys, argv):
         assert cli.main(["apcount"] + argv) == 1

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_minimum
-from soskit import sdp
+from soskit import cli, relax, sdp
 from soskit.apcount import density_certificate, density_program, mono_program
 from soskit.moment import monomial_vector
 from soskit.poly import (
@@ -328,6 +329,45 @@ class TestCertificates:
         assert not v.ok()
         assert abs(float(v.identity_residual.coefficient_of((0, 0)))) > 0.4
 
+    @pytest.mark.parametrize("solve", ["disk", "square"])
+    def test_exact_certificate_is_the_rounding(self, monkeypatch, solve):
+        seen, real = [], relax._exact_if_verified
+
+        def kept(p, cert):
+            seen.append((cert, real(p, cert)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(relax, "_exact_if_verified", kept)
+        if solve == "disk":
+            p = disk_program()
+            prob, info = build_sos_dual(p, 2)
+            cert = extract_certificate(sdp.solve(prob), info, p)
+        else:  # (x^2 - 1)^2
+            cert = check_sos(Polynomial(1, {(4,): 1, (2,): -2, (0,): 1}), 2).certificate
+        [(floats, out)] = seen
+        assert out is cert and cert.mode == EXACT and floats.mode == FLOAT
+        rounding = rationalize_certificate(floats)
+        assert cert.lam == rounding.lam
+        assert cert.gram == rounding.gram
+        assert cert.eq_multipliers == rounding.eq_multipliers
+        assert all(type(v) is Fraction for q in cert.gram for row in q for v in row)
+
+    def test_corrupted_exact_entry_reports_the_whole_residual(self, tmp_path, capsys):
+        p = disk_program()
+        prob, info = build_sos_dual(p, 2)
+        cert = extract_certificate(sdp.solve(prob), info, p)
+        assert cert.mode == EXACT
+        d = Fraction(1, 7)
+        cert.gram[1][0][0] += d  # the constant sigma_1 gains d, times 1 - x^2 - y^2
+        v = verify_certificate(p, cert, mode=EXACT)
+        assert v.identity_residual == Polynomial(2, {(0, 0): d, (2, 0): -d, (0, 2): -d})
+        assert v.psd_ok is None
+        cert_file, prog_file = tmp_path / "cert.json", tmp_path / "disk.json"
+        cert_file.write_text(json.dumps(cert.to_json()))
+        prog_file.write_text(json.dumps(p.to_json()))
+        assert cli.main(["cert", "verify", str(cert_file), str(prog_file)]) == 1
+        assert json.loads(capsys.readouterr().out)["residual_terms"] == 3
+
     def test_rationalize_caps_denominator(self):
         cert = Certificate(lam=1 / 3, gram=[np.array([[1 / 3]])],
                            eq_multipliers=[], orders=[0], mode=FLOAT)
@@ -387,6 +427,20 @@ class TestVerifyOrder:
         assert not v.ok()
         assert v.psd_ok is None and v.psd_failures is None
         assert calls == []
+
+    def test_exact_attempt_rounds_only_what_it_reads(self, monkeypatch):
+        # the rounded identity is nonzero at its first monomial, the constant,
+        # which reads one entry of each Gram and λ: the attempt stops there
+        p = ball_quartic(4, seed=1)
+        prob, info = build_sos_dual(p, 4)
+        sol = sdp.solve(prob)
+        assert sol.status == sdp.OPTIMAL
+        rounded, real = [], relax._rounded
+        monkeypatch.setattr(relax, "_rounded", lambda v: rounded.append(v) or real(v))
+        cert = extract_certificate(sol, info, p)
+        assert cert.mode == FLOAT
+        assert sum(len(q) ** 2 for q in cert.gram) == 250
+        assert 0 < len(rounded) <= 250 // 10
 
     def test_holding_identity_gets_psd_test(self, monkeypatch):
         calls = self.count_exact_psd(monkeypatch)

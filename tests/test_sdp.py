@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from soskit import apcount, graphs, ipm, sdp, symmetry
-from soskit.relax import build_moment_primal, build_sos_dual
+from soskit.poly import Polynomial
+from soskit.relax import PolyProgram, build_moment_primal, build_sos_dual
 from soskit.sdp import (
     LinearRow,
     MatrixIneq,
@@ -336,6 +337,15 @@ class TestDualOf:
                 y1 = lam_min - rng.uniform(0, 1)  # dual feasible: C - y1 I >= 0
                 assert float(np.sum(C * x)) >= y1 - 1e-12
 
+    def test_dual_orientation_folds_sign_rows_once(self, monkeypatch):
+        # the fold that builds the dual is the one that maps its solution back
+        p = reduced_theta_prime(graphs.hamming_graph(2, 5, 3))
+        calls, real = [], sdp._sign_rows
+        monkeypatch.setattr(sdp, "_sign_rows", lambda q: calls.append(q) or real(q))
+        s = solve(p)
+        assert s.orientation == "dual" and s.status == sdp.OPTIMAL
+        assert len(calls) == 1
+
 
 class TestSolve:
     def test_one_by_one(self):
@@ -344,6 +354,16 @@ class TestSolve:
         s = solve(p)
         assert s.status == sdp.OPTIMAL
         assert abs(s.primal_obj - 1.0) < 1e-7
+
+    def test_unconverged_step_eigenvalues_are_a_numerical_failure(self):
+        # at tol = 0 the disk relaxation iterates until S^-1 overflows, and the
+        # step length's eigvalsh stops converging: the run ends, it does not raise
+        f = Polynomial(2, {(2, 0): 1, (0, 2): 1})
+        g = Polynomial(2, {(0, 0): 1, (2, 0): -1, (0, 2): -1})
+        prob, _ = build_sos_dual(PolyProgram(2, f, ineqs=(g,)), 2)
+        with np.errstate(all="ignore"):
+            s = solve(prob, tol=0.0)
+        assert s.status != sdp.OPTIMAL
 
     def test_theta_squeeze_empty_and_complete(self):
         J = np.ones((4, 4))
