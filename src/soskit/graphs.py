@@ -152,10 +152,9 @@ def theta_class_problem(g: Graph, prime: bool = False
     if g.n < 1:
         raise ValueError("no vertices")
     colour = pair_colours(g)
-    label = symmetry.coherent_closure(colour)
-    if label is None:
+    basis = symmetry.coherent_closure(colour)
+    if basis is None:
         return None
-    basis = symmetry.orbit_basis(label)
     kind = colour[tuple(basis.first.T)].tolist()     # 0 diagonal, 1 edge, 2 non-edge
     groups = [grp for grp in basis.sym_groups() if kind[grp[0]] != 1]
     root = np.sqrt(np.array(basis.sizes, dtype=float))

@@ -53,7 +53,9 @@ bincounts over its nonzeros when A has at least 2^16 entries and at most
 Ls_b^-1, and the step length to a block's boundary is read off the least
 eigenvalue of Lx_b^-1 dX_b Lx_b^-T (of Ls_b^-1 dS_b Ls_b^-T on the dual
 side, in the same call).  The triangular inverses come from a 2x2 block
-recursion (numpy has no triangular solve).
+recursion (numpy has no triangular solve) whose leaves of at most _LEAF rows
+go to np.linalg.inv, which is LAPACK gesv: an LU factorization with partial
+pivoting and a solve against I, so the IPM does run LU, on those leaves.
 
 Free scalars are eliminated once per solve, as in Kobayashi, Nakata &
 Kojima, "A conversion of an SDP having free variables into the standard
@@ -315,8 +317,8 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower-triangular L, or of each matrix of a
     stack of them, by 2x2 block recursion,
     [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], with
-    np.linalg.inv on diagonal blocks of at most _LEAF rows (numpy has no
-    triangular solve)."""
+    np.linalg.inv (LAPACK gesv, LU with partial pivoting) on diagonal blocks
+    of at most _LEAF rows (numpy has no triangular solve)."""
     n = L.shape[-1]
     if n <= _LEAF:
         return np.linalg.inv(L)
@@ -391,8 +393,12 @@ def solve_std(form: StdForm, tol: float = 1e-8, max_iter: int = 200,
     of the form with its free scalars.  A part of the free cost in null(D)
     that leaves the free residual above tol makes a primal-feasible run
     ``dual_infeasible_cert``.  A run that stops otherwise returns the best
-    iterate it saw.
+    iterate it saw.  A tol that is not finite and positive, or a negative
+    max_iter, is a ValueError.
     """
+    if not (math.isfinite(tol) and tol > 0.0) or max_iter < 0:
+        raise ValueError(f"need a finite positive tol and max_iter >= 0, "
+                         f"got tol={tol!r}, max_iter={max_iter!r}")
     face = _face(form) if face is None else face
     if face is None:
         return StdResult(

@@ -535,7 +535,8 @@ def solve(p: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     |dual_obj|) / 2) (``ipm.relative_gap``, SDPA's measure), so at the
     default tol the gap is at most 1e-8 times the objective's size.  A
     dual-orientation solve stays optimal only if its mapped-back gap is at
-    most 10*tol (``_from_dual``).
+    most 10*tol (``_from_dual``).  A tol that is not finite and positive, or
+    a negative max_iter, is a ValueError (``ipm.solve_std``).
     """
     q = p if p.sense == "min" else p.negated()
 

@@ -16,7 +16,8 @@ property from them, one squarefree radical at a time.
 
 Nothing above needs a group: the same basis and L_k exist for the classes
 of any coherent configuration (orbit_basis), and coherent_closure finds the
-coarsest one refining a colouring of the pairs, such as a graph's edges.
+basis of the coarsest one refining a colouring of the pairs, such as a
+graph's edges.
 split_lmi then splits a matrix inequality over the L_k into its simple
 components; over a commutative algebra every component is 1x1, and the
 inequality is an LP.
@@ -52,7 +53,6 @@ from soskit import sdp
 from soskit.poly import Monomial
 
 GROUP_ENUMERATION_CAP = 10 ** 6
-CLOSURE_CHUNK = 2 ** 22     # signature entries per chunk of coherent_closure
 WALK_CHUNK = 2 ** 16        # walk keys and counts per chunk of orbit_basis
 
 T = TypeVar("T")
@@ -300,75 +300,48 @@ def _first_seen(label: np.ndarray) -> Tuple[np.ndarray, int]:
     return rank[inv].reshape(label.shape), len(values)
 
 
-def _unique_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a and each row's index among them, as
-    np.unique(a, axis=0) but grouped by a 64-bit hash of each row first (a
-    product with random odd weights, wrapping mod 2**64).  Every row is
-    compared with its group's first row, so a hash collision cannot merge
-    two rows: it sends the call to np.unique's sort of the rows."""
-    rng = random.Random(a.shape[1])
-    weights = np.array([rng.getrandbits(62) * 2 + 1 for _ in range(a.shape[1])])
-    _, first, inv = np.unique(a @ weights, return_index=True, return_inverse=True)
-    if not np.array_equal(a, a[first[inv]]):
-        return np.unique(a, axis=0, return_inverse=True)
-    return a[first], inv
+def coherent_closure(label: np.ndarray) -> Optional[OrbitBasis]:
+    """orbit_basis of the coarsest coherent configuration whose classes
+    refine the pair colouring label (n, n), by two-dimensional
+    Weisfeiler-Leman refinement (Weisfeiler & Leman 1968; Higman's coherent
+    configurations), or None as soon as there are n or more classes, where
+    an algebra no smaller than the n x n matrices is no reduction.
 
-
-def _refine(c: np.ndarray, d: int) -> Optional[Tuple[np.ndarray, int]]:
-    """One round of two-dimensional Weisfeiler-Leman refinement of the pair
-    colouring c with d colours: the new colour of (x, y) is its signature,
-    (c(x, y), c(y, x), the multiset of (c(x, z), c(z, y)) over all z).  The
-    multiset is the row of keys c(x, z)*d + c(z, y) sorted over z, built
-    for a chunk of rows x at a time; a dict from signature bytes to colour
-    holds fewer than n signatures, since None is returned as soon as there
-    are n of them."""
-    n = c.shape[0]
-    dtype = np.int32 if d * d < 2 ** 31 else np.int64
-    c = c.astype(dtype)
-    ct = np.ascontiguousarray(c.T)
-    colour: Dict[bytes, int] = {}
-    out = np.empty((n, n), dtype=np.int64)
-    step = max(1, CLOSURE_CHUNK // (n * n))
-    for x0 in range(0, n, step):
-        xs = slice(x0, min(n, x0 + step))
-        sig = np.empty((xs.stop - x0, n, n + 2), dtype=dtype)   # [x, y, :]
-        sig[:, :, 0] = c[xs]
-        sig[:, :, 1] = ct[xs]
-        keys = sig[:, :, 2:]
-        np.add(c[xs, None, :] * dtype(d), ct[None, :, :], out=keys)
-        keys.sort(axis=2)
-        rows, inv = _unique_rows(sig.reshape(-1, n + 2))
-        if len(rows) >= n:
-            return None
-        ids = np.array([colour.setdefault(r.tobytes(), len(colour)) for r in rows])
-        if len(colour) >= n:
-            return None
-        out[xs] = ids[inv.ravel()].reshape(-1, n)
-    return out, len(colour)
-
-
-def coherent_closure(label: np.ndarray) -> Optional[np.ndarray]:
-    """The coarsest coherent configuration whose classes refine the pair
-    colouring label (n, n), by two-dimensional Weisfeiler-Leman refinement
-    (Weisfeiler & Leman 1968; Higman's coherent configurations): colours
-    are refined by _refine until their number stops growing.  The stable
-    colouring is coherent: every class has the same walk counts c_{ij}^k
-    at each of its pairs, the diagonal is a union of classes when label
-    gives the diagonal colours of its own, and the transpose of a class is
-    a class.  Returns the classes numbered by their first pair in row-major
-    order, ready for orbit_basis, or None as soon as there are n or more
-    classes, where an algebra no smaller than the n x n matrices is no
-    reduction.  Each round takes O(n^2) memory per row of a chunk of
-    CLOSURE_CHUNK / n^2 rows, and nothing sized by pairs of classes."""
+    The exact round gives (x, y) the signature (c(x, y), c(y, x), the
+    multiset of (c(x, z), c(z, y)) over all z).  Here a round keeps c(x, y)
+    exactly and hashes the rest into one integer, with random weights w
+    drawn afresh for each round:
+        H[x, y] = w[c(y, x)][d] + sum_z w[c(x, z)][c(z, y)]
+                = w[c(y, x)][d] + sum_i (E_i W_i)[x, y],   W_i = w[i][c],
+    d matrix products.  The weights are small enough that H stays below
+    2**top with d 2**top <= 2**53, so each sum is exact in float64 and
+    c(x, y) 2**top + H packs the new colour in one float.  A hashed round is never finer than
+    the exact round, so no colouring here is finer than the closure.  When a
+    round adds no class, orbit_basis checks that every class has constant
+    walk counts and that the transpose of every class is a class, which is
+    the exact round adding no class either; a coherent colouring that
+    refines label is never coarser than the closure, so it is the closure,
+    with its classes numbered by their first pair in row-major order.  A
+    colouring that fails the check (a collision of the weights) gets further
+    rounds.  Each round holds a few n x n arrays and nothing sized by pairs
+    of classes."""
     c, d = _first_seen(np.asarray(label))
     n = c.shape[0]
+    rng = random.Random(n)  # the stdlib's: numpy.random costs ~6 MB and 12 ms to load
     while d < n:
-        step = _refine(c, d)
-        if step is None:
-            return None
-        c, grown = step
+        top = 53 - d.bit_length()         # c(x, y) 2**top + H < d 2**top <= 2**53
+        bits = top - n.bit_length()       # n + 1 weights below 2**bits sum below 2**top
+        w = np.array([[rng.getrandbits(bits) for _ in range(d + 1)] for _ in range(d)],
+                     dtype=float)
+        H = c * 2.0 ** top + w[c.T, d]
+        for i in range(d):
+            H += (c == i).astype(float) @ w[i][c]
+        c, grown = _first_seen(H)
         if grown == d:
-            return _first_seen(c)[0]
+            try:
+                return orbit_basis(c)
+            except AssertionError:  # a collision merged pairs the exact round splits
+                pass
         d = grown
     return None
 
@@ -386,14 +359,17 @@ def orbit_basis(label: np.ndarray) -> OrbitBasis:
     lam_{ij}^k = c_{ij}^k * sqrt(t_k/(t_i t_j)), where c counts walks
     E_i E_j = sum_k c_{ij}^k E_k: for any (x, y) in class k,
     c_{ij}^k = #{z : (x, z) in class i, (z, y) in class j}.  An
-    AssertionError says the count is not constant on some class, i.e. the
-    classes are not a coherent configuration.  The float matrices L_k come
-    from the integer counts."""
+    AssertionError says the classes are not a coherent configuration: the
+    transpose of some class is not a class, or the count is not constant on
+    some class.  The float matrices L_k come from the integer counts."""
     n = label.shape[0]
     _, index, sizes = np.unique(label, return_index=True, return_counts=True)
     d, sizes = len(sizes), sizes.tolist()
     first_x, first_y = np.divmod(index, n)
-    transpose_of = label[first_y, first_x].tolist()
+    transpose_of = label[first_y, first_x]
+    if not np.array_equal(transpose_of[label], label.T):
+        raise AssertionError("the transpose of a class is not a class: not coherent")
+    transpose_of = transpose_of.tolist()
 
     # counts[k, i*d + j] = c_{ij}^k, read off the first pair of orbit k: one
     # bincount of the keys (x, y, i, j) of every walk x -> z -> y over a chunk

@@ -153,6 +153,31 @@ class TestArithmetic:
             Polynomial(2, {(1, -1): 1})
 
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_power_is_repeated_product(self, mode):
+        p = Polynomial(2, {(1, 0): 1, (0, 1): Fraction(-1, 2), (0, 0): 3}, EXACT)
+        p = p if mode == EXACT else p.to_float()
+        product = Polynomial.constant(2, 1, mode)
+        for k in range(7):
+            assert p ** k == product
+            product = product * p
+        assert p ** 0 == Polynomial.constant(2, 1, mode)
+        with pytest.raises(ValueError, match="negative"):
+            p ** -1
+
+
+class TestDisplay:
+    def test_motzkin(self):
+        assert str(motzkin()) == "1 - 3*x1^2*x2^2 + x1^4*x2^2 + x1^2*x2^4"
+        assert repr(motzkin()) == "Polynomial(n=2, 1 - 3*x1^2*x2^2 + x1^4*x2^2 + x1^2*x2^4)"
+        assert str(motzkin().to_float()) == "1.0 - 3.0*x1^2*x2^2 + x1^4*x2^2 + x1^2*x2^4"
+
+    def test_zero_unit_and_fraction_coefficients(self):
+        assert str(Polynomial.zero(3)) == "0"
+        assert str(Polynomial(2, {(0, 1): -1, (0, 0): Fraction(1, 2)})) == "1/2 - x2"
+        assert str(Polynomial(2, {(3, 0): Fraction(-2, 3)})) == "-2/3*x1^3"
+
+
 class TestCoefficientAccess:
     def test_coefficient_of(self):
         p = Polynomial(1, {(2,): 1, (0,): -1})

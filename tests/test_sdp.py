@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -347,6 +348,13 @@ class TestDualOf:
         assert len(calls) == 1
 
 
+def disk_relaxation():
+    """The order-2 SOS dual of min x^2 + y^2 on the unit disk (minimum 0)."""
+    f = Polynomial(2, {(2, 0): 1, (0, 2): 1})
+    g = Polynomial(2, {(0, 0): 1, (2, 0): -1, (0, 2): -1})
+    return build_sos_dual(PolyProgram(2, f, ineqs=(g,)), 2)[0]
+
+
 class TestSolve:
     def test_one_by_one(self):
         p = SdpProblem(block_dims=[1], C=[np.eye(1)],
@@ -356,14 +364,27 @@ class TestSolve:
         assert abs(s.primal_obj - 1.0) < 1e-7
 
     def test_unconverged_step_eigenvalues_are_a_numerical_failure(self):
-        # at tol = 0 the disk relaxation iterates until S^-1 overflows, and the
-        # step length's eigvalsh stops converging: the run ends, it does not raise
-        f = Polynomial(2, {(2, 0): 1, (0, 2): 1})
-        g = Polynomial(2, {(0, 0): 1, (2, 0): -1, (0, 2): -1})
-        prob, _ = build_sos_dual(PolyProgram(2, f, ineqs=(g,)), 2)
+        # at the least positive tol the disk relaxation iterates until S^-1
+        # overflows, and the step length's eigvalsh stops converging: the run
+        # ends, it does not raise
         with np.errstate(all="ignore"):
-            s = solve(prob, tol=0.0)
+            s = solve(disk_relaxation(), tol=math.ulp(0.0))
         assert s.status != sdp.OPTIMAL
+
+    @pytest.mark.parametrize("entry", ["sdp.solve", "ipm.solve_std"])
+    @pytest.mark.parametrize("limits", [{"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0},
+                                        {"tol": math.nan}, {"max_iter": -1}],
+                             ids=["inf", "zero", "negative", "nan", "max_iter"])
+    def test_rejects_tol_not_finite_positive_and_negative_max_iter(self, entry, limits):
+        # at tol = inf the disk relaxation would end optimal at iteration 0
+        # with bound -4 (the minimum is 0), and max_iter = -1 iter_cap with a
+        # NaN objective
+        prob = disk_relaxation()
+        with pytest.raises(ValueError, match="finite positive tol"):
+            if entry == "sdp.solve":
+                solve(prob, **limits)
+            else:
+                ipm.solve_std(sdp._standardize(prob), **limits)
 
     def test_theta_squeeze_empty_and_complete(self):
         J = np.ones((4, 4))
@@ -618,6 +639,20 @@ class TestOrientation:
         assert s.orientation == "dual"
         assert s.status == sdp.OPTIMAL
 
+    def test_dual_solve_with_a_wide_mapped_back_gap_is_max_iter(self):
+        # a real dual-orientation result, mapped back as solve does: optimal
+        # as it is, max_iter once its objective is shifted past 10 * tol
+        q, _ = apcount.build_density_relaxation(5, 2, use_symmetry=True)
+        q = q if q.sense == "min" else q.negated()
+        fold = sdp._sign_rows(q)
+        dual = sdp._dual(q, *fold)
+        res = ipm.solve_std(sdp._standardize(dual.negated()))
+        assert sdp._from_dual(q, dual, fold, res, 1e-8).status == sdp.OPTIMAL
+        shifted = replace(res, pobj=res.pobj + 1e-3 * (1.0 + abs(res.pobj)))
+        s = sdp._from_dual(q, dual, fold, shifted, 1e-8)
+        assert s.gap > 1e-7
+        assert s.status == sdp.MAX_ITER
+
 
 def _lp_vertex_optimum(c, rows):
     """min c.x over x >= 0 and rows (a, rhs, rel), exactly: the best
@@ -756,6 +791,13 @@ class TestKktAndStopTest:
             assert np.array_equal(Mr, before)
             sol = lift(ipm._kkt_solve(Mr, Kinv, rr))
             assert np.linalg.norm(rhs - K @ sol) <= 1e-13 * np.linalg.norm(rhs)
+
+    def test_kkt_factor_is_none_without_a_cholesky_factor(self):
+        # eigenvalues 3 and -1: the shift of 2e-13 * 1 leaves it indefinite
+        M = np.array([[1.0, 2.0], [2.0, 1.0]])
+        before = M.copy()
+        assert ipm._kkt_factor(M) is None
+        assert np.array_equal(M, before)
 
     def test_optimal_gap_is_relative_to_objective(self):
         # theta(C5) = sqrt(5), so the objective 500*J has the optimum

@@ -41,7 +41,6 @@ from soskit.symmetry import (
     _pair_orbits,
     _permutation_of,
     _squarefree,
-    _unique_rows,
 )
 
 from conftest import petersen
@@ -241,6 +240,50 @@ def random_graph(n, seed):
                                 if rng.random() < 0.5])
 
 
+def naive_closure(colour):
+    """Two-dimensional Weisfeiler-Leman refinement as the definition reads:
+    each round colours (x, y) by the tuple (c(x, y), c(y, x), sorted
+    (c(x, z), c(z, y)) over z), colours numbered by first pair in row-major
+    order, until the number of colours stops growing; None at n or more."""
+    c, n = colour.tolist(), len(colour)
+    d = len({v for row in c for v in row})
+    while d < n:
+        ids = {}
+        c = [[ids.setdefault((c[x][y], c[y][x],
+                              tuple(sorted((c[x][z], c[z][y]) for z in range(n)))), len(ids))
+              for y in range(n)] for x in range(n)]
+        if len(ids) == d:
+            return c
+        d = len(ids)
+    return None
+
+
+def arc_colours(n, arcs):
+    """The colouring of a digraph's vertex pairs: 0 on the diagonal, 1 on
+    arcs and 2 elsewhere."""
+    colour = np.full((n, n), 2)
+    colour[tuple(np.array(arcs).T)] = 1
+    np.fill_diagonal(colour, 0)
+    return colour
+
+
+PALEY7 = [(x, y) for x in range(7) for y in range(7) if (y - x) % 7 in (1, 2, 4)]
+NAIVE_COLOURINGS = {name: pair_colours(g) for name, g in {
+    "C6": Graph.cycle(6), "C9": Graph.cycle(9), "petersen": petersen(), "K15": star(5),
+    "P4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), "K33": Graph.from_edges(
+        6, [(i, 3 + j) for i in range(3) for j in range(3)]),
+    "H242": hamming_graph(2, 4, 2), "H243": hamming_graph(2, 4, 3),
+    "H332": hamming_graph(3, 3, 2), "rand9": random_graph(9, 4), "rand10": random_graph(10, 5),
+}.items()}
+# digraphs, whose classes need not be symmetric: the Paley tournament on 7
+# vertices beside a directed triangle, and the lexicographic product of two
+# directed triangles
+NAIVE_COLOURINGS["paley7+C3"] = arc_colours(10, PALEY7 + [(7, 8), (8, 9), (9, 7)])
+NAIVE_COLOURINGS["C3[C3]"] = arc_colours(9, [
+    (3 * a + i, 3 * b + j) for a in range(3) for b in range(3) for i in range(3)
+    for j in range(3) if (b - a) % 3 == 1 or (a == b and (j - i) % 3 == 1)])
+
+
 CLOSED_GRAPHS = {
     "C5": Graph.cycle(5), "C8": Graph.cycle(8), "petersen": petersen(),
     "K15": star(5), "K4": Graph.complete(4), "empty4": Graph.empty(4),
@@ -253,7 +296,7 @@ class TestCoherentClosure:
     @pytest.mark.parametrize("name", CLOSED_GRAPHS)
     def test_coherent_and_closed_under_transpose(self, name):
         colour = pair_colours(CLOSED_GRAPHS[name])
-        b = orbit_basis(coherent_closure(colour))   # asserts constant walk counts
+        b = coherent_closure(colour)   # orbit_basis asserts constant walk counts
         assert b.d < b.size
         for i in range(b.d):
             assert np.array_equal(b.E(i).T, b.E(b.transpose_of[i]))
@@ -267,8 +310,8 @@ class TestCoherentClosure:
     @pytest.mark.parametrize("qnd", [(2, 4, 2), (2, 4, 3), (2, 5, 3), (3, 3, 2)])
     def test_walk_counts_match_a_count_per_pair(self, qnd):
         # c_{ij}^k from the first pair (x, y) of class k, z by z
-        label = coherent_closure(pair_colours(hamming_graph(*qnd)))
-        b = orbit_basis(label)
+        b = coherent_closure(pair_colours(hamming_graph(*qnd)))
+        label = b.label
         expect = np.zeros((b.d, b.d, b.d), dtype=np.int64)
         for k, (x, y) in enumerate(b.first.tolist()):
             for z in range(b.size):
@@ -284,15 +327,15 @@ class TestCoherentClosure:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_hamming_classes_are_distances(self, n):
-        assert orbit_basis(coherent_closure(pair_colours(hamming_graph(2, n, 2)))).d == n + 1
+        assert coherent_closure(pair_colours(hamming_graph(2, n, 2))).d == n + 1
 
     @pytest.mark.parametrize("n", range(5, 11))
     def test_cycle(self, n):
-        assert orbit_basis(coherent_closure(pair_colours(Graph.cycle(n)))).d == n // 2 + 1
+        assert coherent_closure(pair_colours(Graph.cycle(n))).d == n // 2 + 1
 
     def test_petersen_and_star(self):
-        assert orbit_basis(coherent_closure(pair_colours(petersen()))).d == 3
-        b = orbit_basis(coherent_closure(pair_colours(star(5))))
+        assert coherent_closure(pair_colours(petersen())).d == 3
+        b = coherent_closure(pair_colours(star(5)))
         assert b.d == 5
         assert sum(t != i for i, t in enumerate(b.transpose_of)) == 2   # one pair
 
@@ -303,26 +346,56 @@ class TestCoherentClosure:
     def test_gives_up_at_n_classes(self, g):
         assert coherent_closure(pair_colours(g)) is None
 
-    def test_chunked_rounds_agree(self, monkeypatch):
+    def test_rejects_a_labelling_whose_transpose_is_not_a_class(self):
+        # E_0 = [[1, 0], [1, 0]] and E_1 = [[0, 1], [0, 1]] have constant
+        # walk counts (E_i E_j = E_j), but the transpose of E_0 is no class
+        with pytest.raises(AssertionError, match="transpose"):
+            orbit_basis(np.array([[0, 1], [0, 1]]))
+
+    @pytest.mark.parametrize("name", NAIVE_COLOURINGS)
+    def test_equals_naive_weisfeiler_leman(self, name):
+        colour = NAIVE_COLOURINGS[name]
+        expect = naive_closure(colour)
+        b = coherent_closure(colour)
+        if expect is None:
+            assert b is None
+        else:
+            assert b.label.dtype == np.int64 and b.label.tolist() == expect
+
+    def test_colliding_weights_still_give_the_closure(self, monkeypatch):
+        # the first 60 weights are 0, so the first rounds hash every pair
+        # alike and add no class: orbit_basis rejects the colouring of
+        # H(2, 5, 3) (distances 3, 4 and 5 share the non-edge colour), and
+        # refinement goes on with fresh weights to the same classes
         colour = pair_colours(hamming_graph(2, 5, 3))
-        whole = coherent_closure(colour)
-        monkeypatch.setattr(symmetry, "CLOSURE_CHUNK", 1)   # one row per chunk
-        assert np.array_equal(coherent_closure(colour), whole)
+        expect = coherent_closure(colour)
+        Random = random.Random
 
-    def test_unique_rows_survive_hash_collisions(self, monkeypatch):
-        a = np.array([[0, 2], [1, 1], [2, 0], [1, 1]])
-
-        class Flat:                 # all weights 1: every row hashes to its sum
+        class Colliding:
             def __init__(self, seed):
-                pass
+                self.real, self.zeros = Random(seed), 60
 
             def getrandbits(self, k):
-                return 0
+                self.zeros -= 1
+                return 0 if self.zeros >= 0 else self.real.getrandbits(k)
 
-        monkeypatch.setattr(symmetry.random, "Random", Flat)
-        rows, inv = _unique_rows(a)
-        assert rows.tolist() == [[0, 2], [1, 1], [2, 0]]
-        assert inv.ravel().tolist() == [0, 1, 2, 1]
+        rejected = []
+        real = symmetry.orbit_basis
+
+        def recording(label):
+            try:
+                return real(label)
+            except AssertionError:
+                rejected.append(label)
+                raise
+
+        monkeypatch.setattr(symmetry.random, "Random", Colliding)
+        monkeypatch.setattr(symmetry, "orbit_basis", recording)
+        b = coherent_closure(colour)
+        assert len(rejected) >= 2
+        assert np.array_equal(b.label, expect.label)
+        assert np.array_equal(b.counts, expect.counts)
+        assert b.label.tolist() == naive_closure(colour)
 
     def test_family_bases_are_commutants_of_enumerated_stabilizers(self, monkeypatch):
         # every basis that the symmetric density and mono builds make, one
